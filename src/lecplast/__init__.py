@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     CapacityError,
-    ContractionFailure,
     DomainError,
     EmptyDescriptorError,
     PreconditionError,
@@ -16,11 +15,8 @@ from .measures import (
     RestrictedMeasure,
     TransportMap,
     cantor_function,
-    cdf,
     integrate,
     pushforward_check,
-    quantile,
-    total_mass,
     transport_map,
 )
 from .plasticity import Rule, Verdict, ViolationCertificate, classify, find_tau, violating_subset
@@ -52,8 +48,6 @@ from .verify import (
 from .witness import (
     ShiftWitness,
     TransportWitness,
-    apply_shift,
-    apply_transport,
     build_partition,
     build_shift_witness,
     build_transport_witness,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .errors import ContractionFailure, DomainError, RangeError, SchemaError
+from .errors import CapacityError, DomainError, PreconditionError, RangeError, SchemaError
 from .plasticity import Rule, Verdict, classify
 from .spectrum import SpectralDescriptor, parse_descriptor, serialize_descriptor
 from .verify import (
@@ -96,23 +96,9 @@ def _run_checks(d, witness, config: RunConfig) -> list[VerificationReport]:
                 witness, samples=samples, seed=_check_seed(config.seed, 1), nodes=config.nodes
             )
         )
-        try:
-            reports.append(
-                check_strict_contraction(
-                    witness, nodes=config.nodes, seed=_check_seed(config.seed, 2)
-                )
-            )
-        except ContractionFailure:
-            reports.append(
-                VerificationReport(
-                    name="strict_contraction",
-                    samples=1,
-                    worst_residual=1.0,
-                    threshold=1.0 - 1e-6,
-                    passed=False,
-                    seed=_check_seed(config.seed, 2),
-                )
-            )
+        reports.append(
+            check_strict_contraction(witness, nodes=config.nodes, seed=_check_seed(config.seed, 2))
+        )
 
     if d.has_point_spectrum:
         space = TruncatedQuadraticSpace.from_descriptor(d, per_sequence=config.per_sequence)
@@ -205,19 +191,27 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
-    config = RunConfig(
-        command=args.command,
-        input_path=args.input,
-        output_path=args.output,
-        seed=args.seed,
-        window=args.window,
-        nodes=args.nodes,
-        per_sequence=args.per_sequence,
-        full=args.full,
-    )
     try:
+        config = RunConfig(
+            command=args.command,
+            input_path=args.input,
+            output_path=args.output,
+            seed=args.seed,
+            window=args.window,
+            nodes=args.nodes,
+            per_sequence=args.per_sequence,
+            full=args.full,
+        )
         exit_code, report = run(config)
-    except (OSError, json.JSONDecodeError, SchemaError, DomainError, RangeError) as exc:
+    except (
+        OSError,
+        json.JSONDecodeError,
+        SchemaError,
+        DomainError,
+        RangeError,
+        PreconditionError,
+        CapacityError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"

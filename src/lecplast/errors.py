@@ -24,6 +24,3 @@ class PreconditionError(RuntimeError):
 class CapacityError(RuntimeError):
     """A finite eigenspace cannot supply the requested number of eigenvectors."""
 
-
-class ContractionFailure(RuntimeError):
-    """No sampled direction contracts; the witness operator is defective."""

@@ -159,18 +159,6 @@ def _quantile(cdf: Callable, support: tuple[float, float], mass: float, u):
     return float(lo_b[0]) if scalar else lo_b
 
 
-def total_mass(m) -> float:
-    return m.total_mass
-
-
-def cdf(m, t):
-    return m.cdf(t)
-
-
-def quantile(m, u):
-    return m.quantile(u)
-
-
 @dataclass(frozen=True, eq=False)
 class TransportMap:
     """Monotone map G with dst = (M_dst/M_src) * src o G, dst-support -> src-support."""

@@ -192,10 +192,6 @@ def build_shift_witness(
     )
 
 
-def apply_shift(w: ShiftWitness, window_coeffs, tail=None):
-    return w.apply(window_coeffs, tail)
-
-
 # ---------------------------------------------------------------------------
 # Transport witness
 # ---------------------------------------------------------------------------
@@ -311,10 +307,6 @@ def build_transport_witness(part: ContinuousPart, K: int) -> TransportWitness:
     m = MeasureSpec((part,))
     endpoints = build_partition(m, K)
     return TransportWitness(measure=m, window=K, endpoints=endpoints)
-
-
-def apply_transport(w: TransportWitness, f_values, k: int, nodes=None):
-    return w.apply(f_values, k, nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
+from lecplast import RangeError, verify
 from lecplast.cli import RunConfig, main, run
-from lecplast import RangeError
 
 TWO_ATOMS = {
     "atoms": [
@@ -13,6 +13,7 @@ TWO_ATOMS = {
 }
 SINGLE_ATOM = {"atoms": [{"value": 1, "multiplicity": "inf"}]}
 LEBESGUE = {"continuous": [{"kind": "density", "support": [1, 2], "coeffs": [1]}]}
+CANTOR = {"continuous": [{"kind": "cantor", "support": [1, 2], "mass": 1}]}
 BAD_RATIO = {
     "sequences": [
         {"limit": 1, "direction": "dec", "offset": 1, "ratio": 1.5, "multiplicity": 1}
@@ -56,6 +57,22 @@ class TestClassify:
     def test_usage_error_exits_1(self, capsys):
         assert main(["frobnicate"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "doc, args",
+        [
+            (LEBESGUE, ["all", "--window", "0"]),
+            (LEBESGUE, ["all", "--nodes", "8"]),
+            # at K = 40 the smallest Cantor levels (2**-41) lie below the
+            # quantile's x-resolution, so partition endpoints coincide
+            (CANTOR, ["witness", "--window", "40"]),
+        ],
+        ids=["window_0", "nodes_8", "cantor_window_40"],
+    )
+    def test_rejected_run_exits_1_with_one_line(self, tmp_path, capsys, doc, args):
+        assert main([*args, "--input", write(tmp_path, "d.json", doc)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
 
 class TestWitnessCommand:
@@ -102,6 +119,29 @@ class TestVerifyCommand:
         assert names == ["form_preservation", "nonexpansive", "strict_contraction",
                          "finite_dim_plasticity"]
         assert all(c["pass"] for c in report["checks"])
+
+    def test_cantor_pipeline(self, tmp_path):
+        config = RunConfig("all", write(tmp_path, "d.json", CANTOR), window=2, nodes=256)
+        code, report = run(config)
+        assert code == 3
+        names = [c["name"] for c in report["checks"]]
+        assert names == ["form_preservation", "nonexpansive", "strict_contraction",
+                         "finite_dim_plasticity"]
+        assert all(c["pass"] for c in report["checks"])
+
+    def test_transport_table_built_once(self, tmp_path, monkeypatch):
+        builds = []
+        init = verify._TransportTables.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(verify._TransportTables, "__init__", counting_init)
+        config = RunConfig("all", write(tmp_path, "d.json", LEBESGUE), window=3, nodes=256)
+        code, _ = run(config)
+        assert code == 3
+        assert len(builds) == 1
 
     def test_plastic_descriptor_runs_space_checks(self, tmp_path):
         config = RunConfig(

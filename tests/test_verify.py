@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import mpmath
 import numpy as np
@@ -6,7 +8,6 @@ import pytest
 
 from lecplast import (
     INFINITE,
-    ContractionFailure,
     PreconditionError,
     ShiftWitness,
     Rule,
@@ -125,6 +126,14 @@ class TestStrictContraction:
         assert report.passed
         assert contraction_delta(report) >= 1.0 - math.sqrt(14.0 / 15.0)
 
+    def test_transport_table_freed_with_witness(self):
+        w = build_transport_witness(density(1.0, 2.0), 2)
+        assert check_strict_contraction(w, nodes=64).passed
+        ref = weakref.ref(w)
+        del w
+        gc.collect()
+        assert ref() is None
+
     def test_failure_on_defective_witness(self):
         lam = np.array([1.0 + 2e-9, 1.0 + 2e-9, 1.0])
         w = ShiftWitness(
@@ -135,8 +144,9 @@ class TestStrictContraction:
             R=1.0 + 2e-9,
             rule=Rule.TWO_INFINITE_ATOMS,
         )
-        with pytest.raises(ContractionFailure):
-            check_strict_contraction(w)
+        report = check_strict_contraction(w)
+        assert not report.passed
+        assert report.worst_residual == pytest.approx(math.sqrt(1.0 / (1.0 + 2e-9)), abs=1e-15)
 
 
 class TestRayleigh:
