@@ -52,5 +52,3 @@ from .witness import (
     build_shift_witness,
     build_transport_witness,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -9,6 +9,13 @@ quadrature rule.
 Polynomial densities are integrated in closed form, so their cdfs carry no
 numerical error.  Cantor parts evaluate the classic ternary-digit algorithm
 for the Cantor function, affinely rescaled to their support and mass.
+
+A measure of one part, and every window of one, is inverted directly: a
+Cantor level maps its binary digits to ternary digits 0/2, and a density
+level runs a safeguarded Newton iteration on the closed-form cdf.  Only a
+measure of several parts falls back to bisection.  Every quantile keeps the
+floating-point invariant cdf(quantile(u)) <= u that bisection has, so a level
+on a cdf plateau selects the same plateau end either way.
 """
 
 from __future__ import annotations
@@ -26,8 +33,16 @@ from .spectrum import ContinuousPart, PartKind
 #: Ternary digits used when evaluating the Cantor function.
 DEFAULT_CANTOR_DEPTH = 40
 
-#: Absolute x-tolerance of the quantile bisection.
+#: Absolute x-tolerance of the quantile bisection (multi-part measures only).
 QUANTILE_TOL = 2.0**-48
+
+#: Iteration cap of the density Newton solve.  A cdf whose rounding noise
+#: exceeds a few ulps of x (near a zero of the density) can stop it early;
+#: the final ulp walk keeps cdf(quantile(u)) <= u either way.
+_NEWTON_CAP = 100
+
+#: Grid points of the interpolated cdf that starts the density Newton solve.
+_GUESS_GRID = 65
 
 
 def cantor_function(x, depth: int = DEFAULT_CANTOR_DEPTH) -> np.ndarray:
@@ -96,8 +111,24 @@ class MeasureSpec:
         return float(out) if out.ndim == 0 else out
 
     def quantile(self, u):
-        """sup{x : cdf(x) <= u}, the right endpoint of any cdf plateau."""
-        return _quantile(self.cdf, self.support, self.total_mass, u)
+        """sup{x : cdf(x) <= u}, the right endpoint of any cdf plateau.
+
+        One part is inverted in closed form, several parts by bisection;
+        either way cdf(quantile(u)) <= u holds exactly in floating point.
+        """
+        if len(self.parts) > 1:
+            return _quantile(self.cdf, self.support, self.total_mass, u)
+        levels = _levels(u, self.total_mass)
+        part = self.parts[0]
+        a, b = part.support
+        if part.kind is PartKind.CANTOR:
+            x = _cantor_quantile(part, levels, self.cantor_depth)
+            values = self.cdf(x)
+        else:
+            x, values = _density_quantile(part, self.cdf, levels)
+        x = _step_left(self.cdf, x, values, levels, a)
+        x[levels >= self.total_mass] = b
+        return _shaped(x, u)
 
     def restrict(self, lo: float, hi: float) -> "RestrictedMeasure":
         return RestrictedMeasure(self, lo, hi)
@@ -132,31 +163,134 @@ class RestrictedMeasure:
         return float(out) if np.ndim(out) == 0 else out
 
     def quantile(self, u):
-        return _quantile(self.cdf, self.support, self.total_mass, u)
+        """sup{x in [lo, hi] : cdf(x) <= u}, read off the base measure.
+
+        The base level is the largest c with fl(c - offset) <= u, so the
+        base's invariant base.cdf(x) <= c carries over to cdf(x) <= u.
+        """
+        levels = _levels(u, self.total_mass)
+        offset = self._offset
+        c = offset + levels
+        while (over := c - offset > levels).any():
+            c[over] = np.nextafter(c[over], -np.inf)
+        while (fits := np.nextafter(c, np.inf) - offset <= levels).any():
+            c[fits] = np.nextafter(c[fits], np.inf)
+        x = np.clip(self.base.quantile(c), self.lo, self.hi)
+        x[levels >= self.total_mass] = self.hi
+        return _shaped(x, u)
+
+
+def _levels(u, mass: float) -> np.ndarray:
+    """Quantile levels as a new 1-d array, clipped to [0, mass].
+
+    Levels more than 1e-9 * max(1, mass) outside that range raise RangeError.
+    """
+    levels = np.atleast_1d(np.asarray(u, dtype=float))
+    tol = 1e-9 * max(1.0, mass)
+    if (levels < -tol).any() or (levels > mass + tol).any():
+        raise RangeError(f"quantile level outside [0, {mass}]")
+    return np.clip(levels, 0.0, mass)
+
+
+def _shaped(x: np.ndarray, u):
+    """A float for a scalar level u, else the array x."""
+    return float(x[0]) if np.ndim(u) == 0 else x
 
 
 def _quantile(cdf: Callable, support: tuple[float, float], mass: float, u):
     """Monotone bisection for sup{x : cdf(x) <= u} on the support window."""
-    u_arr = np.asarray(u, dtype=float)
-    scalar = u_arr.ndim == 0
-    u_work = np.atleast_1d(u_arr).astype(float).copy()
-    tol = 1e-9 * max(1.0, mass)
-    if (u_work < -tol).any() or (u_work > mass + tol).any():
-        raise RangeError(f"quantile level outside [0, {mass}]")
-    np.clip(u_work, 0.0, mass, out=u_work)
+    levels = _levels(u, mass)
     lo, hi = support
-    lo_b = np.full_like(u_work, lo)
-    hi_b = np.full_like(u_work, hi)
-    at_top = u_work >= mass
+    lo_b = np.full_like(levels, lo)
+    hi_b = np.full_like(levels, hi)
     iters = max(1, math.ceil(math.log2(max((hi - lo) / QUANTILE_TOL, 2.0)))) + 1
     for _ in range(iters):
         mid = 0.5 * (lo_b + hi_b)
-        below = cdf(mid) <= u_work
+        below = cdf(mid) <= levels
         lo_b = np.where(below, mid, lo_b)
         hi_b = np.where(below, hi_b, mid)
     # sup{x : F(x) <= M} is unbounded; by convention the support top.
-    lo_b[at_top] = hi
-    return float(lo_b[0]) if scalar else lo_b
+    lo_b[levels >= mass] = hi
+    return _shaped(lo_b, u)
+
+
+def _cantor_quantile(part: ContinuousPart, u: np.ndarray, depth: int) -> np.ndarray:
+    """Right plateau end of each Cantor level u, up to a few ulps.
+
+    The Cantor level y is the largest multiple of 2**-(depth+1), the grid
+    that ``cantor_function`` values lie on, with fl(mass * y) <= u.  Its
+    binary digits b_i become ternary digits 2 b_i:
+    x = a + (b - a) * sum_i 2 b_i 3**-i.  The finite (greedy-floor) binary
+    expansion gives the sup convention on plateaus.
+    """
+    a, b = part.support
+    scale = 2.0 ** (depth + 1)
+    n = np.floor(u / part.mass * scale)  # y = n / scale
+    n = np.where(part.mass * (n / scale) > u, n - 1.0, n)
+    up = n + 1.0
+    n = np.where((up <= scale) & (part.mass * (up / scale) <= u), up, n)
+    z = np.zeros_like(u)
+    for _ in range(depth + 1):  # least significant digit first
+        half = np.floor(0.5 * n)
+        z = (z + 2.0 * (n - 2.0 * half)) / 3.0
+        n = half
+    return np.clip(a + (b - a) * z, a, b)
+
+
+def _density_quantile(part: ContinuousPart, cdf: Callable, u: np.ndarray):
+    """Safeguarded Newton solve of cdf(x) = u on the support.
+
+    Starts from the inverse of the cdf interpolated on a coarse grid and
+    keeps a bracket [lo, hi] with cdf(lo) <= u < cdf(hi).  A Newton step
+    that leaves the bracket, or fails to halve the previous move, is
+    replaced by a bisection of the bracket.  A level is done after a Newton
+    step whose quadratic error term |p'/2p| * step**2 is below one ulp, or
+    once its bracket is within four ulps.  Returns the last iterate with its
+    cdf values.
+    """
+    a, b = part.support
+    density = Polynomial(part.coeffs)
+    slope = density.deriv()
+    grid = np.linspace(a, b, _GUESS_GRID)
+    x = np.interp(u, cdf(grid), grid)
+    values = cdf(x)
+    lo = np.full_like(u, a)
+    hi = np.full_like(u, b)
+    moved = np.full_like(u, b - a)
+    done = np.zeros(u.shape, dtype=bool)
+    for _ in range(_NEWTON_CAP):
+        below = values <= u
+        lo = np.where(below, x, lo)
+        hi = np.where(below, hi, x)
+        p = density(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(values == u, 0.0, (u - values) / p)
+            error = np.where(step == 0.0, 0.0, np.abs(slope(x) / (2.0 * p)) * step**2)
+        newton = x + step
+        fast = (lo <= newton) & (newton <= hi) & (np.abs(step) <= 0.5 * moved)
+        tight = hi - lo <= 4.0 * np.spacing(x)
+        nxt = np.select([done, fast, tight], [x, newton, lo], 0.5 * (lo + hi))
+        done |= (fast & (error <= np.spacing(x))) | tight
+        moved = np.abs(nxt - x)
+        x = nxt
+        values = cdf(x)
+        if done.all():
+            break
+    return x, values
+
+
+def _step_left(cdf: Callable, x: np.ndarray, values, u: np.ndarray, floor: float):
+    """Walk x left in doubling ulp steps until cdf(x) <= u.
+
+    ``values`` is cdf(x); the walk stops at ``floor``, where cdf is 0.
+    """
+    step = np.spacing(x)
+    over = values > u
+    while over.any():
+        x[over] = np.maximum(x[over] - step[over], floor)
+        step[over] *= 2.0
+        over[over] = cdf(x[over]) > u[over]
+    return x
 
 
 @dataclass(frozen=True, eq=False)

@@ -251,8 +251,10 @@ def check_strict_contraction(
     if isinstance(op, ShiftWitness):
         factor = op.factor(1)  # ||T e_{n_1}||; the junction is the strict drop
     else:
-        p0 = op.window  # cell k = 0: indicator direction
-        factor = float(np.mean(_tables(op, nodes).gsq[p0])) ** 0.5
+        # Indicator of cell k = 0, or at K = 1 (where k = 0 has no successor)
+        # of the last cell with one; every g_hat_k is below 1.
+        gsq = _tables(op, nodes).gsq
+        factor = float(np.mean(gsq[min(op.window, len(gsq) - 1)])) ** 0.5
     return _report("strict_contraction", 1, factor, 1.0 - CONTRACTION_MARGIN, seed)
 
 

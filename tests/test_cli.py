@@ -109,7 +109,7 @@ class TestWitnessCommand:
 
 
 class TestVerifyCommand:
-    def test_lebesgue_pipeline(self, tmp_path):
+    def test_lebesgue_pipeline(self, tmp_path, capsys):
         config = RunConfig(
             "verify", write(tmp_path, "d.json", LEBESGUE), window=3, nodes=256
         )
@@ -119,15 +119,25 @@ class TestVerifyCommand:
         assert names == ["form_preservation", "nonexpansive", "strict_contraction",
                          "finite_dim_plasticity"]
         assert all(c["pass"] for c in report["checks"])
+        # K = 1: cell k = 0 has no successor, so strict contraction reads k = -1
+        out = tmp_path / "report.json"
+        argv = ["verify", "--window", "1", "--nodes", "64", "--output", str(out)]
+        assert main([*argv, "--input", config.input_path]) == 3
+        assert capsys.readouterr().err == ""
+        checks = json.loads(out.read_text())["checks"]
+        assert [c["name"] for c in checks] == names
+        assert all(c["pass"] for c in checks)
 
     def test_cantor_pipeline(self, tmp_path):
-        config = RunConfig("all", write(tmp_path, "d.json", CANTOR), window=2, nodes=256)
-        code, report = run(config)
-        assert code == 3
-        names = [c["name"] for c in report["checks"]]
-        assert names == ["form_preservation", "nonexpansive", "strict_contraction",
-                         "finite_dim_plasticity"]
-        assert all(c["pass"] for c in report["checks"])
+        path = write(tmp_path, "d.json", CANTOR)
+        # a small window, then the default flags (K = 16, 4096 nodes per cell)
+        for config in (RunConfig("all", path, window=2, nodes=256), RunConfig("all", path)):
+            code, report = run(config)
+            assert code == 3
+            names = [c["name"] for c in report["checks"]]
+            assert names == ["form_preservation", "nonexpansive", "strict_contraction",
+                             "finite_dim_plasticity"]
+            assert all(c["pass"] for c in report["checks"])
 
     def test_transport_table_built_once(self, tmp_path, monkeypatch):
         builds = []

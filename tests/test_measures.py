@@ -6,10 +6,13 @@ from hypothesis import strategies as st
 from lecplast import (
     MeasureSpec,
     RangeError,
+    build_transport_witness,
     integrate,
+    measures,
     pushforward_check,
     transport_map,
 )
+from lecplast.witness import partition_levels
 from conftest import cantor, cantor_oracle, density
 
 GALOIS_TOL = 2.0**-40
@@ -100,6 +103,79 @@ class TestQuantile:
         assert (values >= levels - GALOIS_TOL_CANTOR).all()
         t = rng.uniform(0.01, 0.99, 200)
         assert (cantor_01.quantile(cantor_01.cdf(t)) >= t - GALOIS_TOL).all()
+
+
+# One part of each closed form: densities of degree 0 to 3, and a Cantor part
+# whose mass 0.7 makes M * s_k round at the partition levels s_k.
+SINGLE_PARTS = {
+    "degree_0": density(1.0, 2.0, coeffs=(1.5,)),
+    "degree_1": density(1.0, 2.0, coeffs=(0.5, 0.3)),
+    "degree_2": density(0.7, 2.9, coeffs=(1.0, 0.0, 0.8)),
+    "degree_3": density(0.5, 3.0, coeffs=(1.0, 0.2, 0.3, 0.7)),
+    "cantor_0.7": cantor(1.0, 2.0, mass=0.7),
+}
+
+
+def _single_part_levels(m, count=1000, seed=41):
+    rng = np.random.default_rng(seed)
+    return np.concatenate([
+        m.total_mass * partition_levels(16),
+        rng.uniform(0.0, m.total_mass, count),
+        [0.0, m.total_mass],
+    ])
+
+
+class TestClosedFormQuantile:
+    @pytest.mark.parametrize("part", SINGLE_PARTS.values(), ids=SINGLE_PARTS.keys())
+    def test_agrees_with_bisection(self, part):
+        m = MeasureSpec((part,))
+        levels = _single_part_levels(m)
+        bisected = measures._quantile(m.cdf, m.support, m.total_mass, levels)
+        a, b = part.support
+        assert np.abs(m.quantile(levels) - bisected).max() <= 2.0**-46 * (b - a)
+
+    @pytest.mark.parametrize("part", SINGLE_PARTS.values(), ids=SINGLE_PARTS.keys())
+    def test_cdf_of_quantile_never_exceeds_level(self, part):
+        m = MeasureSpec((part,))
+        levels = _single_part_levels(m, count=4000)
+        assert (m.cdf(m.quantile(levels)) <= levels).all()
+        for u in levels[:40]:
+            assert m.cdf(m.quantile(float(u))) <= u
+
+    @pytest.mark.parametrize("part", SINGLE_PARTS.values(), ids=SINGLE_PARTS.keys())
+    def test_invariant_on_every_witness_cell(self, part):
+        w = build_transport_witness(part, 16)
+        for cell in w.cells:
+            levels = np.concatenate([
+                cell.total_mass * (np.arange(512) + 0.5) / 512,
+                cell.total_mass * partition_levels(8),
+            ])
+            assert (cell.cdf(cell.quantile(levels)) <= levels).all()
+
+    @pytest.mark.parametrize("part", SINGLE_PARTS.values(), ids=SINGLE_PARTS.keys())
+    def test_at_most_eight_cdf_calls(self, part, monkeypatch):
+        m = MeasureSpec((part,))
+        levels = _single_part_levels(m)
+        calls = []
+        cdf = MeasureSpec.cdf
+
+        def counting_cdf(self, t):
+            calls.append(1)
+            return cdf(self, t)
+
+        monkeypatch.setattr(MeasureSpec, "cdf", counting_cdf)
+        m.quantile(levels)
+        assert 1 <= len(calls) <= 8
+        cell = m.restrict(*m.quantile(m.total_mass * np.array([0.25, 0.75])))
+        calls.clear()
+        cell.quantile(cell.total_mass * (np.arange(256) + 0.5) / 256)
+        assert 1 <= len(calls) <= 8
+
+    def test_multi_part_keeps_bisection(self):
+        m = MeasureSpec((density(0.5, 1.5, coeffs=(0.0, 1.0)), cantor(1.5, 2.5, mass=0.5)))
+        levels = np.linspace(0.0, m.total_mass, 101)
+        bisected = measures._quantile(m.cdf, m.support, m.total_mass, levels)
+        assert np.array_equal(m.quantile(levels), bisected)
 
 
 class TestTransportMap:
