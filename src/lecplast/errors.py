@@ -22,5 +22,6 @@ class PreconditionError(RuntimeError):
 
 
 class CapacityError(RuntimeError):
-    """A finite eigenspace cannot supply the requested number of eigenvectors."""
+    """A finite eigenspace cannot supply the requested number of eigenvectors,
+    or floating point cannot hold the requested eigenvalues as distinct values."""
 

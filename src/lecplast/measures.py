@@ -6,8 +6,8 @@ transport map G = F_src^{-1} o (M_src/M_dst) F_dst between two measures,
 an interval-based pushforward residual, and a deterministic inverse-transform
 quadrature rule.
 
-Polynomial densities are integrated in closed form, so their cdfs carry no
-numerical error.  Cantor parts evaluate the classic ternary-digit algorithm
+Polynomial densities are integrated in closed form, in s = t - a from the
+support start a (``ContinuousPart.antiderivative``).  Cantor parts evaluate the classic ternary-digit algorithm
 for the Cantor function, affinely rescaled to their support and mass.
 
 A measure of one part, and every window of one, is inverted directly: a
@@ -81,8 +81,7 @@ def _part_cdf(part: ContinuousPart, t: np.ndarray, depth: int) -> np.ndarray:
     a, b = part.support
     clamped = np.clip(t, a, b)
     if part.kind is PartKind.DENSITY:
-        antiderivative = Polynomial(part.coeffs).integ()
-        return antiderivative(clamped) - antiderivative(a)
+        return part.antiderivative(clamped - a)
     return part.mass * cantor_function((clamped - a) / (b - a), depth)
 
 

@@ -9,13 +9,13 @@ keeps the induced quadratic form bounded above and below away from zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .errors import DomainError, EmptyDescriptorError, RangeError, SchemaError
+from .errors import CapacityError, DomainError, EmptyDescriptorError, RangeError, SchemaError
 
 #: Multiplicity token for an infinite-dimensional eigenspace.
 INFINITE = math.inf
@@ -107,11 +107,20 @@ class EigenSequence:
         return self.limit + step
 
     def terms(self, count: int, first: int = 1) -> np.ndarray:
+        """Terms first..first+count-1; CapacityError if one rounds to the
+        limit or to its neighbour, as it is then not a distinct eigenvalue."""
         j = np.arange(first, first + count)
         step = self.offset * self.ratio**j
         if self.direction is Direction.INCREASING:
-            return self.limit - step
-        return self.limit + step
+            values = self.limit - step
+        else:
+            values = self.limit + step
+        if (values == self.limit).any() or (np.diff(values) == 0).any():
+            raise CapacityError(
+                f"terms {first}..{first + count - 1} of the sequence with limit "
+                f"{self.limit} and ratio {self.ratio} are not distinct floats"
+            )
+        return values
 
 
 @dataclass(frozen=True)
@@ -123,12 +132,19 @@ class ContinuousPart:
     total mass of the standard Cantor measure mapped affinely onto [a, b].
     The type allows a >= 0 so it can double as plain measure data; descriptors
     additionally require a > 0 (see SpectralDescriptor).
+
+    A density also gets ``antiderivative``, its cdf as a polynomial in
+    s = t - a that vanishes at s = 0.  Evaluating in s rather than as
+    F(t) - F(a) keeps the cdf accurate near a zero of the density at a.
     """
 
     kind: PartKind
     support: tuple[float, float]
     coeffs: tuple[float, ...] | None = None
     mass: float | None = None
+    antiderivative: Polynomial | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "kind", PartKind(self.kind))
@@ -142,6 +158,8 @@ class ContinuousPart:
             if not self.coeffs:
                 raise DomainError("density parts need a polynomial coefficient list")
             object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+            shifted = Polynomial(self.coeffs)(Polynomial([a, 1.0]))
+            object.__setattr__(self, "antiderivative", shifted.integ())
             grid = np.linspace(a, b, _DENSITY_GRID)
             values = Polynomial(self.coeffs)(grid)
             if values.min() < 0:
@@ -160,8 +178,7 @@ class ContinuousPart:
         if self.kind is PartKind.CANTOR:
             return self.mass
         a, b = self.support
-        antiderivative = Polynomial(self.coeffs).integ()
-        return float(antiderivative(b) - antiderivative(a))
+        return float(self.antiderivative(b - a))
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import CapacityError, PreconditionError, RangeError
 from .measures import MeasureSpec, RestrictedMeasure, TransportMap, quadrature_nodes, transport_map
-from .plasticity import Rule, ViolationCertificate
-from .spectrum import ContinuousPart, EigenSequence, SpectralDescriptor
+from .plasticity import ComponentRef, Rule, ViolationCertificate
+from .spectrum import ContinuousPart, Direction, EigenSequence, SpectralDescriptor
 
 #: Basis label: (component kind, component index, ordinal or term index).
 BasisLabel = tuple[str, int, int]
@@ -116,79 +116,54 @@ def _first_geometric_index(seq: EigenSequence, threshold: float) -> int:
     return j
 
 
+def _component_chain(
+    d: SpectralDescriptor, ref: ComponentRef, count: int, bound: float
+) -> tuple[np.ndarray, list[BasisLabel]]:
+    """``count`` eigenvalues of component ``ref`` strictly past ``bound``.
+
+    An atom repeats its value over distinct ordinals 0..count-1; a sequence
+    gives its earliest terms between ``bound`` and its limit, in index order.
+    """
+    kind, index = ref
+    if kind == "atom":
+        atom = d.atoms[index]
+        if not atom.is_infinite and count > atom.multiplicity:
+            raise CapacityError(
+                f"eigenspace at {atom.value} holds {atom.multiplicity} vectors, "
+                f"needs {count}"
+            )
+        return np.full(count, atom.value), [("atom", index, o) for o in range(count)]
+    seq = d.sequences[index]
+    gap = seq.limit - bound if seq.direction is Direction.INCREASING else bound - seq.limit
+    first = _first_geometric_index(seq, gap)
+    labels = [("sequence", index, j) for j in range(first, first + count)]
+    return seq.terms(count, first=first), labels
+
+
 def build_shift_witness(
     d: SpectralDescriptor, cert: ViolationCertificate, K: int
 ) -> ShiftWitness:
     """Populate the lambda chain for an eigenvalue-rule certificate.
 
-    Backward slots (k <= 0) climb toward R, forward slots (k >= 1) descend
-    toward r; sequence terms are taken earliest-first subject to the strict
-    inequalities, atoms of infinite multiplicity supply distinct ordinals.
+    The certificate's first component (at r) fills the forward slots
+    k = 1..K with eigenvalues below (r + R)/2, descending toward r.  Its
+    second component (at R) fills the backward slots k = 0, -1, ..., -K with
+    eigenvalues above lambda_{n_1}, climbing toward R; that side is then
+    reversed into ascending k.
     """
     if K < 1:
         raise PreconditionError(f"window must be >= 1, got {K}")
     if cert.rule is Rule.CONTINUOUS:
         raise PreconditionError("continuous certificates take the transport witness")
-
-    back = np.empty(K + 1)  # k = -K..0, stored ascending in k
-    fwd = np.empty(K)  # k = 1..K
-    back_labels: list[BasisLabel] = []
-    fwd_labels: list[BasisLabel] = []
-
-    def atom_side(index: int, value: float, count: int, side: list, arr: np.ndarray):
-        atom = d.atoms[index]
-        if not atom.is_infinite and count > atom.multiplicity:
-            raise CapacityError(
-                f"eigenspace at {value} holds {atom.multiplicity} vectors, "
-                f"needs {count}"
-            )
-        arr[:] = value
-        side.extend(("atom", index, ordinal) for ordinal in range(count))
-
-    def sequence_side(index: int, first_j: int, count: int, side: list, arr, ascending):
-        seq = d.sequences[index]
-        terms = seq.terms(count, first=first_j)
-        arr[:] = terms[::-1] if ascending else terms
-        js = range(first_j, first_j + count)
-        side.extend(("sequence", index, j) for j in (reversed(js) if ascending else js))
-
-    if cert.rule is Rule.TWO_INFINITE_ATOMS:
-        atom_side(cert.components[1][1], cert.R, K + 1, back_labels, back)
-        atom_side(cert.components[0][1], cert.r, K, fwd_labels, fwd)
-        back_labels.reverse()  # ordinals ascend as k decreases
-    elif cert.rule is Rule.INFINITE_MIN_NO_MAX:
-        i_atom = cert.components[0][1]
-        j_seq = cert.components[1][1]
-        seq = d.sequences[j_seq]
-        j0 = _first_geometric_index(seq, seq.limit - cert.r)  # terms above the atom
-        sequence_side(j_seq, j0, K + 1, back_labels, back, ascending=True)
-        atom_side(i_atom, cert.r, K, fwd_labels, fwd)
-    elif cert.rule is Rule.NO_MIN_INFINITE_MAX:
-        j_seq = cert.components[0][1]
-        i_atom = cert.components[1][1]
-        seq = d.sequences[j_seq]
-        mid = 0.5 * (cert.r + cert.R)
-        j0 = _first_geometric_index(seq, mid - seq.limit)  # terms below midpoint
-        atom_side(i_atom, cert.R, K + 1, back_labels, back)
-        back_labels.reverse()
-        sequence_side(j_seq, j0, K, fwd_labels, fwd, ascending=False)
-    elif cert.rule is Rule.NO_MIN_NO_MAX:
-        j_dec = cert.components[0][1]
-        j_inc = cert.components[1][1]
-        seq_dec, seq_inc = d.sequences[j_dec], d.sequences[j_inc]
-        mid = 0.5 * (cert.r + cert.R)
-        j0_dec = _first_geometric_index(seq_dec, mid - seq_dec.limit)
-        sequence_side(j_dec, j0_dec, K, fwd_labels, fwd, ascending=False)
-        lambda_1 = fwd[0]
-        j0_inc = _first_geometric_index(seq_inc, seq_inc.limit - lambda_1)
-        sequence_side(j_inc, j0_inc, K + 1, back_labels, back, ascending=True)
-    else:  # pragma: no cover
-        raise PreconditionError(f"unknown rule {cert.rule}")
-
-    lambdas = np.concatenate([back, fwd])
-    labels = tuple(back_labels + fwd_labels)
+    fwd, fwd_labels = _component_chain(d, cert.components[0], K, 0.5 * (cert.r + cert.R))
+    back, back_labels = _component_chain(d, cert.components[1], K + 1, fwd[0])
     return ShiftWitness(
-        window=K, lambdas=lambdas, basis_labels=labels, r=cert.r, R=cert.R, rule=cert.rule
+        window=K,
+        lambdas=np.concatenate([back[::-1], fwd]),
+        basis_labels=tuple(back_labels[::-1] + fwd_labels),
+        r=cert.r,
+        R=cert.R,
+        rule=cert.rule,
     )
 
 

@@ -14,6 +14,12 @@ TWO_ATOMS = {
 SINGLE_ATOM = {"atoms": [{"value": 1, "multiplicity": "inf"}]}
 LEBESGUE = {"continuous": [{"kind": "density", "support": [1, 2], "coeffs": [1]}]}
 CANTOR = {"continuous": [{"kind": "cantor", "support": [1, 2], "mass": 1}]}
+TWO_SEQUENCES = {
+    "sequences": [
+        {"limit": 1, "direction": "dec", "offset": 1, "ratio": 0.5, "multiplicity": 1},
+        {"limit": 2, "direction": "inc", "offset": 1, "ratio": 0.5, "multiplicity": 1},
+    ]
+}
 BAD_RATIO = {
     "sequences": [
         {"limit": 1, "direction": "dec", "offset": 1, "ratio": 1.5, "multiplicity": 1}
@@ -66,8 +72,10 @@ class TestClassify:
             # at K = 40 the smallest Cantor levels (2**-41) lie below the
             # quantile's x-resolution, so partition endpoints coincide
             (CANTOR, ["witness", "--window", "40"]),
+            # at K = 80 the chain's deepest terms round to the limits 1 and 2
+            (TWO_SEQUENCES, ["verify", "--window", "80", "--nodes", "64"]),
         ],
-        ids=["window_0", "nodes_8", "cantor_window_40"],
+        ids=["window_0", "nodes_8", "cantor_window_40", "sequence_window_80"],
     )
     def test_rejected_run_exits_1_with_one_line(self, tmp_path, capsys, doc, args):
         assert main([*args, "--input", write(tmp_path, "d.json", doc)]) == 1

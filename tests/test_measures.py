@@ -51,6 +51,15 @@ class TestCdf:
         x = np.linspace(0, 1, 2001)
         assert np.abs(cantor_01.cdf(x) - cantor_oracle(x)).max() <= 2.0**-20
 
+    def test_relative_accuracy_near_a_zero_at_the_support_start(self):
+        # (t - 1)**2 on [1, 2]: cdf(1 + s) = s**3 / 3, far below one ulp of 1/3
+        m = MeasureSpec((density(1.0, 2.0, coeffs=(1.0, -2.0, 1.0)),))
+        for s in (1e-6, 1e-4, 1e-2):
+            t = 1.0 + s
+            exact = (t - 1.0) ** 3 / 3.0
+            assert abs(m.cdf(t) - exact) <= 1e-12 * exact
+        assert m.cdf(1.0) == 0.0
+
     def test_monotone_on_random_pairs(self):
         m = MeasureSpec((density(0.5, 1.5, coeffs=(0.0, 1.0)), cantor(1.5, 2.5, mass=0.5)))
         rng = np.random.default_rng(3)
@@ -116,6 +125,14 @@ SINGLE_PARTS = {
 }
 
 
+# Densities with a zero at the support start, where the cdf is tiny and a
+# cdf evaluated as F(t) - F(a) drowns in rounding noise.
+ZERO_AT_START = {
+    "square_zero_at_a": density(1.0, 2.0, coeffs=(1.0, -2.0, 1.0)),
+    "linear_zero_at_a": density(1.0, 2.0, coeffs=(-2.0, 2.0)),
+}
+
+
 def _single_part_levels(m, count=1000, seed=41):
     rng = np.random.default_rng(seed)
     return np.concatenate([
@@ -126,7 +143,11 @@ def _single_part_levels(m, count=1000, seed=41):
 
 
 class TestClosedFormQuantile:
-    @pytest.mark.parametrize("part", SINGLE_PARTS.values(), ids=SINGLE_PARTS.keys())
+    @pytest.mark.parametrize(
+        "part",
+        [*SINGLE_PARTS.values(), *ZERO_AT_START.values()],
+        ids=[*SINGLE_PARTS, *ZERO_AT_START],
+    )
     def test_agrees_with_bisection(self, part):
         m = MeasureSpec((part,))
         levels = _single_part_levels(m)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from lecplast import (
     INFINITE,
+    CapacityError,
     DomainError,
     EmptyDescriptorError,
     SchemaError,
@@ -155,6 +156,24 @@ class TestSequenceTerms:
         values = s.terms(12)
         assert (np.diff(values) < 0).all()
         assert abs(values[-1] - limit) <= offset * ratio**12 + 1e-15 * limit
+
+    @pytest.mark.parametrize(
+        "s, count",
+        [
+            (seq(1, "dec"), 80),  # 1 + 2**-j rounds to the limit from j = 53
+            (seq(2, "inc"), 64),
+            (seq(1, "dec", offset=1e-15, ratio=0.99), 2),  # terms 1 and 2 round alike
+        ],
+        ids=["dec_reaches_limit", "inc_reaches_limit", "neighbours_merge"],
+    )
+    def test_terms_that_are_not_distinct_floats_raise(self, s, count):
+        with pytest.raises(CapacityError):
+            s.terms(count)
+
+    def test_enumerate_refuses_merged_terms(self):
+        d = descriptor(sequences=[seq(1, "dec"), seq(2, "inc")])
+        with pytest.raises(CapacityError):
+            enumerate_points(d, 64)
 
 
 class TestRoundTrip:

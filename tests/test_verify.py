@@ -24,6 +24,7 @@ from lecplast import (
     classify,
 )
 from lecplast.verify import (
+    NORM_SLACK,
     block_orthogonal,
     contraction_delta,
     haar_orthogonal,
@@ -45,6 +46,28 @@ def shift_two_atoms(K=8):
 def shift_no_min_no_max(K=8):
     d = descriptor(sequences=[seq(1, "dec"), seq(2, "inc")])
     return build_shift_witness(d, classify(d).certificate, K)
+
+
+def dense_extremal_invariance(space, trials=100, seed=0):
+    """Reference: check_extremal_invariance with dense n x n algebra throughout."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    lam = space.lambdas
+    worst = 0.0
+    extremal = [space.group(lam.min()), space.group(lam.max())]
+    for _ in range(trials):
+        candidates = [plasticity_map(lam, block_orthogonal(lam, rng))]
+        general = plasticity_map(lam, haar_orthogonal(lam.size, rng))
+        if operator_norm(general) <= 1.0 + NORM_SLACK:
+            candidates.append(general)
+        for t in candidates:
+            for idx in extremal:
+                projector = np.zeros((lam.size, lam.size))
+                projector[idx, idx] = 1.0
+                worst = max(worst, operator_norm(t @ projector - projector @ t))
+                restricted = t[np.ix_(idx, idx)]
+                singulars = np.linalg.svd(restricted, compute_uv=False)
+                worst = max(worst, np.abs(singulars - 1.0).max())
+    return float(worst)
 
 
 def rotation_map(theta, lambdas=(1.0, 2.0)):
@@ -243,6 +266,18 @@ class TestExtremalInvariance:
             t = plasticity_map(lam, haar_orthogonal(2, rng))
             if operator_norm(t) <= 1.0 + 1e-10:
                 assert abs(t[1, 0]) <= 1e-8  # T e_1 stays in span(e_1)
+
+    @pytest.mark.parametrize(
+        "points",
+        [((1.5, 5),), ((1.0, 3), (2.0, 4)), ((1.0, 2), (1.5, 3), (2.0, 1))],
+        ids=["one_group", "two_groups", "three_groups"],
+    )
+    def test_matches_dense_reference(self, points):
+        space = TruncatedQuadraticSpace(points)
+        for seed in (0, 1, 2, 61):
+            report = check_extremal_invariance(space, trials=50, seed=seed)
+            assert report.passed
+            assert report.worst_residual == dense_extremal_invariance(space, 50, seed)
 
     def test_multiplicity_pattern(self):
         space = TruncatedQuadraticSpace(((1.0, 2), (1.5, 3), (2.0, 1)))

@@ -71,6 +71,35 @@ class TestBuildShift:
         kinds = {label[0] for label in w.basis_labels}
         assert kinds == {"atom"}
 
+    @pytest.mark.parametrize(
+        "d, labels",
+        [
+            (
+                descriptor(atoms=[atom(1, INFINITE), atom(2, INFINITE)]),
+                [("atom", 1, 2), ("atom", 1, 1), ("atom", 1, 0), ("atom", 0, 0), ("atom", 0, 1)],
+            ),
+            (
+                descriptor(atoms=[atom(1, INFINITE)], sequences=[seq(2, "inc")]),
+                [("sequence", 0, 3), ("sequence", 0, 2), ("sequence", 0, 1),
+                 ("atom", 0, 0), ("atom", 0, 1)],
+            ),
+            (
+                descriptor(atoms=[atom(2, INFINITE)], sequences=[seq(1, "dec")]),
+                [("atom", 0, 2), ("atom", 0, 1), ("atom", 0, 0),
+                 ("sequence", 0, 2), ("sequence", 0, 3)],
+            ),
+            (
+                descriptor(sequences=[seq(1, "dec"), seq(2, "inc")]),
+                [("sequence", 1, 3), ("sequence", 1, 2), ("sequence", 1, 1),
+                 ("sequence", 0, 2), ("sequence", 0, 3)],
+            ),
+        ],
+        ids=["two_infinite_atoms", "infinite_min_no_max", "no_min_infinite_max", "no_min_no_max"],
+    )
+    def test_basis_labels_pinned(self, d, labels):
+        # slot k = -2..2; backward labels climb toward R as k decreases
+        assert list(_witness_for(d, 2).basis_labels) == labels
+
     def test_form_identity_per_slot(self):
         d = descriptor(sequences=[seq(1, "dec"), seq(2, "inc")])
         w = _witness_for(d, 8)
