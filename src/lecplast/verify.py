@@ -259,6 +259,10 @@ def _unit_rows(rng, count: int, dim: int) -> np.ndarray:
     return vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
 
 
+#: Rows per block of random unit vectors in ``check_rayleigh_bounds``.
+_RAYLEIGH_BLOCK = 1024
+
+
 def check_rayleigh_bounds(
     space: TruncatedQuadraticSpace, samples: int = 10_000, seed: int = 0
 ) -> VerificationReport:
@@ -267,19 +271,35 @@ def check_rayleigh_bounds(
     The sample set always contains the eigenbasis, which witnesses that the
     bounds are attained; for n <= 8 at >= 10^4 samples the sampled extrema
     must additionally approach the bounds within 5% of the spectral width.
+
+    The ``samples`` random unit rows are drawn and reduced in blocks of
+    ``_RAYLEIGH_BLOCK`` rows, so memory stays at O(_RAYLEIGH_BLOCK * n); the
+    generator fills the same values as one (samples, n) draw, and every
+    draw is read.  The eigenbasis rows are stacked under the last block
+    instead of being replaced by their exact quotients lam: a BLAS
+    matrix-vector kernel may round the last few rows of a matrix differently
+    (OpenBLAS takes rows in fours and the remainder apart), and with the
+    eigenbasis last every sample row meets the kernel it met in one
+    (samples + n) x n product, on one BLAS thread.
     """
     if space.dimension < 1:
         raise PreconditionError("need dimension >= 1")
     rng = _rng(seed)
     lam = space.lambdas
-    vectors = np.vstack([_unit_rows(rng, samples, lam.size), np.eye(lam.size)])
-    quotients = (vectors * vectors) @ lam
+    last = max(samples - 1, 0) // _RAYLEIGH_BLOCK * _RAYLEIGH_BLOCK  # start of the last block
+    q_min, q_max = np.inf, -np.inf
+    for start in range(0, last + 1, _RAYLEIGH_BLOCK):
+        rows = _unit_rows(rng, min(_RAYLEIGH_BLOCK, samples - start), lam.size)
+        if start == last:
+            rows = np.vstack([rows, np.eye(lam.size)])
+        quotients = (rows * rows) @ lam
+        q_min, q_max = min(q_min, quotients.min()), max(q_max, quotients.max())
     lo, hi = lam.min(), lam.max()
-    worst = max(0.0, lo - quotients.min(), quotients.max() - hi)
+    worst = max(0.0, lo - q_min, q_max - hi)
     if space.dimension <= 8 and samples >= 10_000 and hi > lo:
         band = 0.05 * (hi - lo)
-        worst = max(worst, quotients.min() - (lo + band), (hi - band) - quotients.max())
-    return _report("rayleigh_bounds", len(vectors), worst, SPACE_TOL, seed)
+        worst = max(worst, q_min - (lo + band), (hi - band) - q_max)
+    return _report("rayleigh_bounds", samples + lam.size, worst, SPACE_TOL, seed)
 
 
 def check_min_attained(
@@ -319,7 +339,15 @@ def check_min_attained(
 # ---------------------------------------------------------------------------
 
 def haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
-    q, r = np.linalg.qr(rng.normal(size=(n, n)))
+    return _haar_from_gaussian(rng.normal(size=(n, n)))
+
+
+def _haar_from_gaussian(g: np.ndarray) -> np.ndarray:
+    """U = Q * sign(diag R) for g = QR: Haar when g is Gaussian (Mezzadri 2007).
+
+    Column 0 of U is exactly g[:, 0] / ||g[:, 0]||.
+    """
+    q, r = np.linalg.qr(g)
     return q * np.sign(np.diag(r))
 
 
@@ -395,27 +423,54 @@ def check_extremal_invariance(
     * Block-diagonal U, one Haar block per distinct eigenvalue, ascending,
       as ``block_orthogonal`` draws it.  Its T is accepted by construction
       and commutes with every group projector exactly (TP - PT is 0.0 in
-      floating point), so only its two extremal blocks are checked, each
-      for isometry by an SVD of its own size.
-    * General Haar U, accepted only if ||T|| <= 1 + NORM_SLACK.  The largest
-      column norm of T is a lower bound on ||T|| that costs O(n^2); with two
-      or more distinct eigenvalues it rejects the candidate almost surely,
-      before any SVD.  A candidate within the bound gets the exact norm and,
-      if accepted, the dense commutator and isometry checks.
+      floating point), so only its two extremal blocks are factored, each
+      checked for isometry by an SVD of its own size.  The Gaussians of the
+      middle blocks are drawn, in one call, only to keep the stream; they
+      are never read.
+    * General Haar U, accepted only if ||T|| <= 1 + NORM_SLACK.  Its
+      Gaussian g is always drawn; column 0 of U is g[:, 0] / ||g[:, 0]||,
+      which gives two O(n) lower bounds before any QR:
+      ||T e_0||^2 = lam_0 sum_i u_i0^2 / lam_i on ||T||, and
+      ||T^{-T} e_0||^2 = sum_i lam_i u_i0^2 / lam_0 on ||T^{-1}||.
+      Since |det T| = |det U| = 1, the product of the singular values is 1,
+      so ||T|| <= 1 + NORM_SLACK forces ||T^{-1}|| <= (1 + NORM_SLACK)^(n-1).
+      A candidate whose bounds exceed these limits, each widened by a
+      rounding margin, is rejected unfactored; with two or more distinct
+      eigenvalues that happens almost surely.  A survivor (always, on a
+      space with one distinct value) is factored; its largest column norm
+      and then its exact norm decide acceptance, and an accepted candidate
+      gets the dense commutator and isometry checks.
     """
     if space.dimension < 2:
         raise PreconditionError("need dimension >= 2")
     rng = _rng(seed)
     lam = space.lambdas
+    n = lam.size
     values, sizes = np.unique(lam, return_counts=True)
     extremal = [space.group(values[0]), space.group(values[-1])]
+    middle = int(np.sum(sizes[1:-1] ** 2))
+    # The bounds read column 0 in exact form, the factored path reads LAPACK's
+    # and rounds its norms; a few n * eps, scaled by the spread of the weights
+    # lam_i / lam_0, covers the difference, so no candidate that the factored
+    # path accepts is rejected here.
+    margin = 1.0 + 16 * n * np.finfo(float).eps * (values[-1] / values[0])
+    norm_limit = ((1.0 + NORM_SLACK) * margin) ** 2
+    inverse_limit = ((1.0 + NORM_SLACK) ** (n - 1) * margin**n) ** 2
     worst = 0.0
     for _ in range(trials):
-        blocks = [haar_orthogonal(m, rng) for m in sizes]
-        for value, u in ((values[0], blocks[0]), (values[-1], blocks[-1])):
+        ends = [(values[0], haar_orthogonal(sizes[0], rng))]
+        if values.size > 1:
+            rng.normal(size=middle)  # the middle blocks, never read
+            ends.append((values[-1], haar_orthogonal(sizes[-1], rng)))
+        for value, u in ends:
             block = plasticity_map(np.full(u.shape[0], value), u)
             worst = max(worst, np.abs(np.linalg.svd(block, compute_uv=False) - 1.0).max())
-        t = plasticity_map(lam, haar_orthogonal(lam.size, rng))
+        g = rng.normal(size=(n, n))
+        column = g[:, 0] / np.linalg.norm(g[:, 0])
+        mass = column * column
+        if lam[0] * np.sum(mass / lam) > norm_limit or np.sum(lam * mass) / lam[0] > inverse_limit:
+            continue
+        t = plasticity_map(lam, _haar_from_gaussian(g))
         column_bound = np.sqrt((t * t).sum(axis=0)).max()
         if column_bound > 1.0 + NORM_SLACK or operator_norm(t) > 1.0 + NORM_SLACK:
             continue

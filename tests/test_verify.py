@@ -70,6 +70,32 @@ def dense_extremal_invariance(space, trials=100, seed=0):
     return float(worst)
 
 
+def unblocked_rayleigh_bounds(space, samples, seed):
+    """Reference: check_rayleigh_bounds on one (samples + n) x n matrix."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    lam = space.lambdas
+    vectors = rng.normal(size=(samples, lam.size))
+    vectors = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
+    vectors = np.vstack([vectors, np.eye(lam.size)])
+    quotients = (vectors * vectors) @ lam
+    lo, hi = lam.min(), lam.max()
+    worst = max(0.0, lo - quotients.min(), quotients.max() - hi)
+    if lam.size <= 8 and samples >= 10_000 and hi > lo:
+        band = 0.05 * (hi - lo)
+        worst = max(worst, quotients.min() - (lo + band), (hi - band) - quotients.max())
+    return float(worst), len(vectors)
+
+
+#: Two infinite atoms and one simple atom between them at --per-sequence 64.
+BENCH_SCALE_POINTS = tuple(
+    TruncatedQuadraticSpace.from_descriptor(
+        descriptor(atoms=[atom(1.0, INFINITE), atom(1.5, 1), atom(2.0, INFINITE)]),
+        per_sequence=64,
+    ).points
+)
+NEAR_DEGENERATE_POINTS = ((1.0, 1), (1.0 + 1e-12, 1))
+
+
 def rotation_map(theta, lambdas=(1.0, 2.0)):
     u = np.array(
         [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
@@ -186,6 +212,19 @@ class TestRayleigh:
             report = check_rayleigh_bounds(space, samples=10_000, seed=int(rng.integers(1 << 31)))
             assert report.passed and report.threshold == 1e-12
 
+    @pytest.mark.parametrize("samples", [0, 1, 1023, 1024, 1025, 10_000])
+    @pytest.mark.parametrize(
+        "points",
+        [((1.0, 3), (1.5, 1), (2.0, 4)), BENCH_SCALE_POINTS],
+        ids=["dim_8", "dim_257"],
+    )
+    def test_matches_unblocked_reference(self, points, samples):
+        space = TruncatedQuadraticSpace(points)
+        report = check_rayleigh_bounds(space, samples=samples, seed=29)
+        worst, count = unblocked_rayleigh_bounds(space, samples, 29)
+        assert report.samples == count == samples + space.dimension
+        assert report.worst_residual == worst
+
     def test_precondition(self):
         with pytest.raises(PreconditionError):
             TruncatedQuadraticSpace(())
@@ -268,16 +307,41 @@ class TestExtremalInvariance:
                 assert abs(t[1, 0]) <= 1e-8  # T e_1 stays in span(e_1)
 
     @pytest.mark.parametrize(
-        "points",
-        [((1.5, 5),), ((1.0, 3), (2.0, 4)), ((1.0, 2), (1.5, 3), (2.0, 1))],
-        ids=["one_group", "two_groups", "three_groups"],
+        ("points", "trials"),
+        [
+            (((1.5, 5),), 50),
+            (((1.0, 3), (2.0, 4)), 50),
+            (((1.0, 2), (1.5, 3), (2.0, 1)), 50),
+            (((2.0, 1), (1.0, 2)), 50),
+            (NEAR_DEGENERATE_POINTS, 50),
+            (BENCH_SCALE_POINTS, 5),
+        ],
+        ids=["one_group", "two_groups", "three_groups", "unsorted", "near_degenerate", "dim_257"],
     )
-    def test_matches_dense_reference(self, points):
+    def test_matches_dense_reference(self, points, trials):
         space = TruncatedQuadraticSpace(points)
         for seed in (0, 1, 2, 61):
-            report = check_extremal_invariance(space, trials=50, seed=seed)
-            assert report.passed
-            assert report.worst_residual == dense_extremal_invariance(space, 50, seed)
+            report = check_extremal_invariance(space, trials=trials, seed=seed)
+            # Near-degenerate values accept general candidates (||T|| - 1 stays
+            # below 1e-12, inside NORM_SLACK) that mix the two eigenspaces.
+            assert report.passed == (points != NEAR_DEGENERATE_POINTS)
+            assert report.worst_residual == dense_extremal_invariance(space, trials, seed)
+
+    def test_general_candidate_needs_no_full_qr(self, monkeypatch):
+        shapes = []
+        qr = np.linalg.qr
+
+        def recording_qr(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", recording_qr)
+        space = TruncatedQuadraticSpace(((1.0, 3), (1.5, 1), (2.0, 4)))
+        report = check_extremal_invariance(space, trials=20, seed=7)
+        assert report.passed
+        # Only the two extremal blocks are factored: no 8 x 8 general
+        # candidate and no 1 x 1 middle block.
+        assert set(shapes) == {(3, 3), (4, 4)}
 
     def test_multiplicity_pattern(self):
         space = TruncatedQuadraticSpace(((1.0, 2), (1.5, 3), (2.0, 1)))
