@@ -15,9 +15,6 @@ from .measures import (
     RestrictedMeasure,
     TransportMap,
     cantor_function,
-    integrate,
-    pushforward_check,
-    transport_map,
 )
 from .plasticity import Rule, Verdict, ViolationCertificate, classify, find_tau, violating_subset
 from .spectrum import (

@@ -175,10 +175,12 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=helps[name])
         cmd.add_argument("--input", required=True, help="descriptor JSON file")
         cmd.add_argument("--output", default=None, help="report path (default stdout)")
-        cmd.add_argument("--seed", type=int, default=0)
-        cmd.add_argument("--window", type=int, default=16, help="witness window K")
-        cmd.add_argument("--nodes", type=int, default=4096, help="quadrature nodes")
-        cmd.add_argument("--per-sequence", type=int, default=32, dest="per_sequence")
+        cmd.add_argument("--seed", type=int, default=RunConfig.seed)
+        cmd.add_argument("--window", type=int, default=RunConfig.window, help="witness window K")
+        cmd.add_argument("--nodes", type=int, default=RunConfig.nodes, help="quadrature nodes")
+        cmd.add_argument(
+            "--per-sequence", type=int, default=RunConfig.per_sequence, dest="per_sequence"
+        )
         cmd.add_argument(
             "--full", action="store_true", help="include sampled multiplier tables"
         )

@@ -1,28 +1,27 @@
-"""Finite atomless Borel measures on positive intervals.
+"""The spectral measure of one continuous part, on a positive interval.
 
-Provides distribution functions F(t) = mu([0, t]), their generalized
-inverses in the sup convention F^{-1}(u) = sup{x : F(x) <= u}, the monotone
-transport map G = F_src^{-1} o (M_src/M_dst) F_dst between two measures,
-an interval-based pushforward residual, and a deterministic inverse-transform
-quadrature rule.
+Provides its distribution function F(t) = mu([0, t]), the generalized
+inverse in the sup convention F^{-1}(u) = sup{x : F(x) <= u}, the same pair
+for windows of the measure, the monotone transport map
+G = F_src^{-1} o (M_src/M_dst) F_dst between two of them, and a
+deterministic inverse-transform quadrature rule.
 
-Polynomial densities are integrated in closed form, in s = t - a from the
-support start a (``ContinuousPart.antiderivative``).  Cantor parts evaluate the classic ternary-digit algorithm
-for the Cantor function, affinely rescaled to their support and mass.
+A polynomial density is integrated in closed form, in s = t - a from the
+support start a (``ContinuousPart.antiderivative``).  A Cantor part
+evaluates the classic ternary-digit algorithm for the Cantor function,
+affinely rescaled to its support and mass.
 
-A measure of one part, and every window of one, is inverted directly: a
-Cantor level maps its binary digits to ternary digits 0/2, and a density
-level runs a safeguarded Newton iteration on the closed-form cdf.  Only a
-measure of several parts falls back to bisection.  Every quantile keeps the
-floating-point invariant cdf(quantile(u)) <= u that bisection has, so a level
-on a cdf plateau selects the same plateau end either way.
+Each part kind is inverted directly: a Cantor level maps its binary digits
+to ternary digits 0/2, and a density level runs a safeguarded Newton
+iteration on the closed-form cdf.  Every quantile keeps the floating-point
+invariant cdf(quantile(u)) <= u, so a level on a cdf plateau selects the
+plateau's right end.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -33,9 +32,6 @@ from .spectrum import ContinuousPart, PartKind
 #: Ternary digits used when evaluating the Cantor function.
 DEFAULT_CANTOR_DEPTH = 40
 
-#: Absolute x-tolerance of the quantile bisection (multi-part measures only).
-QUANTILE_TOL = 2.0**-48
-
 #: Iteration cap of the density Newton solve.  A cdf whose rounding noise
 #: exceeds a few ulps of x (near a zero of the density) can stop it early;
 #: the final ulp walk keeps cdf(quantile(u)) <= u either way.
@@ -45,12 +41,13 @@ _NEWTON_CAP = 100
 _GUESS_GRID = 65
 
 
-def cantor_function(x, depth: int = DEFAULT_CANTOR_DEPTH) -> np.ndarray:
+def cantor_function(x) -> np.ndarray:
     """Standard Cantor function on [0, 1], clamped outside.
 
     Walks the ternary expansion: digit 2 contributes a binary 1, the first
-    digit 1 ends on a plateau value.  After ``depth`` digits the midpoint of
-    the remaining bracket is returned (error <= 2**-(depth+1)).
+    digit 1 ends on a plateau value.  After ``DEFAULT_CANTOR_DEPTH`` digits
+    the midpoint of the remaining bracket is returned
+    (error <= 2**-(DEFAULT_CANTOR_DEPTH+1)).
     """
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
@@ -61,7 +58,7 @@ def cantor_function(x, depth: int = DEFAULT_CANTOR_DEPTH) -> np.ndarray:
     out[top] = 1.0
     done |= top
     bit = 0.5
-    for _ in range(depth):
+    for _ in range(DEFAULT_CANTOR_DEPTH):
         if done.all():
             break
         work = np.where(done, work, work * 3.0)
@@ -77,54 +74,42 @@ def cantor_function(x, depth: int = DEFAULT_CANTOR_DEPTH) -> np.ndarray:
     return out[0] if scalar else out
 
 
-def _part_cdf(part: ContinuousPart, t: np.ndarray, depth: int) -> np.ndarray:
-    a, b = part.support
-    clamped = np.clip(t, a, b)
-    if part.kind is PartKind.DENSITY:
-        return part.antiderivative(clamped - a)
-    return part.mass * cantor_function((clamped - a) / (b - a), depth)
-
-
 @dataclass(frozen=True, eq=False)
 class MeasureSpec:
-    """Finite atomless measure assembled from continuous parts."""
+    """Finite atomless measure of one continuous part, on the part's support."""
 
-    parts: tuple[ContinuousPart, ...]
-    cantor_depth: int = DEFAULT_CANTOR_DEPTH
+    part: ContinuousPart
     total_mass: float = field(init=False)
     support: tuple[float, float] = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if not self.parts:
-            raise DomainError("a measure needs at least one continuous part")
-        lo = min(p.support[0] for p in self.parts)
-        hi = max(p.support[1] for p in self.parts)
-        object.__setattr__(self, "support", (lo, hi))
-        object.__setattr__(self, "total_mass", sum(p.total_mass for p in self.parts))
+        object.__setattr__(self, "support", self.part.support)
+        object.__setattr__(self, "total_mass", self.part.total_mass)
 
     def cdf(self, t):
         """mu([0, t]); 0 below the support, total_mass above it."""
-        t = np.asarray(t, dtype=float)
-        out = sum(_part_cdf(part, t, self.cantor_depth) for part in self.parts)
-        return float(out) if out.ndim == 0 else out
+        part = self.part
+        a, b = self.support
+        clamped = np.clip(np.asarray(t, dtype=float), a, b)
+        if part.kind is PartKind.DENSITY:
+            out = part.antiderivative(clamped - a)
+        else:
+            out = part.mass * cantor_function((clamped - a) / (b - a))
+        return float(out) if np.ndim(out) == 0 else out
 
     def quantile(self, u):
         """sup{x : cdf(x) <= u}, the right endpoint of any cdf plateau.
 
-        One part is inverted in closed form, several parts by bisection;
-        either way cdf(quantile(u)) <= u holds exactly in floating point.
+        Inverted in closed form; cdf(quantile(u)) <= u holds exactly in
+        floating point.
         """
-        if len(self.parts) > 1:
-            return _quantile(self.cdf, self.support, self.total_mass, u)
         levels = _levels(u, self.total_mass)
-        part = self.parts[0]
-        a, b = part.support
-        if part.kind is PartKind.CANTOR:
-            x = _cantor_quantile(part, levels, self.cantor_depth)
+        a, b = self.support
+        if self.part.kind is PartKind.CANTOR:
+            x = _cantor_quantile(self.part, levels)
             values = self.cdf(x)
         else:
-            x, values = _density_quantile(part, self.cdf, levels)
+            x, values = _density_quantile(self.part, self.cdf, levels)
         x = _step_left(self.cdf, x, values, levels, a)
         x[levels >= self.total_mass] = b
         return _shaped(x, u)
@@ -196,40 +181,23 @@ def _shaped(x: np.ndarray, u):
     return float(x[0]) if np.ndim(u) == 0 else x
 
 
-def _quantile(cdf: Callable, support: tuple[float, float], mass: float, u):
-    """Monotone bisection for sup{x : cdf(x) <= u} on the support window."""
-    levels = _levels(u, mass)
-    lo, hi = support
-    lo_b = np.full_like(levels, lo)
-    hi_b = np.full_like(levels, hi)
-    iters = max(1, math.ceil(math.log2(max((hi - lo) / QUANTILE_TOL, 2.0)))) + 1
-    for _ in range(iters):
-        mid = 0.5 * (lo_b + hi_b)
-        below = cdf(mid) <= levels
-        lo_b = np.where(below, mid, lo_b)
-        hi_b = np.where(below, hi_b, mid)
-    # sup{x : F(x) <= M} is unbounded; by convention the support top.
-    lo_b[levels >= mass] = hi
-    return _shaped(lo_b, u)
-
-
-def _cantor_quantile(part: ContinuousPart, u: np.ndarray, depth: int) -> np.ndarray:
+def _cantor_quantile(part: ContinuousPart, u: np.ndarray) -> np.ndarray:
     """Right plateau end of each Cantor level u, up to a few ulps.
 
-    The Cantor level y is the largest multiple of 2**-(depth+1), the grid
-    that ``cantor_function`` values lie on, with fl(mass * y) <= u.  Its
+    The Cantor level y is the largest multiple of 2**-(DEFAULT_CANTOR_DEPTH+1),
+    the grid that ``cantor_function`` values lie on, with fl(mass * y) <= u.  Its
     binary digits b_i become ternary digits 2 b_i:
     x = a + (b - a) * sum_i 2 b_i 3**-i.  The finite (greedy-floor) binary
     expansion gives the sup convention on plateaus.
     """
     a, b = part.support
-    scale = 2.0 ** (depth + 1)
+    scale = 2.0 ** (DEFAULT_CANTOR_DEPTH + 1)
     n = np.floor(u / part.mass * scale)  # y = n / scale
     n = np.where(part.mass * (n / scale) > u, n - 1.0, n)
     up = n + 1.0
     n = np.where((up <= scale) & (part.mass * (up / scale) <= u), up, n)
     z = np.zeros_like(u)
-    for _ in range(depth + 1):  # least significant digit first
+    for _ in range(DEFAULT_CANTOR_DEPTH + 1):  # least significant digit first
         half = np.floor(0.5 * n)
         z = (z + 2.0 * (n - 2.0 * half)) / 3.0
         n = half
@@ -308,23 +276,6 @@ class TransportMap:
         return TransportMap(self.target, self.source)
 
 
-def transport_map(src, dst) -> TransportMap:
-    """Quantile rearrangement src.quantile((M_src/M_dst) * dst.cdf(t))."""
-    return TransportMap(src, dst)
-
-
-def pushforward_check(src, dst, mapping: TransportMap, intervals) -> float:
-    """Max over intervals [s, t] of |dst([s,t]) - (M_dst/M_src) src([G(s), G(t)])|."""
-    intervals = np.asarray(intervals, dtype=float)
-    if intervals.ndim != 2 or intervals.shape[1] != 2:
-        raise RangeError("intervals must be an (n, 2) array of [s, t] pairs")
-    ratio = dst.total_mass / src.total_mass
-    s, t = intervals[:, 0], intervals[:, 1]
-    dst_mass = dst.cdf(t) - dst.cdf(s)
-    src_mass = src.cdf(mapping(t)) - src.cdf(mapping(s))
-    return float(np.abs(dst_mass - ratio * src_mass).max())
-
-
 def quadrature_nodes(m, interval: tuple[float, float] | None, nodes: int):
     """Inverse-transform nodes: quantiles of midpoint levels on [cdf(s), cdf(t)]."""
     if nodes < 1:
@@ -336,12 +287,3 @@ def quadrature_nodes(m, interval: tuple[float, float] | None, nodes: int):
     du = (u_hi - u_lo) / nodes
     levels = u_lo + (np.arange(nodes) + 0.5) * du
     return m.quantile(levels), du
-
-
-def integrate(m, integrand: Callable, interval=None, nodes: int = 1024) -> float:
-    """Stratified inverse-transform rule for integrals against the measure.
-
-    Deterministic for fixed node count; exact for constant integrands.
-    """
-    x, du = quadrature_nodes(m, interval, nodes)
-    return float(np.sum(np.asarray(integrand(x), dtype=float)) * du)

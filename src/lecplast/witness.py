@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, PreconditionError, RangeError
-from .measures import MeasureSpec, RestrictedMeasure, TransportMap, quadrature_nodes, transport_map
+from .measures import MeasureSpec, RestrictedMeasure, TransportMap, quadrature_nodes
 from .plasticity import ComponentRef, Rule, ViolationCertificate
 from .spectrum import ContinuousPart, Direction, EigenSequence, SpectralDescriptor
 
@@ -221,7 +221,7 @@ class TransportWitness:
         object.__setattr__(
             self,
             "maps",
-            tuple(transport_map(cells[p], cells[p + 1]) for p in range(2 * K - 1)),
+            tuple(TransportMap(cells[p], cells[p + 1]) for p in range(2 * K - 1)),
         )
 
     def _cell_pos(self, k: int, need_successor: bool = False) -> int:
@@ -279,7 +279,7 @@ class TransportWitness:
 
 def build_transport_witness(part: ContinuousPart, K: int) -> TransportWitness:
     """Partition the part's measure and wire up per-cell transports."""
-    m = MeasureSpec((part,))
+    m = MeasureSpec(part)
     endpoints = build_partition(m, K)
     return TransportWitness(measure=m, window=K, endpoints=endpoints)
 

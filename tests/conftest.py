@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,12 @@ from lecplast import (
     Direction,
     EigenAtom,
     EigenSequence,
+    MeasureSpec,
+    RangeError,
     SpectralDescriptor,
     canonicalize,
 )
+from lecplast.measures import quadrature_nodes
 
 
 def atom(value, mult=1):
@@ -54,16 +59,58 @@ def random_descriptor(rng, allow_continuous=True):
 
 @pytest.fixture
 def lebesgue_12():
-    from lecplast import MeasureSpec
-
-    return MeasureSpec((density(1.0, 2.0),))
+    return MeasureSpec(density(1.0, 2.0))
 
 
 @pytest.fixture
 def cantor_01():
-    from lecplast import MeasureSpec
+    return MeasureSpec(cantor(0.0, 1.0))
 
-    return MeasureSpec((cantor(0.0, 1.0),))
+
+#: Absolute x-tolerance of ``bisect_quantile``.
+BISECT_TOL = 2.0**-48
+
+
+def bisect_quantile(m, u):
+    """Reference sup{x : m.cdf(x) <= u} by bisection on the support.
+
+    Brackets each level to BISECT_TOL in x through ``m.cdf`` alone, so it
+    lands on the same Cantor grid convention as the closed-form inverse.
+    """
+    levels = np.atleast_1d(np.asarray(u, dtype=float))
+    lo, hi = m.support
+    lo_b = np.full_like(levels, lo)
+    hi_b = np.full_like(levels, hi)
+    iters = max(1, math.ceil(math.log2(max((hi - lo) / BISECT_TOL, 2.0)))) + 1
+    for _ in range(iters):
+        mid = 0.5 * (lo_b + hi_b)
+        below = m.cdf(mid) <= levels
+        lo_b = np.where(below, mid, lo_b)
+        hi_b = np.where(below, hi_b, mid)
+    # sup{x : F(x) <= M} is unbounded; by convention the support top.
+    lo_b[levels >= m.total_mass] = hi
+    return lo_b
+
+
+def pushforward_check(src, dst, mapping, intervals) -> float:
+    """Max over intervals [s, t] of |dst([s,t]) - (M_dst/M_src) src([G(s), G(t)])|."""
+    intervals = np.asarray(intervals, dtype=float)
+    if intervals.ndim != 2 or intervals.shape[1] != 2:
+        raise RangeError("intervals must be an (n, 2) array of [s, t] pairs")
+    ratio = dst.total_mass / src.total_mass
+    s, t = intervals[:, 0], intervals[:, 1]
+    dst_mass = dst.cdf(t) - dst.cdf(s)
+    src_mass = src.cdf(mapping(t)) - src.cdf(mapping(s))
+    return float(np.abs(dst_mass - ratio * src_mass).max())
+
+
+def integrate(m, integrand, nodes: int = 1024) -> float:
+    """Stratified inverse-transform rule for integrals against the measure.
+
+    Deterministic for fixed node count; exact for constant integrands.
+    """
+    x, du = quadrature_nodes(m, None, nodes)
+    return float(np.sum(np.asarray(integrand(x), dtype=float)) * du)
 
 
 def cantor_oracle(x, depth=22):

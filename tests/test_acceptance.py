@@ -16,6 +16,7 @@ from lecplast import (
     INFINITE,
     MeasureSpec,
     Rule,
+    TransportMap,
     TruncatedQuadraticSpace,
     build_shift_witness,
     build_transport_witness,
@@ -26,12 +27,10 @@ from lecplast import (
     check_rayleigh_bounds,
     check_strict_contraction,
     classify,
-    pushforward_check,
-    transport_map,
 )
 from lecplast.measures import quadrature_nodes
 from lecplast.verify import contraction_delta, operator_norm, plasticity_map
-from conftest import atom, cantor, density, descriptor, seq
+from conftest import atom, cantor, density, descriptor, pushforward_check, seq
 
 mpmath.mp.dps = 40
 
@@ -158,16 +157,16 @@ def test_criterion_4_transport_isometry():
 
 def test_criterion_5_pushforward_identity():
     rng = np.random.default_rng(505)
-    src = MeasureSpec((density(1.0, 2.0, coeffs=(0.0, 2.0)),))
-    dst = MeasureSpec((density(0.5, 3.0, coeffs=(1.0, 0.5)),))
+    src = MeasureSpec(density(1.0, 2.0, coeffs=(0.0, 2.0)))
+    dst = MeasureSpec(density(0.5, 3.0, coeffs=(1.0, 0.5)))
     intervals = np.sort(rng.uniform(0.5, 3.0, size=(100, 2)), axis=1)
-    res_density = pushforward_check(src, dst, transport_map(src, dst), intervals)
+    res_density = pushforward_check(src, dst, TransportMap(src, dst), intervals)
 
-    cantor_m = MeasureSpec((cantor(0.0, 1.0),))
-    uniform = MeasureSpec((density(0.0, 1.0),))
+    cantor_m = MeasureSpec(cantor(0.0, 1.0))
+    uniform = MeasureSpec(density(0.0, 1.0))
     intervals = np.sort(rng.uniform(0.0, 1.0, size=(100, 2)), axis=1)
     res_cantor = pushforward_check(
-        cantor_m, uniform, transport_map(cantor_m, uniform), intervals
+        cantor_m, uniform, TransportMap(cantor_m, uniform), intervals
     )
     quantile_dev = abs(cantor_m.quantile(0.5) - 2.0 / 3.0)
     _record(

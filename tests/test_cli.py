@@ -147,6 +147,21 @@ class TestVerifyCommand:
                              "finite_dim_plasticity"]
             assert all(c["pass"] for c in report["checks"])
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_residual_fails_its_check(self, tmp_path, capsys):
+        # At K = 51 the innermost Lebesgue cells are one ulp wide, so the
+        # random test functions divide by a zero span and turn NaN.
+        out = tmp_path / "report.json"
+        argv = ["verify", "--window", "51", "--nodes", "256", "--output", str(out)]
+        assert main([*argv, "--input", write(tmp_path, "d.json", LEBESGUE)]) == 2
+        capsys.readouterr()
+        assert '"worst_residual": NaN' in out.read_text()
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        for name in ("form_preservation", "nonexpansive"):
+            assert checks[name]["pass"] is False
+            assert checks[name]["worst_residual"] != checks[name]["worst_residual"]
+        assert checks["strict_contraction"]["pass"] is True
+
     def test_transport_table_built_once(self, tmp_path, monkeypatch):
         builds = []
         init = verify._TransportTables.__init__

@@ -3,21 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lecplast import (
-    MeasureSpec,
-    RangeError,
-    build_transport_witness,
-    integrate,
-    measures,
-    pushforward_check,
-    transport_map,
-)
+from lecplast import MeasureSpec, RangeError, TransportMap, build_transport_witness
 from lecplast.witness import partition_levels
-from conftest import cantor, cantor_oracle, density
+from conftest import (
+    bisect_quantile,
+    cantor,
+    cantor_oracle,
+    density,
+    integrate,
+    pushforward_check,
+)
 
 GALOIS_TOL = 2.0**-40
-# The Cantor cdf is only Hoelder continuous (exponent ln2/ln3), so the
-# 2**-48 quantile bisection gap inflates to ~1.5e-9 on the cdf side.
+# The Cantor cdf is only Hoelder continuous (exponent ln2/ln3), so an x
+# error of 2**-48 in the quantile inflates to ~1.5e-9 on the cdf side.
 GALOIS_TOL_CANTOR = 1e-8
 
 
@@ -26,12 +25,8 @@ class TestTotalMass:
         assert lebesgue_12.total_mass == 1.0
 
     def test_polynomial_closed_form(self):
-        m = MeasureSpec((density(0.5, 1.0, coeffs=(0.0, 2.0)),))
+        m = MeasureSpec(density(0.5, 1.0, coeffs=(0.0, 2.0)))
         assert m.total_mass == pytest.approx(0.75, abs=1e-15)
-
-    def test_parts_add(self):
-        m = MeasureSpec((cantor(1, 2, mass=1.0), density(2, 3)))
-        assert m.total_mass == pytest.approx(2.0, abs=1e-15)
 
 
 class TestCdf:
@@ -53,15 +48,20 @@ class TestCdf:
 
     def test_relative_accuracy_near_a_zero_at_the_support_start(self):
         # (t - 1)**2 on [1, 2]: cdf(1 + s) = s**3 / 3, far below one ulp of 1/3
-        m = MeasureSpec((density(1.0, 2.0, coeffs=(1.0, -2.0, 1.0)),))
+        m = MeasureSpec(density(1.0, 2.0, coeffs=(1.0, -2.0, 1.0)))
         for s in (1e-6, 1e-4, 1e-2):
             t = 1.0 + s
             exact = (t - 1.0) ** 3 / 3.0
             assert abs(m.cdf(t) - exact) <= 1e-12 * exact
         assert m.cdf(1.0) == 0.0
 
-    def test_monotone_on_random_pairs(self):
-        m = MeasureSpec((density(0.5, 1.5, coeffs=(0.0, 1.0)), cantor(1.5, 2.5, mass=0.5)))
+    @pytest.mark.parametrize(
+        "part",
+        [density(0.5, 1.5, coeffs=(0.0, 1.0)), cantor(1.5, 2.5, mass=0.5)],
+        ids=["density", "cantor"],
+    )
+    def test_monotone_on_random_pairs(self, part):
+        m = MeasureSpec(part)
         rng = np.random.default_rng(3)
         t = np.sort(rng.uniform(0.0, 3.0, size=(500, 2)), axis=1)
         assert (m.cdf(t[:, 0]) <= m.cdf(t[:, 1])).all()
@@ -91,7 +91,7 @@ class TestQuantile:
     @given(u=st.floats(0.001, 0.999))
     @settings(max_examples=60, deadline=None)
     def test_galois_density(self, u):
-        m = MeasureSpec((density(1.0, 2.0, coeffs=(0.0, 2.0, 0.5)),))
+        m = MeasureSpec(density(1.0, 2.0, coeffs=(0.0, 2.0, 0.5)))
         level = u * m.total_mass
         x = m.quantile(level)
         assert m.cdf(x) >= level - GALOIS_TOL
@@ -100,7 +100,7 @@ class TestQuantile:
     @given(t=st.floats(1.01, 1.99))
     @settings(max_examples=60, deadline=None)
     def test_galois_quantile_of_cdf_density(self, t):
-        m = MeasureSpec((density(1.0, 2.0, coeffs=(0.0, 2.0, 0.5)),))
+        m = MeasureSpec(density(1.0, 2.0, coeffs=(0.0, 2.0, 0.5)))
         assert m.quantile(m.cdf(t)) >= t - GALOIS_TOL
 
     def test_galois_cantor(self, cantor_01):
@@ -149,15 +149,15 @@ class TestClosedFormQuantile:
         ids=[*SINGLE_PARTS, *ZERO_AT_START],
     )
     def test_agrees_with_bisection(self, part):
-        m = MeasureSpec((part,))
+        m = MeasureSpec(part)
         levels = _single_part_levels(m)
-        bisected = measures._quantile(m.cdf, m.support, m.total_mass, levels)
+        bisected = bisect_quantile(m, levels)
         a, b = part.support
         assert np.abs(m.quantile(levels) - bisected).max() <= 2.0**-46 * (b - a)
 
     @pytest.mark.parametrize("part", SINGLE_PARTS.values(), ids=SINGLE_PARTS.keys())
     def test_cdf_of_quantile_never_exceeds_level(self, part):
-        m = MeasureSpec((part,))
+        m = MeasureSpec(part)
         levels = _single_part_levels(m, count=4000)
         assert (m.cdf(m.quantile(levels)) <= levels).all()
         for u in levels[:40]:
@@ -175,7 +175,7 @@ class TestClosedFormQuantile:
 
     @pytest.mark.parametrize("part", SINGLE_PARTS.values(), ids=SINGLE_PARTS.keys())
     def test_at_most_eight_cdf_calls(self, part, monkeypatch):
-        m = MeasureSpec((part,))
+        m = MeasureSpec(part)
         levels = _single_part_levels(m)
         calls = []
         cdf = MeasureSpec.cdf
@@ -192,44 +192,38 @@ class TestClosedFormQuantile:
         cell.quantile(cell.total_mass * (np.arange(256) + 0.5) / 256)
         assert 1 <= len(calls) <= 8
 
-    def test_multi_part_keeps_bisection(self):
-        m = MeasureSpec((density(0.5, 1.5, coeffs=(0.0, 1.0)), cantor(1.5, 2.5, mass=0.5)))
-        levels = np.linspace(0.0, m.total_mass, 101)
-        bisected = measures._quantile(m.cdf, m.support, m.total_mass, levels)
-        assert np.array_equal(m.quantile(levels), bisected)
-
 
 class TestTransportMap:
     def test_affine_pair(self):
-        mu = MeasureSpec((density(0.0, 1.0),))
-        nu = MeasureSpec((density(0.0, 2.0),))
-        g = transport_map(mu, nu)
+        mu = MeasureSpec(density(0.0, 1.0))
+        nu = MeasureSpec(density(0.0, 2.0))
+        g = TransportMap(mu, nu)
         t = np.linspace(0.0, 2.0, 9)
         assert np.abs(g(t) - t / 2.0).max() <= 2.0**-40
 
     def test_self_transport_is_identity(self, lebesgue_12):
-        g = transport_map(lebesgue_12, lebesgue_12)
+        g = TransportMap(lebesgue_12, lebesgue_12)
         t = np.linspace(1.0, 2.0, 11)
         assert np.abs(g(t) - t).max() <= 2.0**-40
 
     def test_quadratic_density_closed_form(self, lebesgue_12):
         # F_nu(t) = (t-1)^2 for the density 2(t-1) on [1,2]; solving
         # F_mu(G) = F_nu gives G(t) = 1 + (t-1)^2.
-        nu = MeasureSpec((density(1.0, 2.0, coeffs=(-2.0, 2.0)),))
-        g = transport_map(lebesgue_12, nu)
+        nu = MeasureSpec(density(1.0, 2.0, coeffs=(-2.0, 2.0)))
+        g = TransportMap(lebesgue_12, nu)
         t = np.linspace(1.05, 1.95, 10)
         assert np.abs(g(t) - (1.0 + (t - 1.0) ** 2)).max() <= 1e-12
 
     def test_monotone_on_ordered_pairs(self, cantor_01):
-        dst = MeasureSpec((density(0.0, 1.0),))
-        g = transport_map(cantor_01, dst)
+        dst = MeasureSpec(density(0.0, 1.0))
+        g = TransportMap(cantor_01, dst)
         rng = np.random.default_rng(17)
         pairs = np.sort(rng.uniform(0.0, 1.0, size=(1000, 2)), axis=1)
         assert (g(pairs[:, 0]) <= g(pairs[:, 1]) + 2.0**-45).all()
 
     def test_range_inside_source_support(self, lebesgue_12):
-        nu = MeasureSpec((density(0.0, 3.0, coeffs=(0.5, 1.0)),))
-        g = transport_map(lebesgue_12, nu)
+        nu = MeasureSpec(density(0.0, 3.0, coeffs=(0.5, 1.0)))
+        g = TransportMap(lebesgue_12, nu)
         values = g(np.linspace(0.0, 3.0, 200))
         assert (values >= 1.0 - 2.0**-45).all()
         assert (values <= 2.0 + 2.0**-45).all()
@@ -237,27 +231,27 @@ class TestTransportMap:
 
 class TestPushforward:
     def test_affine_case(self):
-        mu = MeasureSpec((density(0.0, 1.0),))
-        nu = MeasureSpec((density(0.0, 2.0),))
-        g = transport_map(mu, nu)
+        mu = MeasureSpec(density(0.0, 1.0))
+        nu = MeasureSpec(density(0.0, 2.0))
+        g = TransportMap(mu, nu)
         assert pushforward_check(mu, nu, g, [[0.0, 0.8]]) <= 1e-12
 
     def test_self_transport(self, lebesgue_12):
-        g = transport_map(lebesgue_12, lebesgue_12)
+        g = TransportMap(lebesgue_12, lebesgue_12)
         intervals = [[1.0, 1.3], [1.2, 1.9], [1.5, 2.0]]
         assert pushforward_check(lebesgue_12, lebesgue_12, g, intervals) <= 1e-14
 
     def test_cantor_to_lebesgue(self, cantor_01):
-        dst = MeasureSpec((density(0.0, 1.0),))
-        g = transport_map(cantor_01, dst)
+        dst = MeasureSpec(density(0.0, 1.0))
+        g = TransportMap(cantor_01, dst)
         rng = np.random.default_rng(29)
         intervals = np.sort(rng.uniform(0.0, 1.0, size=(100, 2)), axis=1)
         assert pushforward_check(cantor_01, dst, g, intervals) <= 1e-6
 
     def test_density_pairs_residual(self):
-        src = MeasureSpec((density(1.0, 2.0, coeffs=(0.0, 2.0)),))
-        dst = MeasureSpec((density(0.5, 3.0, coeffs=(1.0, 0.5)),))
-        g = transport_map(src, dst)
+        src = MeasureSpec(density(1.0, 2.0, coeffs=(0.0, 2.0)))
+        dst = MeasureSpec(density(0.5, 3.0, coeffs=(1.0, 0.5)))
+        g = TransportMap(src, dst)
         rng = np.random.default_rng(31)
         intervals = np.sort(rng.uniform(0.5, 3.0, size=(100, 2)), axis=1)
         assert pushforward_check(src, dst, g, intervals) <= 1e-9

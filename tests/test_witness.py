@@ -155,7 +155,7 @@ class TestPartition:
         assert np.allclose(endpoints, [1.125, 1.25, 1.5, 1.75, 1.875], atol=2.0**-45)
 
     def test_middle_cell_mass(self):
-        m = MeasureSpec((density(1.0, 2.0, coeffs=(0.0, 3.0)),))
+        m = MeasureSpec(density(1.0, 2.0, coeffs=(0.0, 3.0)))
         endpoints = build_partition(m, 2)
         mid_mass = m.cdf(endpoints[3]) - m.cdf(endpoints[2])
         assert mid_mass == pytest.approx(m.total_mass / 4.0, abs=1e-12)
