@@ -113,11 +113,7 @@ def _run_checks(d, witness, config: RunConfig) -> list[VerificationReport]:
                     space, samples=_MIN_ATTAINED_SAMPLES, seed=_check_seed(config.seed, 4)
                 )
             )
-            reports.append(
-                check_extremal_invariance(
-                    space, trials=_OPERATOR_TRIALS, seed=_check_seed(config.seed, 5)
-                )
-            )
+            reports.append(check_extremal_invariance(space, seed=_check_seed(config.seed, 5)))
         finite_n = min(max(space.dimension, 2), 8)
     else:
         finite_n = 4

@@ -23,5 +23,6 @@ class PreconditionError(RuntimeError):
 
 class CapacityError(RuntimeError):
     """A finite eigenspace cannot supply the requested number of eigenvectors,
-    or floating point cannot hold the requested eigenvalues as distinct values."""
+    or floating point cannot hold the requested eigenvalues or quadrature
+    nodes as distinct values."""
 

@@ -250,25 +250,19 @@ def spectral_bounds(d: SpectralDescriptor) -> tuple[float, float]:
     return min(values), max(values)
 
 
-def enumerate_points(
-    d: SpectralDescriptor,
-    per_sequence: int,
-    replication: int | None = None,
-) -> list[tuple[float, int]]:
+def enumerate_points(d: SpectralDescriptor, per_sequence: int) -> list[tuple[float, int]]:
     """Finite truncation of the point spectrum, sorted ascending.
 
     Each sequence contributes its first ``per_sequence`` terms; INFINITE atom
-    multiplicities are rendered as ``replication`` copies (default
-    2*per_sequence, enough for the bilateral shift window).  Points sharing a
-    value merge by adding multiplicities (the atom/term overlay).
+    multiplicities are rendered as 2*per_sequence copies, enough for the
+    bilateral shift window.  Points sharing a value merge by adding
+    multiplicities (the atom/term overlay).
     """
     if per_sequence < 1:
         raise DomainError(f"per_sequence must be positive, got {per_sequence}")
-    if replication is None:
-        replication = 2 * per_sequence
     counts: dict[float, int] = {}
     for atom in d.atoms:
-        mult = replication if atom.is_infinite else int(atom.multiplicity)
+        mult = 2 * per_sequence if atom.is_infinite else int(atom.multiplicity)
         counts[atom.value] = counts.get(atom.value, 0) + mult
     for seq in d.sequences:
         for value in seq.terms(per_sequence):

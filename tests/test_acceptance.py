@@ -29,7 +29,7 @@ from lecplast import (
     classify,
 )
 from lecplast.measures import quadrature_nodes
-from lecplast.verify import contraction_delta, operator_norm, plasticity_map
+from lecplast.verify import contraction_delta, plasticity_map
 from conftest import atom, cantor, density, descriptor, pushforward_check, seq
 
 mpmath.mp.dps = 40
@@ -199,7 +199,7 @@ def test_criterion_7_finite_dim_surrogate():
         u = np.array(
             [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
         )
-        norms.append(operator_norm(plasticity_map(lam, u)))
+        norms.append(np.linalg.norm(plasticity_map(lam, u), 2))
     norms = np.array(norms)
     never_contracts = bool((norms >= 1.0 - 1e-12).all())
 
@@ -208,12 +208,12 @@ def test_criterion_7_finite_dim_surrogate():
          [math.sin(math.pi / 4), math.cos(math.pi / 4)]]
     )
     oracle_45 = math.sqrt((2.25 + math.sqrt(1.0625)) / 2.0)
-    dev_45 = abs(operator_norm(plasticity_map(lam, u45)) - 1.28078)
-    dev_oracle = abs(operator_norm(plasticity_map(lam, u45)) - oracle_45)
+    dev_45 = abs(np.linalg.norm(plasticity_map(lam, u45), 2) - 1.28078)
+    dev_oracle = abs(np.linalg.norm(plasticity_map(lam, u45), 2) - oracle_45)
 
     dev_id = max(
-        abs(operator_norm(plasticity_map(lam, np.eye(2))) - 1.0),
-        abs(operator_norm(plasticity_map(lam, -np.eye(2))) - 1.0),
+        abs(np.linalg.norm(plasticity_map(lam, np.eye(2)), 2) - 1.0),
+        abs(np.linalg.norm(plasticity_map(lam, -np.eye(2)), 2) - 1.0),
     )
 
     rng = np.random.default_rng(707)
@@ -225,7 +225,7 @@ def test_criterion_7_finite_dim_surrogate():
         values = np.sort(rng.uniform(0.5, 2.5, size=count))
         mults = rng.integers(1, 3, size=count)
         space = TruncatedQuadraticSpace(tuple(zip(values, mults)))
-        ex = check_extremal_invariance(space, trials=40, seed=int(rng.integers(1 << 31)))
+        ex = check_extremal_invariance(space, seed=int(rng.integers(1 << 31)))
         checks_pass = checks_pass and fd.passed and ex.passed
         worst = max(worst, fd.worst_residual, ex.worst_residual)
     _record(

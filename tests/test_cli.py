@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from lecplast import RangeError, verify
@@ -74,8 +75,15 @@ class TestClassify:
             (CANTOR, ["witness", "--window", "40"]),
             # at K = 80 the chain's deepest terms round to the limits 1 and 2
             (TWO_SEQUENCES, ["verify", "--window", "80", "--nodes", "64"]),
+            # cells too narrow for distinct quadrature nodes: at K = 32 the
+            # outer Cantor cell's 4096 nodes are one float, at K = 46 the
+            # outer Lebesgue cell's 256 nodes take 32 values, at K = 51 one
+            (CANTOR, ["verify", "--window", "32"]),
+            (LEBESGUE, ["verify", "--window", "46", "--nodes", "256"]),
+            (LEBESGUE, ["verify", "--window", "51", "--nodes", "256"]),
         ],
-        ids=["window_0", "nodes_8", "cantor_window_40", "sequence_window_80"],
+        ids=["window_0", "nodes_8", "cantor_window_40", "sequence_window_80",
+             "cantor_window_32", "lebesgue_window_46", "lebesgue_window_51"],
     )
     def test_rejected_run_exits_1_with_one_line(self, tmp_path, capsys, doc, args):
         assert main([*args, "--input", write(tmp_path, "d.json", doc)]) == 1
@@ -147,12 +155,13 @@ class TestVerifyCommand:
                              "finite_dim_plasticity"]
             assert all(c["pass"] for c in report["checks"])
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_nan_residual_fails_its_check(self, tmp_path, capsys):
-        # At K = 51 the innermost Lebesgue cells are one ulp wide, so the
-        # random test functions divide by a zero span and turn NaN.
+    def test_nan_residual_fails_its_check(self, tmp_path, capsys, monkeypatch):
+        def nan_functions(self, rng, degree=3):
+            return [lambda t: np.full_like(t, np.nan)] * (len(self.nodes) - 1)
+
+        monkeypatch.setattr(verify._TransportTables, "random_functions", nan_functions)
         out = tmp_path / "report.json"
-        argv = ["verify", "--window", "51", "--nodes", "256", "--output", str(out)]
+        argv = ["verify", "--window", "3", "--nodes", "256", "--output", str(out)]
         assert main([*argv, "--input", write(tmp_path, "d.json", LEBESGUE)]) == 2
         capsys.readouterr()
         assert '"worst_residual": NaN' in out.read_text()
@@ -175,6 +184,17 @@ class TestVerifyCommand:
         code, _ = run(config)
         assert code == 3
         assert len(builds) == 1
+
+    def test_near_degenerate_spectrum_passes(self, tmp_path, capsys):
+        # values 1e-12 apart mix freely under maps with ||T|| - 1 below 1e-12
+        doc = {"atoms": [{"value": 1.0, "multiplicity": 1},
+                         {"value": 1.0 + 1e-12, "multiplicity": 1}]}
+        out = tmp_path / "report.json"
+        argv = ["all", "--input", write(tmp_path, "d.json", doc), "--output", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        checks = json.loads(out.read_text())["checks"]
+        assert [c["name"] for c in checks if not c["pass"]] == []
 
     def test_plastic_descriptor_runs_space_checks(self, tmp_path):
         config = RunConfig(

@@ -23,12 +23,13 @@ from lecplast import (
     check_strict_contraction,
     classify,
 )
+from lecplast import verify
 from lecplast.verify import (
     NORM_SLACK,
+    PROBE_ANGLES,
     block_orthogonal,
     contraction_delta,
     haar_orthogonal,
-    operator_norm,
     plasticity_map,
 )
 from conftest import atom, density, descriptor, seq
@@ -48,26 +49,19 @@ def shift_no_min_no_max(K=8):
     return build_shift_witness(d, classify(d).certificate, K)
 
 
-def dense_extremal_invariance(space, trials=100, seed=0):
-    """Reference: check_extremal_invariance with dense n x n algebra throughout."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    lam = space.lambdas
-    worst = 0.0
-    extremal = [space.group(lam.min()), space.group(lam.max())]
-    for _ in range(trials):
-        candidates = [plasticity_map(lam, block_orthogonal(lam, rng))]
-        general = plasticity_map(lam, haar_orthogonal(lam.size, rng))
-        if operator_norm(general) <= 1.0 + NORM_SLACK:
-            candidates.append(general)
-        for t in candidates:
-            for idx in extremal:
-                projector = np.zeros((lam.size, lam.size))
-                projector[idx, idx] = 1.0
-                worst = max(worst, operator_norm(t @ projector - projector @ t))
-                restricted = t[np.ix_(idx, idx)]
-                singulars = np.linalg.svd(restricted, compute_uv=False)
-                worst = max(worst, np.abs(singulars - 1.0).max())
-    return float(worst)
+@pytest.fixture
+def svd_spy(monkeypatch):
+    """(input, singular values) of every np.linalg.svd call."""
+    calls = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        result = svd(a, *args, **kwargs)
+        calls.append((np.copy(a), result))
+        return result
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    return calls
 
 
 def unblocked_rayleigh_bounds(space, samples, seed):
@@ -258,14 +252,14 @@ class TestFiniteDimPlasticity:
         e2 = np.array([0.0, 1.0])
         assert np.allclose(t @ e1, [0.0, 1.0 / math.sqrt(2.0)], atol=1e-15)
         assert np.allclose(t @ e2, [-math.sqrt(2.0), 0.0], atol=1e-15)
-        assert operator_norm(t) == pytest.approx(math.sqrt(2.0), abs=1e-12)
+        assert np.linalg.norm(t, 2) == pytest.approx(math.sqrt(2.0), abs=1e-12)
         lam = np.array([1.0, 2.0])
         x = np.array([0.3, -0.7])
         q = lambda v: float(np.sum(lam * v * v))
         assert q(t @ x) == pytest.approx(q(x), abs=1e-14)
 
     def test_eighth_turn_norm_oracle(self):
-        assert operator_norm(rotation_map(math.pi / 4.0)) == pytest.approx(
+        assert np.linalg.norm(rotation_map(math.pi / 4.0), 2) == pytest.approx(
             rotation_norm_oracle(math.pi / 4.0), abs=1e-12
         )
         assert rotation_norm_oracle(math.pi / 4.0) == pytest.approx(
@@ -275,7 +269,7 @@ class TestFiniteDimPlasticity:
     def test_identity_is_isometry(self):
         t = rotation_map(0.0)
         assert np.allclose(t, np.eye(2), atol=1e-15)
-        assert abs(operator_norm(t) - 1.0) <= 1e-15
+        assert abs(np.linalg.norm(t, 2) - 1.0) <= 1e-15
 
     def test_check_passes(self):
         for n in (2, 5, 8):
@@ -296,56 +290,83 @@ class TestExtremalInvariance:
         u = block_orthogonal(lam, rng)
         t = plasticity_map(lam, u)
         p = np.diag([1.0, 1.0, 0.0])
-        assert operator_norm(t @ p - p @ t) == 0.0
+        assert np.linalg.norm(t @ p - p @ t, 2) == 0.0
 
     def test_rank_one_invariance(self):
         lam = np.array([1.0, 2.0])
         rng = np.random.default_rng(59)
         for _ in range(20):
             t = plasticity_map(lam, haar_orthogonal(2, rng))
-            if operator_norm(t) <= 1.0 + 1e-10:
+            if np.linalg.norm(t, 2) <= 1.0 + 1e-10:
                 assert abs(t[1, 0]) <= 1e-8  # T e_1 stays in span(e_1)
 
     @pytest.mark.parametrize(
-        ("points", "trials"),
+        "points",
         [
-            (((1.5, 5),), 50),
-            (((1.0, 3), (2.0, 4)), 50),
-            (((1.0, 2), (1.5, 3), (2.0, 1)), 50),
-            (((2.0, 1), (1.0, 2)), 50),
-            (NEAR_DEGENERATE_POINTS, 50),
-            (BENCH_SCALE_POINTS, 5),
+            ((1.5, 5),),
+            ((1.0, 3), (2.0, 4)),
+            ((1.0, 2), (1.5, 3), (2.0, 1)),
+            ((2.0, 1), (1.0, 2)),
+            NEAR_DEGENERATE_POINTS,
+            BENCH_SCALE_POINTS,
         ],
         ids=["one_group", "two_groups", "three_groups", "unsorted", "near_degenerate", "dim_257"],
     )
-    def test_matches_dense_reference(self, points, trials):
+    def test_matches_mpmath_oracle(self, points, svd_spy):
         space = TruncatedQuadraticSpace(points)
-        for seed in (0, 1, 2, 61):
-            report = check_extremal_invariance(space, trials=trials, seed=seed)
-            # Near-degenerate values accept general candidates (||T|| - 1 stays
-            # below 1e-12, inside NORM_SLACK) that mix the two eigenspaces.
-            assert report.passed == (points != NEAR_DEGENERATE_POINTS)
-            assert report.worst_residual == dense_extremal_invariance(space, trials, seed)
+        report = check_extremal_invariance(space)
+        values = sorted({v for v, _ in points})
+        pairs = [(lam, mu) for lam in (values[0], values[-1]) for mu in values if mu != lam]
+        assert report.passed and report.worst_residual <= 1e-14
+        assert report.samples == len(pairs) * PROBE_ANGLES.size
+        sigma = svd_spy[0][1][:, 0]
+        probes = [(lam, mu, theta) for lam, mu in pairs for theta in PROBE_ANGLES]
+        for (lam, mu, theta), computed in zip(probes, sigma, strict=True):
+            lam, mu, theta = mpmath.mpf(lam), mpmath.mpf(mu), mpmath.mpf(float(theta))
+            c, s = mpmath.cos(theta), mpmath.sin(theta)
+            t = mpmath.matrix([[c, -s * mpmath.sqrt(mu / lam)], [s * mpmath.sqrt(lam / mu), c]])
+            exact = max(mpmath.svd_r(t, compute_uv=False))
+            leak = max(abs(t[0, 1]), abs(t[1, 0]))
+            identity = exact - 1 / exact - leak * abs(mu - lam) / max(lam, mu)
+            assert abs(identity) <= mpmath.mpf(10) ** -30
+            assert abs(computed - exact) <= 1e-15 * exact
 
-    def test_general_candidate_needs_no_full_qr(self, monkeypatch):
-        shapes = []
+    def test_form_breaking_map_fails(self, monkeypatch):
+        def unbalanced(lambdas, u):
+            lam = np.asarray(lambdas, dtype=float)
+            return (lam[..., :, None] ** -0.5) * u * (lam[..., None, :] ** -0.5)
+
+        monkeypatch.setattr(verify, "plasticity_map", unbalanced)
+        report = check_extremal_invariance(TruncatedQuadraticSpace(((1.0, 3), (2.0, 4))))
+        assert not report.passed and report.worst_residual >= 0.5
+
+    def test_probes_are_deterministic_two_by_two(self, monkeypatch, svd_spy):
+        qr_shapes = []
         qr = np.linalg.qr
 
         def recording_qr(a, *args, **kwargs):
-            shapes.append(np.shape(a))
+            qr_shapes.append(np.shape(a))
             return qr(a, *args, **kwargs)
 
+        def no_generator(*args, **kwargs):
+            raise AssertionError("extremal invariance drew a random number")
+
         monkeypatch.setattr(np.linalg, "qr", recording_qr)
+        monkeypatch.setattr(np.random, "Generator", no_generator)
         space = TruncatedQuadraticSpace(((1.0, 3), (1.5, 1), (2.0, 4)))
-        report = check_extremal_invariance(space, trials=20, seed=7)
-        assert report.passed
-        # Only the two extremal blocks are factored: no 8 x 8 general
-        # candidate and no 1 x 1 middle block.
-        assert set(shapes) == {(3, 3), (4, 4)}
+        a = check_extremal_invariance(space, seed=7).to_dict()
+        b = check_extremal_invariance(space, seed=8).to_dict()
+        assert a.pop("seed") == 7 and b.pop("seed") == 8 and a == b and a["pass"]
+        assert qr_shapes == []
+        assert [np.shape(t) for t, _ in svd_spy] == [(a["samples"], 2, 2)] * 2
+        # Four separated pairs: each has accepted and rejected probes.
+        sigma = svd_spy[0][1][:, 0].reshape(4, PROBE_ANGLES.size)
+        assert ((sigma <= 1.0 + NORM_SLACK).any(axis=1)).all()
+        assert ((sigma > 1.0 + NORM_SLACK).any(axis=1)).all()
 
     def test_multiplicity_pattern(self):
         space = TruncatedQuadraticSpace(((1.0, 2), (1.5, 3), (2.0, 1)))
-        report = check_extremal_invariance(space, trials=200, seed=61)
+        report = check_extremal_invariance(space, seed=61)
         assert report.passed and report.worst_residual <= 1e-9
 
 
