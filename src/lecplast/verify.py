@@ -2,8 +2,10 @@
 
 Every check is deterministic given (inputs, seed, node counts): the sampling
 checks draw from a counter-based Philox generator keyed by the check's seed,
-so no check's result depends on which checks ran before it.  Extremal
-invariance draws nothing and only records its seed.
+so no check's result depends on which checks ran before it.  The two
+operator checks, finite-dimensional plasticity and extremal invariance,
+draw nothing: they share one set of deterministic 2 x 2 rotation probes and
+only record their seed.
 
 Shift-witness identities are exact-arithmetic paths (thresholds 1e-12);
 transport identities go through quadrature (1e-5 for densities, 1e-3 when a
@@ -254,11 +256,6 @@ def check_strict_contraction(
     return _report("strict_contraction", 1, factor, 1.0 - CONTRACTION_MARGIN, seed)
 
 
-def contraction_delta(report: VerificationReport) -> float:
-    """delta = 1 - ||Tx|| recovered from a strict-contraction report."""
-    return 1.0 - report.worst_residual
-
-
 # ---------------------------------------------------------------------------
 # Spectral-bound checks (Rayleigh quotients, minimizers)
 # ---------------------------------------------------------------------------
@@ -345,24 +342,8 @@ def check_min_attained(
 
 
 # ---------------------------------------------------------------------------
-# Finite-dimensional plasticity surrogate
+# Operator checks on 2 x 2 rotation probes
 # ---------------------------------------------------------------------------
-
-def haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
-    """U = Q * sign(diag R) for a Gaussian g = QR: Haar-distributed (Mezzadri 2007)."""
-    q, r = np.linalg.qr(rng.normal(size=(n, n)))
-    return q * np.sign(np.diag(r))
-
-
-def block_orthogonal(lambdas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Random orthogonal matrix that is block-diagonal w.r.t. eigenvalue groups."""
-    lambdas = np.asarray(lambdas, dtype=float)
-    u = np.zeros((lambdas.size, lambdas.size))
-    for value in np.unique(lambdas):
-        idx = np.nonzero(lambdas == value)[0]
-        u[np.ix_(idx, idx)] = haar_orthogonal(idx.size, rng)
-    return u
-
 
 def plasticity_map(lambdas, u: np.ndarray) -> np.ndarray:
     """T = A^{-1/2} U A^{1/2} for diagonal A: automatically form-preserving.
@@ -373,50 +354,56 @@ def plasticity_map(lambdas, u: np.ndarray) -> np.ndarray:
     return (lam[..., :, None] ** -0.5) * u * (lam[..., None, :] ** 0.5)
 
 
-def _random_spectrum(n: int, rng: np.random.Generator) -> np.ndarray:
-    if rng.random() < 0.5:
-        lam = rng.choice([0.5, 1.0, 1.5, 2.0, 2.5], size=n)  # forces multiplicities
-    else:
-        lam = rng.uniform(0.5, 2.5, size=n)
-    return np.sort(lam)
+#: Rotation angles of the operator probes, pi/2 down to 1.6e-12 in decades:
+#: on a pair with gap/sqrt(lam mu) between about 2e-10 and 120, the ladder
+#: holds probes on both sides of ||T|| = 1 + NORM_SLACK.
+PROBE_ANGLES = np.pi / 2 * 10.0 ** -np.arange(13)
+
+#: Eigenvalues whose pairs the finite-dimensional plasticity check probes.
+FINITE_DIM_SPECTRUM = (0.5, 1.0, 1.5, 2.0, 2.5)
 
 
-def check_finite_dim_plasticity(
-    n: int, trials: int = 100, seed: int = 0
-) -> VerificationReport:
+def _rotation_probes(pairs):
+    """Rotate each (lam, mu) pair's span by every theta in ``PROBE_ANGLES``.
+
+    Returns the (P, 2, 2) probes T = plasticity_map((lam, mu), R_theta),
+    pair-major, their singular values (descending, from one batched SVD)
+    and the lam and mu of each probe.
+    """
+    pairs = np.asarray(pairs, dtype=float).reshape(-1, 1, 2)
+    cos, sin = np.cos(PROBE_ANGLES), np.sin(PROBE_ANGLES)
+    rotations = np.stack([cos, -sin, sin, cos], axis=-1).reshape(-1, 2, 2)
+    t = plasticity_map(pairs, rotations).reshape(-1, 2, 2)
+    lam, mu = np.repeat(pairs[:, 0], PROBE_ANGLES.size, axis=0).T
+    return t, np.linalg.svd(t, compute_uv=False), lam, mu
+
+
+def check_finite_dim_plasticity(seed: int = 0) -> VerificationReport:
     """Finite-dimensional shadow of ball plasticity for form-preserving maps.
 
-    For sampled T = A^{-1/2} U A^{1/2}: (a) the quadratic form is preserved;
-    (b) ||T|| >= 1 (|det T| = 1 forces a singular value >= 1), so no
-    form-preserving map is a strict contraction; (c) any T with ||T|| <= 1
-    is an isometry; (d) block-diagonal U gives ||T|| = 1.
+    Every pair lam <= mu of ``FINITE_DIM_SPECTRUM``, equal pairs included, is
+    rotated through ``_rotation_probes``.  On each probe
+    T = A^{-1/2} R_theta A^{1/2} with A = diag(lam, mu): (a) the quadratic
+    form is preserved, T^T A T = A; (b) ||T|| >= 1 (det T = 1 forces a
+    singular value >= 1), so no form-preserving map is a strict contraction;
+    (c) a T with ||T|| <= 1 + NORM_SLACK has every singular value within
+    tolerance of 1, i.e. is an isometry; (d) lam = mu gives ||T|| = 1.  The
+    small angles put probes of unequal pairs into (c).  The check draws
+    nothing; ``seed`` is only recorded.
     """
-    if not 2 <= n <= 8:
-        raise PreconditionError(f"dimension must be in [2, 8], got {n}")
-    rng = _rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        lam = _random_spectrum(n, rng)
-        for u, is_block in ((haar_orthogonal(n, rng), False), (block_orthogonal(lam, rng), True)):
-            t = plasticity_map(lam, u)
-            x = _unit_rows(rng, 4, n)
-            q_in = (x * x) @ lam
-            q_out = ((x @ t.T) ** 2) @ lam
-            worst = np.maximum(worst, np.abs(q_out - q_in).max())
-            singulars = np.linalg.svd(t, compute_uv=False)
-            norm = singulars.max()
-            worst = np.maximum(worst, 1.0 - norm)
-            if is_block:
-                worst = np.maximum(worst, abs(norm - 1.0))
-            if norm <= 1.0 + NORM_SLACK:
-                worst = np.maximum(worst, np.abs(singulars - 1.0).max())
-    return _report("finite_dim_plasticity", 2 * trials, worst, OPERATOR_TOL, seed)
-
-
-#: Rotation angles of the extremal-invariance probes, pi/2 down to 1.6e-12 in
-#: decades: on a pair with gap/sqrt(lam mu) between about 2e-10 and 120, the
-#: ladder holds probes on both sides of ||T|| = 1 + NORM_SLACK.
-PROBE_ANGLES = np.pi / 2 * 10.0 ** -np.arange(13)
+    values = FINITE_DIM_SPECTRUM
+    t, singular, lam, mu = _rotation_probes(
+        [(lam, mu) for i, lam in enumerate(values) for mu in values[i:]]
+    )
+    a = np.stack([lam, mu], axis=-1)[:, :, None] * np.eye(2)
+    norm = singular[:, 0]
+    residuals = [
+        np.abs(np.swapaxes(t, 1, 2) @ a @ t - a).max(axis=(1, 2)),
+        1.0 - norm,
+        np.where(norm <= 1.0 + NORM_SLACK, np.abs(singular - 1.0).max(axis=1), 0.0),
+        np.where(lam == mu, np.abs(norm - 1.0), 0.0),
+    ]
+    return _report("finite_dim_plasticity", len(t), np.max(residuals), OPERATOR_TOL, seed)
 
 
 def check_extremal_invariance(
@@ -425,10 +412,10 @@ def check_extremal_invariance(
     """Form-preserving maps leave an extremal eigenspace only by expanding.
 
     Each extremal value lam (min and max) is paired with every other distinct
-    value mu, and for each theta in ``PROBE_ANGLES`` the 2 x 2 probe
-    T = plasticity_map((lam, mu), R_theta) rotates their span.  With P the
-    projector onto lam, the leak ||TP - PT|| = max(|T_01|, |T_10|) and the
-    norm sigma = ||T|| satisfy exactly (det T = 1, so sigma >= 1)
+    value mu, and ``_rotation_probes`` rotates each pair's span by every
+    theta in ``PROBE_ANGLES``.  With P the projector onto lam, the leak
+    ||TP - PT|| = max(|T_01|, |T_10|) of a probe T and its norm
+    sigma = ||T|| satisfy exactly (det T = 1, so sigma >= 1)
 
         sigma - 1/sigma = leak * |mu - lam| / max(lam, mu).
 
@@ -437,23 +424,19 @@ def check_extremal_invariance(
     each extremal eigenspace invariant up to a bound set by the spectral gap
     (a Davis-Kahan sin-theta bound), and close values may mix freely.
 
-    All probes go through one batched (P, 2, 2) SVD.  The residual is the
-    largest defect of the identity relative to sigma, since an SVD returns
-    sigma to relative accuracy.  A space with one distinct value has no
-    probe.  The check draws nothing; ``seed`` is only recorded.
+    The residual is the largest defect of the identity relative to sigma,
+    since an SVD returns sigma to relative accuracy.  A space with one
+    distinct value has no probe.  The check draws nothing; ``seed`` is only
+    recorded.
     """
     if space.dimension < 2:
         raise PreconditionError("need dimension >= 2")
     values = np.unique(space.lambdas)
-    pairs = np.array(
+    t, singular, lam, mu = _rotation_probes(
         [(lam, mu) for lam in (values[0], values[-1]) for mu in values if mu != lam]
-    ).reshape(-1, 1, 2)
-    cos, sin = np.cos(PROBE_ANGLES), np.sin(PROBE_ANGLES)
-    rotations = np.stack([cos, -sin, sin, cos], axis=-1).reshape(-1, 2, 2)
-    t = plasticity_map(pairs, rotations).reshape(-1, 2, 2)
-    sigma = np.linalg.svd(t, compute_uv=False)[:, 0]
+    )
+    sigma = singular[:, 0]
     leak = np.maximum(np.abs(t[:, 0, 1]), np.abs(t[:, 1, 0]))
-    lam, mu = np.repeat(pairs[:, 0], PROBE_ANGLES.size, axis=0).T
     gap = np.abs(mu - lam) / np.maximum(lam, mu)
     defect = np.abs(sigma - 1.0 / sigma - leak * gap) / sigma
     return _report("extremal_invariance", len(t), np.max(defect, initial=0.0), OPERATOR_TOL, seed)

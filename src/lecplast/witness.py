@@ -74,8 +74,8 @@ class ShiftWitness:
             raise RangeError(f"factor index {k} outside window")
         return float(self.factors[k + self.window - 1])
 
-    def apply(self, window_coeffs, tail=None):
-        """Shift window coefficients down one slot; tail is untouched.
+    def apply(self, window_coeffs):
+        """Shift window coefficients down one slot.
 
         Slot k = K receives 0: its in-chain source sits outside the window.
         """
@@ -84,7 +84,7 @@ class ShiftWitness:
             raise RangeError("coefficient vector must cover k = -K..K")
         out = np.zeros_like(x)
         out[:-1] = self.factors * x[1:]
-        return (out, tail) if tail is not None else out
+        return out
 
     def form(self, window_coeffs) -> float:
         """Quadratic form <x, Ax> of window coefficients."""
@@ -278,9 +278,26 @@ class TransportWitness:
 
 
 def build_transport_witness(part: ContinuousPart, K: int) -> TransportWitness:
-    """Partition the part's measure and wire up per-cell transports."""
+    """Partition the part's measure and wire up per-cell transports.
+
+    Raises ``CapacityError`` when floating point cannot hold 2K + 1 distinct
+    endpoints, naming the largest window that can: levels are nested in K,
+    window K' taking the middle 2K' + 1 of them.
+    """
     m = MeasureSpec(part)
     endpoints = build_partition(m, K)
+    collided = np.nonzero(~(np.diff(endpoints) > 0))[0]
+    if collided.size:
+        # Step p (endpoints p, p + 1) lies in window K' iff K - K' <= p < K + K'.
+        largest = int(np.maximum(K - collided, collided - K + 1).min()) - 1
+        fits = (
+            f"the largest window with distinct endpoints is K={largest}"
+            if largest
+            else "no window has distinct endpoints"
+        )
+        raise CapacityError(
+            f"partition endpoints of window K={K} collide in floating point; {fits}"
+        )
     return TransportWitness(measure=m, window=K, endpoints=endpoints)
 
 
@@ -301,9 +318,11 @@ def shift_witness_to_dict(w: ShiftWitness) -> dict:
     }
 
 
-def transport_witness_to_dict(
-    w: TransportWitness, full: bool = False, multiplier_nodes: int = 33
-) -> dict:
+#: Evenly spaced nodes per cell in the ``--full`` multiplier tables.
+MULTIPLIER_NODES = 33
+
+
+def transport_witness_to_dict(w: TransportWitness, full: bool = False) -> dict:
     doc = {
         "type": "transport",
         "window": w.window,
@@ -316,7 +335,7 @@ def transport_witness_to_dict(
         tables = []
         for k in range(-w.window, w.window - 1):
             lo, hi = w.cell(k).support
-            s = np.linspace(lo, hi, multiplier_nodes)
+            s = np.linspace(lo, hi, MULTIPLIER_NODES)
             tables.append(
                 {
                     "cell": k,

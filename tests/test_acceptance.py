@@ -29,7 +29,7 @@ from lecplast import (
     classify,
 )
 from lecplast.measures import quadrature_nodes
-from lecplast.verify import contraction_delta, plasticity_map
+from lecplast.verify import plasticity_map
 from conftest import atom, cantor, density, descriptor, pushforward_check, seq
 
 mpmath.mp.dps = 40
@@ -92,7 +92,7 @@ def test_criterion_2_shift_witness_exactness():
         report = check_form_preservation(w, samples=1000, seed=2025)
         worst_form = max(worst_form, report.worst_residual)
         factors_ok = factors_ok and bool((w.factors <= 1.0).all())
-        delta = contraction_delta(check_strict_contraction(w))
+        delta = 1.0 - check_strict_contraction(w).worst_residual
         worst_delta_dev = max(worst_delta_dev, abs(delta - expected_delta))
     _record(
         "2 shift-witness-exactness",
@@ -219,8 +219,8 @@ def test_criterion_7_finite_dim_surrogate():
     rng = np.random.default_rng(707)
     checks_pass = True
     worst = 0.0
-    for n in range(2, 9):
-        fd = check_finite_dim_plasticity(n, trials=40, seed=int(rng.integers(1 << 31)))
+    for _ in range(7):
+        fd = check_finite_dim_plasticity(seed=int(rng.integers(1 << 31)))
         count = int(rng.integers(2, 5))
         values = np.sort(rng.uniform(0.5, 2.5, size=count))
         mults = rng.integers(1, 3, size=count)

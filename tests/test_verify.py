@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -25,11 +26,9 @@ from lecplast import (
 )
 from lecplast import verify
 from lecplast.verify import (
+    FINITE_DIM_SPECTRUM,
     NORM_SLACK,
     PROBE_ANGLES,
-    block_orthogonal,
-    contraction_delta,
-    haar_orthogonal,
     plasticity_map,
 )
 from conftest import atom, density, descriptor, seq
@@ -138,14 +137,6 @@ class TestNonexpansive:
         x[w.window + 1] = 1.0
         assert np.linalg.norm(w.apply(x)) == pytest.approx(math.sqrt(0.5), abs=1e-15)
 
-    def test_identity_tail_ratio_exact(self):
-        w = shift_two_atoms()
-        tail = np.array([3.0, 4.0])
-        out, tail_out = w.apply(np.zeros(w.lambdas.size), tail)
-        norm_in = np.linalg.norm(np.concatenate([np.zeros(w.lambdas.size), tail]))
-        norm_out = np.linalg.norm(np.concatenate([out, tail_out]))
-        assert norm_out == norm_in
-
     def test_transport(self):
         w = build_transport_witness(density(1.0, 2.0), 3)
         report = check_nonexpansive(w, samples=20, seed=5, nodes=1024)
@@ -156,18 +147,18 @@ class TestStrictContraction:
     def test_two_atoms_delta(self):
         report = check_strict_contraction(shift_two_atoms())
         assert report.passed
-        assert contraction_delta(report) == pytest.approx(DELTA_TWO_ATOMS, abs=1e-12)
+        assert 1.0 - report.worst_residual == pytest.approx(DELTA_TWO_ATOMS, abs=1e-12)
 
     def test_no_min_no_max_delta(self):
         report = check_strict_contraction(shift_no_min_no_max())
-        assert contraction_delta(report) == pytest.approx(DELTA_NO_MIN_NO_MAX, abs=1e-12)
+        assert 1.0 - report.worst_residual == pytest.approx(DELTA_NO_MIN_NO_MAX, abs=1e-12)
 
     def test_transport_endpoint_bound(self):
         # worst multiplier on cell 0 is bounded by a_1/a_2 = 14/15
         w = build_transport_witness(density(1.0, 2.0), 2)
         report = check_strict_contraction(w, nodes=4096)
         assert report.passed
-        assert contraction_delta(report) >= 1.0 - math.sqrt(14.0 / 15.0)
+        assert 1.0 - report.worst_residual >= 1.0 - math.sqrt(14.0 / 15.0)
 
     def test_transport_table_freed_with_witness(self):
         w = build_transport_witness(density(1.0, 2.0), 2)
@@ -272,33 +263,44 @@ class TestFiniteDimPlasticity:
         assert abs(np.linalg.norm(t, 2) - 1.0) <= 1e-15
 
     def test_check_passes(self):
-        for n in (2, 5, 8):
-            report = check_finite_dim_plasticity(n, trials=60, seed=100 + n)
+        pairs = len(FINITE_DIM_SPECTRUM) * (len(FINITE_DIM_SPECTRUM) + 1) // 2
+        for seed in (0, 102, 105):
+            report = check_finite_dim_plasticity(seed=seed)
             assert report.passed and report.worst_residual <= 1e-8
+            assert report.samples == pairs * PROBE_ANGLES.size and report.seed == seed
 
-    def test_dimension_precondition(self):
-        with pytest.raises(PreconditionError):
-            check_finite_dim_plasticity(1)
-        with pytest.raises(PreconditionError):
-            check_finite_dim_plasticity(9)
+    def test_palette_reaches_isometry_branches(self, svd_spy):
+        assert check_finite_dim_plasticity().passed
+        [(_, singular)] = svd_spy
+        sigma = singular[:, 0].reshape(-1, PROBE_ANGLES.size)
+        values = FINITE_DIM_SPECTRUM
+        equal = np.array([lam == mu for i, lam in enumerate(values) for mu in values[i:]])
+        # (c): every unequal pair has accepted probes, which must be isometries
+        accepted = sigma[~equal] <= 1.0 + NORM_SLACK
+        assert accepted.any(axis=1).all() and not accepted.all()
+        # (d): equal pairs, whose every probe has norm 1
+        assert equal.any() and np.abs(sigma[equal] - 1.0).max() <= 1e-15
 
 
 class TestExtremalInvariance:
     def test_block_map_commutes_exactly(self):
         lam = np.array([1.0, 1.0, 2.0])
-        rng = np.random.default_rng(53)
-        u = block_orthogonal(lam, rng)
-        t = plasticity_map(lam, u)
         p = np.diag([1.0, 1.0, 0.0])
-        assert np.linalg.norm(t @ p - p @ t, 2) == 0.0
+        for theta in (0.3, math.pi / 2, 2.5):
+            for sign in (1.0, -1.0):
+                u = np.zeros((3, 3))
+                u[:2, :2] = rotation_map(theta, (1.0, 1.0))
+                u[2, 2] = sign
+                t = plasticity_map(lam, u)
+                assert np.linalg.norm(t @ p - p @ t, 2) == 0.0
+                assert np.array_equal(t[:2, :2], u[:2, :2])
 
     def test_rank_one_invariance(self):
-        lam = np.array([1.0, 2.0])
-        rng = np.random.default_rng(59)
-        for _ in range(20):
-            t = plasticity_map(lam, haar_orthogonal(2, rng))
-            if np.linalg.norm(t, 2) <= 1.0 + 1e-10:
-                assert abs(t[1, 0]) <= 1e-8  # T e_1 stays in span(e_1)
+        norms = np.array([np.linalg.norm(rotation_map(theta), 2) for theta in PROBE_ANGLES])
+        accepted = PROBE_ANGLES[norms <= 1.0 + 1e-10]
+        assert 0 < accepted.size < PROBE_ANGLES.size
+        for theta in accepted:
+            assert abs(rotation_map(theta)[1, 0]) <= 1e-8  # T e_1 stays in span(e_1)
 
     @pytest.mark.parametrize(
         "points",
@@ -331,13 +333,21 @@ class TestExtremalInvariance:
             assert abs(identity) <= mpmath.mpf(10) ** -30
             assert abs(computed - exact) <= 1e-15 * exact
 
-    def test_form_breaking_map_fails(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "check",
+        [
+            partial(check_extremal_invariance, TruncatedQuadraticSpace(((1.0, 3), (2.0, 4)))),
+            check_finite_dim_plasticity,
+        ],
+        ids=["extremal_invariance", "finite_dim_plasticity"],
+    )
+    def test_form_breaking_map_fails(self, monkeypatch, check):
         def unbalanced(lambdas, u):
             lam = np.asarray(lambdas, dtype=float)
             return (lam[..., :, None] ** -0.5) * u * (lam[..., None, :] ** -0.5)
 
         monkeypatch.setattr(verify, "plasticity_map", unbalanced)
-        report = check_extremal_invariance(TruncatedQuadraticSpace(((1.0, 3), (2.0, 4))))
+        report = check()
         assert not report.passed and report.worst_residual >= 0.5
 
     def test_probes_are_deterministic_two_by_two(self, monkeypatch, svd_spy):
@@ -349,17 +359,20 @@ class TestExtremalInvariance:
             return qr(a, *args, **kwargs)
 
         def no_generator(*args, **kwargs):
-            raise AssertionError("extremal invariance drew a random number")
+            raise AssertionError("an operator check drew a random number")
 
         monkeypatch.setattr(np.linalg, "qr", recording_qr)
         monkeypatch.setattr(np.random, "Generator", no_generator)
         space = TruncatedQuadraticSpace(((1.0, 3), (1.5, 1), (2.0, 4)))
-        a = check_extremal_invariance(space, seed=7).to_dict()
-        b = check_extremal_invariance(space, seed=8).to_dict()
-        assert a.pop("seed") == 7 and b.pop("seed") == 8 and a == b and a["pass"]
+        samples = []
+        for check in (partial(check_extremal_invariance, space), check_finite_dim_plasticity):
+            a = check(seed=7).to_dict()
+            b = check(seed=8).to_dict()
+            assert a.pop("seed") == 7 and b.pop("seed") == 8 and a == b and a["pass"]
+            samples += [a["samples"]] * 2
         assert qr_shapes == []
-        assert [np.shape(t) for t, _ in svd_spy] == [(a["samples"], 2, 2)] * 2
-        # Four separated pairs: each has accepted and rejected probes.
+        assert [np.shape(t) for t, _ in svd_spy] == [(n, 2, 2) for n in samples]
+        # Four separated extremal pairs: each has accepted and rejected probes.
         sigma = svd_spy[0][1][:, 0].reshape(4, PROBE_ANGLES.size)
         assert ((sigma <= 1.0 + NORM_SLACK).any(axis=1)).all()
         assert ((sigma > 1.0 + NORM_SLACK).any(axis=1)).all()

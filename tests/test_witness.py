@@ -135,12 +135,6 @@ class TestApplyShift:
         expected[w.window] = math.sqrt(0.5)
         assert np.array_equal(out, expected)
 
-    def test_tail_unchanged(self, w):
-        tail = np.array([1.0, -2.0, 0.5])
-        out, tail_out = w.apply(np.zeros(5), tail)
-        assert np.array_equal(out, np.zeros(5))
-        assert tail_out is tail
-
     def test_top_slot_has_no_preimage(self, w):
         x = np.zeros(5)
         x[-1] = 1.0  # e_{n_K}
@@ -213,6 +207,27 @@ class TestTransportWitness:
         assert w.masses.sum() == pytest.approx(
             w.measure.cdf(w.endpoints[-1]) - w.measure.cdf(w.endpoints[0]), abs=1e-12
         )
+
+
+class TestFloatHorizon:
+    @pytest.mark.parametrize(
+        "part, largest",
+        [(cantor(1.0, 2.0), 32), (density(1.0, 2.0), 51)],
+        ids=["cantor", "lebesgue"],
+    )
+    def test_collision_names_largest_window(self, part, largest):
+        for K in (largest + 1, 60, 80):
+            message = (
+                f"window K={K} collide in floating point; "
+                f"the largest window with distinct endpoints is K={largest}$"
+            )
+            with pytest.raises(CapacityError, match=message):
+                build_transport_witness(part, K)
+        build_transport_witness(part, largest)
+
+    def test_two_ulp_support_has_no_window(self):
+        with pytest.raises(CapacityError, match="no window has distinct endpoints$"):
+            build_transport_witness(density(1.0, 1.0 + 2.0**-51), 1)
 
 
 class TestApplyTransport:
