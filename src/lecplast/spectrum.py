@@ -9,6 +9,7 @@ keeps the induced quadratic form bounded above and below away from zero.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -282,8 +283,11 @@ _CANTOR_KEYS = {"kind", "support", "mass"}
 
 
 def _require_number(obj, where: str) -> float:
+    """A finite number as a float; JSON also parses to inf, nan and huge ints."""
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise SchemaError(f"{where}: expected a number, got {obj!r}")
+    if not abs(obj) <= sys.float_info.max:
+        raise SchemaError(f"{where}: expected a finite number, got {obj!r}")
     return float(obj)
 
 

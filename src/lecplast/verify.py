@@ -5,12 +5,14 @@ checks draw from a counter-based Philox generator keyed by the check's seed,
 so no check's result depends on which checks ran before it.  The two
 operator checks, finite-dimensional plasticity and extremal invariance,
 draw nothing: they share one set of deterministic 2 x 2 rotation probes and
-only record their seed.
+only record their seed.  The witness checks take all their samples in one
+draw; a transport check reads each sample's sums as quadratic forms in its
+cubics' coefficients, off per-cell Gram matrices built once per witness.
 
 Shift-witness identities are exact-arithmetic paths (thresholds 1e-12);
 transport identities go through quadrature (1e-5 for densities, 1e-3 when a
-Cantor part participates).  Residuals are reduced with np.maximum and
-np.minimum, which keep NaN, so a non-finite residual fails its check.
+Cantor part participates).  Residuals are reduced with np.max, np.maximum
+and np.minimum, which keep NaN, so a non-finite residual fails its check.
 """
 
 from __future__ import annotations
@@ -110,60 +112,52 @@ class TruncatedQuadraticSpace:
 # Witness checks
 # ---------------------------------------------------------------------------
 
-def _transport_tol(w: TransportWitness) -> float:
-    return CANTOR_TOL if w.measure.part.kind is PartKind.CANTOR else DENSITY_TOL
+#: Coefficients of the random cubic that a transport check puts on a cell.
+_COEFFS = 4
 
 
 class _TransportTables:
-    """Per-cell quadrature data shared by the transport checks.
+    """Per-cell Gram matrices shared by the transport checks.
 
-    ``nodes[p]`` and ``du[p]`` hold the inverse-transform nodes of cell p and
-    their mass step, one set for each of the 2K cells.  Each cell with a
-    successor (p < 2K - 1) also gets the transported successor nodes
-    ``pulled[p] = G_p(nodes[p + 1])``, the squared multiplier
-    ``gsq[p] = pulled[p] / nodes[p + 1]`` and the image mass step
-    ``image_du[p] = du[p + 1] * M_p / M_{p+1}``.  The table keeps no
-    reference to the witness.  A cell whose nodes are not strictly
-    increasing raises ``CapacityError``: floating point cannot hold that
-    many distinct points in it.
+    The checks put a random cubic f(z) = sum_j c_j z^j on each cell p with a
+    successor, in the coordinate z = (s - x_0) / (x_last - x_0) of the cell's
+    inverse-transform nodes x (mass step du).  Each quadrature sum they read
+    is then c^T G c with a Gram matrix G[j, l] = sum_i w_i z_i^(j + l):
+    ``form[0, p]`` (the form of f) weighs the nodes x by x du, ``form[1, p]``
+    (the form of Tf) the pulled nodes G_p(t) of cell p + 1 by
+    t g^2 du_{p+1} M_p / M_{p+1}, with g^2 = G_p(t) / t.  ``norm_sq`` drops
+    the factor x or t, and ``mean_gsq[p]`` is the mean of g^2.
+
+    All cells get their nodes before any is transported; one whose nodes are
+    not strictly increasing raises ``CapacityError``, as floating point
+    cannot hold that many distinct points in it.  No per-node array and no
+    reference to the witness outlives the build.
     """
 
     def __init__(self, w: TransportWitness, nodes: int):
-        self.nodes, self.du = zip(*(quadrature_nodes(cell, None, nodes) for cell in w.cells))
-        for p, x in enumerate(self.nodes):
+        cells = [quadrature_nodes(cell, None, nodes) for cell in w.cells]
+        for p, (x, _) in enumerate(cells):
             if not (np.diff(x) > 0).all():
                 raise CapacityError(
                     f"transport cell k={p - w.window} at window K={w.window} is too "
                     f"narrow for --nodes {nodes} distinct quadrature points"
                 )
-        successors = self.nodes[1:]
-        self.pulled = [g(t) for g, t in zip(w.maps, successors)]
-        self.gsq = [g / t for g, t in zip(self.pulled, successors)]
-        self.image_du = [
-            du * (w.masses[p] / w.masses[p + 1]) for p, du in enumerate(self.du[1:])
-        ]
-
-    def random_functions(self, rng, degree: int = 3):
-        """One random polynomial per source cell, in cell-local coordinates."""
-        funcs = []
-        for x in self.nodes[:-1]:
-            coeffs = rng.normal(size=degree + 1)
-            lo = x[0]
-            span = x[-1] - lo
-
-            def f(t, coeffs=coeffs, lo=lo, span=span):
-                return np.polynomial.polynomial.polyval((t - lo) / span, coeffs)
-
-            funcs.append(f)
-        return funcs
-
-    @staticmethod
-    def weighted_sum(funcs, at, weights, scales) -> float:
-        """sum_p scales[p] * sum_i weights[p][i] * funcs[p](at[p][i])**2."""
-        return sum(
-            scale * float(np.sum(weight * f(x) ** 2))
-            for f, x, weight, scale in zip(funcs, at, weights, scales)
-        )
+        moments = np.empty((2, 2, len(w.maps), 2 * _COEFFS - 1))  # kind, side, cell, order
+        self.mean_gsq = np.empty(len(w.maps))
+        for p, (g, (x, du), (t, next_du)) in enumerate(zip(w.maps, cells, cells[1:])):
+            pulled = g(t)
+            gsq = pulled / t
+            image_du = next_du * (w.masses[p] / w.masses[p + 1])
+            z = (np.stack([x, pulled]) - x[0]) / (x[-1] - x[0])
+            weights = np.stack([[x * du, t * gsq * image_du],
+                                [np.full_like(x, du), gsq * image_du]])
+            power = np.ones_like(z)
+            for order in range(2 * _COEFFS - 1):
+                moments[:, :, p, order] = (power * weights).sum(axis=-1)
+                power = power * z
+            self.mean_gsq[p] = np.mean(gsq)
+        j = np.arange(_COEFFS)
+        self.form, self.norm_sq = moments[..., j[:, None] + j]  # Hankel: G[j, l] = m[j + l]
 
 
 #: Tables by witness, then by node count; an entry goes when its witness does.
@@ -182,31 +176,42 @@ def _tables(w: TransportWitness, nodes: int) -> _TransportTables:
     return by_nodes[nodes]
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Row norms of x, each bit for bit equal to np.linalg.norm(row)."""
+    # A (1, n) @ (n, 1) stack runs the dot kernel of a 1-D norm;
+    # np.linalg.norm(x, axis=1) sums in another order.
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+
+
+def _cubic_forms(gram: np.ndarray, samples: int, seed: int) -> np.ndarray:
+    """(source, image) forms c^T G c of ``samples`` random cubics per cell."""
+    # One draw reads the stream of a size-4 draw per cell, sample by sample.
+    coeffs = _rng(seed).normal(size=(samples, gram.shape[1], _COEFFS))
+    return np.einsum("scj,kcjl,scl->ks", coeffs, gram, coeffs)
+
+
 def check_form_preservation(
     op: ShiftWitness | TransportWitness,
     samples: int = 200,
     seed: int = 0,
     nodes: int = 4096,
 ) -> VerificationReport:
-    """|q(Tx) - q(x)| over random inputs supported inside the window."""
-    rng = _rng(seed)
-    worst = 0.0
+    """|q(Tx) - q(x)| over random inputs supported inside the window.
+
+    Transport inputs are random cubics per cell (``_TransportTables``), and
+    their residual is relative to q(x).
+    """
     if isinstance(op, ShiftWitness):
-        for _ in range(samples):
-            x = rng.normal(size=op.lambdas.size)
-            x[0] = 0.0  # slot k = -K maps outside the window
-            x /= np.linalg.norm(x)
-            worst = np.maximum(worst, abs(op.form_of_image(x) - op.form(x)))
+        x = _rng(seed).normal(size=(samples, op.lambdas.size))
+        x[:, 0] = 0.0  # slot k = -K maps outside the window
+        x /= _row_norms(x)[:, None]
+        worst = np.max(np.abs(op.form_of_image(x) - op.form(x)), initial=0.0)
         return _report("form_preservation", samples, worst, SHIFT_TOL, seed)
 
-    tables = _tables(op, nodes)
-    image_weights = [t * g for t, g in zip(tables.nodes[1:], tables.gsq)]
-    for _ in range(samples):
-        funcs = tables.random_functions(rng)
-        q = tables.weighted_sum(funcs, tables.nodes, tables.nodes, tables.du)
-        image = tables.weighted_sum(funcs, tables.pulled, image_weights, tables.image_du)
-        worst = np.maximum(worst, abs(image - q) * (1.0 / q))
-    return _report("form_preservation", samples, worst, _transport_tol(op), seed)
+    q, image = _cubic_forms(_tables(op, nodes).form, samples, seed)
+    worst = np.max(np.abs(image - q) * (1.0 / q), initial=0.0)
+    tol = CANTOR_TOL if op.measure.part.kind is PartKind.CANTOR else DENSITY_TOL
+    return _report("form_preservation", samples, worst, tol, seed)
 
 
 def check_nonexpansive(
@@ -216,24 +221,15 @@ def check_nonexpansive(
     nodes: int = 4096,
 ) -> VerificationReport:
     """(||Tx|| - ||x||)/||x|| over random inputs; shifts also need factors <= 1."""
-    rng = _rng(seed)
-    worst = -np.inf
     if isinstance(op, ShiftWitness):
-        for _ in range(samples):
-            x = rng.normal(size=op.lambdas.size)
-            norm = np.linalg.norm(x)
-            image = op.apply(x)
-            worst = np.maximum(worst, (np.linalg.norm(image) - norm) / norm)
-        worst = np.maximum(worst, float(op.factors.max()) - 1.0)
+        x = _rng(seed).normal(size=(samples, op.lambdas.size))
+        norm = _row_norms(x)
+        growth = (_row_norms(op.apply(x)) - norm) / norm
+        worst = np.max(growth, initial=float(op.factors.max()) - 1.0)
         return _report("nonexpansive", samples, worst, SHIFT_TOL, seed)
 
-    tables = _tables(op, nodes)
-    unit = [1.0] * len(tables.gsq)
-    for _ in range(samples):
-        funcs = tables.random_functions(rng)
-        norm = tables.weighted_sum(funcs, tables.nodes, unit, tables.du) ** 0.5
-        image = tables.weighted_sum(funcs, tables.pulled, tables.gsq, tables.image_du) ** 0.5
-        worst = np.maximum(worst, (image - norm) / norm)
+    norm, image = _cubic_forms(_tables(op, nodes).norm_sq, samples, seed) ** 0.5
+    worst = np.max((image - norm) / norm, initial=-np.inf)
     return _report("nonexpansive", samples, worst, DENSITY_TOL, seed)
 
 
@@ -251,8 +247,8 @@ def check_strict_contraction(
     else:
         # Indicator of cell k = 0, or at K = 1 (where k = 0 has no successor)
         # of the last cell with one; every g_hat_k is below 1.
-        gsq = _tables(op, nodes).gsq
-        factor = float(np.mean(gsq[min(op.window, len(gsq) - 1)])) ** 0.5
+        mean_gsq = _tables(op, nodes).mean_gsq
+        factor = float(mean_gsq[min(op.window, len(mean_gsq) - 1)]) ** 0.5
     return _report("strict_contraction", 1, factor, 1.0 - CONTRACTION_MARGIN, seed)
 
 

@@ -75,32 +75,32 @@ class ShiftWitness:
         return float(self.factors[k + self.window - 1])
 
     def apply(self, window_coeffs):
-        """Shift window coefficients down one slot.
+        """Shift window coefficients down one slot, along the last axis.
 
         Slot k = K receives 0: its in-chain source sits outside the window.
         """
         x = np.asarray(window_coeffs, dtype=float)
-        if x.shape != self.lambdas.shape:
-            raise RangeError("coefficient vector must cover k = -K..K")
+        if x.shape[-1:] != self.lambdas.shape:
+            raise RangeError("coefficient vectors must cover k = -K..K")
         out = np.zeros_like(x)
-        out[:-1] = self.factors * x[1:]
+        out[..., :-1] = self.factors * x[..., 1:]
         return out
 
-    def form(self, window_coeffs) -> float:
-        """Quadratic form <x, Ax> of window coefficients."""
+    def form(self, window_coeffs):
+        """Quadratic form <x, Ax> of window coefficients, along the last axis."""
         x = np.asarray(window_coeffs, dtype=float)
-        return float(np.sum(self.lambdas * x * x))
+        return np.sum(np.multiply(t := self.lambdas * x, x, out=t), axis=-1)
 
-    def form_of_image(self, window_coeffs) -> float:
-        """<Tx, ATx> evaluated with exact eigenvalue ratios.
+    def form_of_image(self, window_coeffs):
+        """<Tx, ATx> evaluated with exact eigenvalue ratios, along the last axis.
 
         Uses lambda_{n_{k-1}} * (lambda_{n_k}/lambda_{n_{k-1}}) per slot, not
         the rounded square of factor(k), so the preservation identity holds
         to machine precision.
         """
-        x = np.asarray(window_coeffs, dtype=float)
+        x = np.asarray(window_coeffs, dtype=float)[..., 1:]
         ratios = self.lambdas[1:] / self.lambdas[:-1]
-        return float(np.sum(self.lambdas[:-1] * ratios * x[1:] * x[1:]))
+        return np.sum(np.multiply(t := self.lambdas[:-1] * ratios * x, x, out=t), axis=-1)
 
 
 def _first_geometric_index(seq: EigenSequence, threshold: float) -> int:

@@ -28,6 +28,22 @@ BAD_RATIO = {
 }
 
 
+#: Descriptors with one number replaced; json.dumps writes inf and nan as
+#: Infinity and NaN, which json.load reads back.
+_SEQ, _DENSITY, _CANTOR = (
+    TWO_SEQUENCES["sequences"][0], LEBESGUE["continuous"][0], CANTOR["continuous"][0]
+)
+WITH_NUMBER = {
+    "atom_value": lambda v: {"atoms": [{"value": v, "multiplicity": "inf"}]},
+    "sequence_limit": lambda v: {"sequences": [dict(_SEQ, limit=v)]},
+    "sequence_offset": lambda v: {"sequences": [dict(_SEQ, offset=v)]},
+    "support_end": lambda v: {"continuous": [dict(_DENSITY, support=[1, v])]},
+    "density_coeff": lambda v: {"continuous": [dict(_DENSITY, coeffs=[v])]},
+    "cantor_mass": lambda v: {"continuous": [dict(_CANTOR, mass=v)]},
+}
+NON_FINITE = [(field, value) for field in WITH_NUMBER for value in ("inf", "nan")]
+
+
 def write(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -81,9 +97,13 @@ class TestClassify:
             (CANTOR, ["verify", "--window", "32"]),
             (LEBESGUE, ["verify", "--window", "46", "--nodes", "256"]),
             (LEBESGUE, ["verify", "--window", "51", "--nodes", "256"]),
+            # an integer past the float range, and Infinity or NaN in each number field
+            (WITH_NUMBER["atom_value"](10**400), ["classify"]),
+            *[(WITH_NUMBER[field](float(value)), ["classify"]) for field, value in NON_FINITE],
         ],
         ids=["window_0", "nodes_8", "cantor_window_40", "sequence_window_80",
-             "cantor_window_32", "lebesgue_window_46", "lebesgue_window_51"],
+             "cantor_window_32", "lebesgue_window_46", "lebesgue_window_51",
+             "atom_value_huge_int", *[f"{field}_{value}" for field, value in NON_FINITE]],
     )
     def test_rejected_run_exits_1_with_one_line(self, tmp_path, capsys, doc, args):
         assert main([*args, "--input", write(tmp_path, "d.json", doc)]) == 1
@@ -156,10 +176,11 @@ class TestVerifyCommand:
             assert all(c["pass"] for c in report["checks"])
 
     def test_nan_residual_fails_its_check(self, tmp_path, capsys, monkeypatch):
-        def nan_functions(self, rng, degree=3):
-            return [lambda t: np.full_like(t, np.nan)] * (len(self.nodes) - 1)
+        class NanGenerator:
+            def normal(self, size=None):
+                return np.full(size, np.nan)
 
-        monkeypatch.setattr(verify._TransportTables, "random_functions", nan_functions)
+        monkeypatch.setattr(verify, "_rng", lambda seed: NanGenerator())
         out = tmp_path / "report.json"
         argv = ["verify", "--window", "3", "--nodes", "256", "--output", str(out)]
         assert main([*argv, "--input", write(tmp_path, "d.json", LEBESGUE)]) == 2

@@ -31,7 +31,8 @@ from lecplast.verify import (
     PROBE_ANGLES,
     plasticity_map,
 )
-from conftest import atom, density, descriptor, seq
+from lecplast.measures import quadrature_nodes
+from conftest import atom, cantor, density, descriptor, seq
 
 mpmath.mp.dps = 40
 DELTA_TWO_ATOMS = float(1 - mpmath.sqrt(mpmath.mpf(1) / 2))
@@ -115,8 +116,6 @@ class TestFormPreservation:
         assert report.passed and report.threshold == 1e-5
 
     def test_transport_cantor_threshold(self):
-        from conftest import cantor
-
         w = build_transport_witness(cantor(1.0, 2.0), 2)
         report = check_form_preservation(w, samples=10, seed=3, nodes=1024)
         assert report.passed and report.threshold == 1e-3
@@ -181,6 +180,124 @@ class TestStrictContraction:
         report = check_strict_contraction(w)
         assert not report.passed
         assert report.worst_residual == pytest.approx(math.sqrt(1.0 / (1.0 + 2e-9)), abs=1e-15)
+
+
+def per_sample_shift_residuals(w, samples, seed):
+    """Reference: the shift checks' per-sample loops, one 1-D vector at a time.
+
+    Returns the form_preservation and nonexpansive residuals.
+    """
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    ratios = w.lambdas[1:] / w.lambdas[:-1]
+    form = 0.0
+    for _ in range(samples):
+        x = rng.normal(size=w.lambdas.size)
+        x[0] = 0.0
+        x /= np.linalg.norm(x)
+        q = float(np.sum(w.lambdas * x * x))
+        image_q = float(np.sum(w.lambdas[:-1] * ratios * x[1:] * x[1:]))
+        form = max(form, abs(image_q - q))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    growth = -math.inf
+    for _ in range(samples):
+        x = rng.normal(size=w.lambdas.size)
+        image = np.zeros_like(x)
+        image[:-1] = w.factors * x[1:]
+        norm = np.linalg.norm(x)
+        growth = max(growth, (np.linalg.norm(image) - norm) / norm)
+    return form, max(growth, float(w.factors.max()) - 1.0)
+
+
+def per_node_transport_residuals(w, samples, seed, nodes):
+    """Reference: the transport checks' per-sample loop over every node.
+
+    Each sample draws a cubic per cell with a successor, in the coordinate
+    of the cell's nodes, and evaluates it at those nodes and at the pulled
+    nodes of the successor.  Returns the form_preservation and nonexpansive
+    residuals; both checks draw the same coefficients from one seed.
+    """
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    cells = [quadrature_nodes(cell, None, nodes) for cell in w.cells]
+    pulled = [g(t) for g, (t, _) in zip(w.maps, cells[1:])]
+    form, growth = 0.0, -math.inf
+    for _ in range(samples):
+        q = image_q = norm_sq = image_norm_sq = 0.0
+        for p, (x, du) in enumerate(cells[:-1]):
+            t, next_du = cells[p + 1]
+            gsq = pulled[p] / t
+            image_du = next_du * (w.masses[p] / w.masses[p + 1])
+            coeffs = rng.normal(size=4)
+            f_x, f_pulled = (
+                np.polynomial.polynomial.polyval((s - x[0]) / (x[-1] - x[0]), coeffs) ** 2
+                for s in (x, pulled[p])
+            )
+            q += du * float(np.sum(x * f_x))
+            image_q += image_du * float(np.sum(t * gsq * f_pulled))
+            norm_sq += du * float(np.sum(f_x))
+            image_norm_sq += image_du * float(np.sum(gsq * f_pulled))
+        form = max(form, abs(image_q - q) / q)
+        growth = max(growth, (image_norm_sq**0.5 - norm_sq**0.5) / norm_sq**0.5)
+    return form, growth
+
+
+def nbytes(value):
+    """Bytes of the arrays in an object's attributes, lists and tuples."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, (list, tuple)):
+        return sum(nbytes(v) for v in value)
+    if hasattr(value, "__dict__"):
+        return sum(nbytes(v) for v in vars(value).values())
+    return 0
+
+
+TRANSPORT_PARTS = {
+    "degree0": density(1.0, 2.0),
+    "degree1": density(1.0, 2.0, coeffs=(0.25, 1.0)),
+    "degree2": density(0.5, 3.0, coeffs=(1.0, 0.5, 2.0)),
+    "degree3": density(1.0, 4.0, coeffs=(0.5, 0.0, 0.0, 1.0)),
+    "cantor": cantor(1.0, 2.0),
+}
+
+
+class TestAgainstPerSampleLoops:
+    @pytest.mark.parametrize("K", [1, 3, 16])
+    @pytest.mark.parametrize("part", list(TRANSPORT_PARTS), ids=str)
+    def test_transport_gram_forms_match_per_node_loop(self, part, K):
+        w = build_transport_witness(TRANSPORT_PARTS[part], K)
+        form, growth = per_node_transport_residuals(w, samples=40, seed=K, nodes=1024)
+        reports = [check(w, samples=40, seed=K, nodes=1024)
+                   for check in (check_form_preservation, check_nonexpansive)]
+        for report, expected in zip(reports, (form, growth)):
+            assert report.worst_residual == pytest.approx(expected, rel=0, abs=1e-12)
+            assert report.passed == (expected <= report.threshold)
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            descriptor(atoms=[atom(1, INFINITE), atom(2, INFINITE)]),
+            descriptor(sequences=[seq(1, "dec"), seq(2, "inc")]),
+            descriptor(atoms=[atom(1, INFINITE)], sequences=[seq(2, "inc", ratio=0.8)]),
+            descriptor(atoms=[atom(2, INFINITE)], sequences=[seq(1, "dec", ratio=0.9)]),
+        ],
+        ids=["two_atoms", "two_sequences", "atom_min_seq", "seq_atom_max"],
+    )
+    @pytest.mark.parametrize("K", [1, 8, 16])
+    def test_batched_shift_checks_equal_per_sample_loop(self, d, K):
+        w = build_shift_witness(d, classify(d).certificate, K)
+        form, growth = per_sample_shift_residuals(w, samples=200, seed=K + 11)
+        assert check_form_preservation(w, samples=200, seed=K + 11).worst_residual == form
+        assert check_nonexpansive(w, samples=200, seed=K + 11).worst_residual == growth
+
+    @pytest.mark.parametrize("n", [1, 3, 17, 33, 129])
+    def test_row_norms_equal_vector_norms(self, n):
+        x = np.random.default_rng(n).normal(size=(500, n))
+        assert [float(v) for v in verify._row_norms(x)] == [np.linalg.norm(r) for r in x]
+
+    def test_table_size_does_not_grow_with_nodes(self):
+        w = build_transport_witness(density(1.0, 2.0), 3)
+        small, large = (nbytes(verify._TransportTables(w, n)) for n in (256, 4096))
+        assert small == large > 0
 
 
 class TestRayleigh:
