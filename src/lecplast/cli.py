@@ -119,8 +119,13 @@ def _run_checks(d, witness, config: RunConfig) -> list[VerificationReport]:
 
 def run(config: RunConfig) -> tuple[int, dict]:
     """Execute one pipeline run; returns (exit code, report document)."""
-    with open(config.input_path, encoding="utf-8") as handle:
-        document = json.load(handle)
+    try:
+        with open(config.input_path, encoding="utf-8") as handle:
+            document = json.load(handle)
+    except (ValueError, RecursionError) as exc:
+        # Bytes that are not UTF-8, text that is not JSON, an integer past
+        # the interpreter's digit limit, or nesting past the recursion limit.
+        raise SchemaError(str(exc)) from None
     descriptor = parse_descriptor(document)
     verdict = classify(descriptor)
 
@@ -195,7 +200,6 @@ def main(argv=None) -> int:
         exit_code, report = run(config)
     except (
         OSError,
-        json.JSONDecodeError,
         SchemaError,
         DomainError,
         RangeError,

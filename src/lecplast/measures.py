@@ -6,6 +6,17 @@ for windows of the measure, the monotone transport map
 G = F_src^{-1} o (M_src/M_dst) F_dst between two of them, and a
 deterministic inverse-transform quadrature rule.
 
+Windows come one at a time or stacked: a ``RestrictedMeasure`` holds C
+windows [lo[p], hi[p]] of one base measure, and the leading axis of an
+argument runs over them, so row p of a (C, n) argument is evaluated in
+window p.  Each row goes through exactly the elementwise arithmetic of the
+one-window restriction to [lo[p], hi[p]] and equals its result bit for bit.
+A ``TransportMap`` between two stacks of C windows is C maps, and
+``quadrature_nodes`` gives a (C, nodes) table for a stack.  A stacked
+evaluation runs in blocks of whole rows of at most ``ROW_BLOCK`` levels,
+the size of one call at the default node count, so its working set does
+not grow with C.
+
 A polynomial density is integrated in closed form, in s = t - a from the
 support start a (``ContinuousPart.antiderivative``).  A Cantor part
 evaluates the classic ternary-digit algorithm for the Cantor function,
@@ -20,6 +31,7 @@ plateau's right end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -39,6 +51,10 @@ _NEWTON_CAP = 100
 
 #: Grid points of the interpolated cdf that starts the density Newton solve.
 _GUESS_GRID = 65
+
+#: Most levels of one block of a stacked-window evaluation; a row longer
+#: than this is a block of its own.
+ROW_BLOCK = 4096
 
 
 def cantor_function(x) -> np.ndarray:
@@ -120,30 +136,70 @@ class MeasureSpec:
 
 @dataclass(frozen=True, eq=False)
 class RestrictedMeasure:
-    """Restriction of a measure to a window [lo, hi] of its support."""
+    """Restriction of a measure to one window [lo, hi], or to a stack of C.
+
+    ``lo`` and ``hi`` are floats for one window and arrays of shape (C,) for
+    a stack; ``total_mass`` and ``support`` follow suit.  On a stack the
+    leading axis of every argument runs over the windows: row p of a (C, n)
+    argument, or element p of a (C,) one, is evaluated in window p, bit for
+    bit as the one-window restriction to [lo[p], hi[p]] would.  ``r[p]`` is
+    window p as a one-window view and ``r[i:j]`` a sub-stack; neither
+    evaluates the base measure again.  The window offsets and masses come
+    from one cdf call on both ends.
+    """
 
     base: MeasureSpec
-    lo: float
-    hi: float
-    total_mass: float = field(init=False)
-    support: tuple[float, float] = field(init=False)
+    lo: float | np.ndarray
+    hi: float | np.ndarray
+    total_mass: float | np.ndarray = field(init=False)
+    support: tuple = field(init=False)
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise DomainError(f"empty restriction window [{self.lo}, {self.hi}]")
-        offset = self.base.cdf(self.lo)
-        mass = self.base.cdf(self.hi) - offset
-        if not mass > 0:
+        lo, hi = np.asarray(self.lo, dtype=float), np.asarray(self.hi, dtype=float)
+        bad = np.atleast_1d(~(lo < hi))
+        if bad.any():
+            p = np.argmax(bad)
             raise DomainError(
-                f"restriction to [{self.lo}, {self.hi}] has no mass"
+                f"empty restriction window [{lo.reshape(-1)[p]}, {hi.reshape(-1)[p]}]"
             )
-        object.__setattr__(self, "support", (self.lo, self.hi))
-        object.__setattr__(self, "total_mass", float(mass))
-        object.__setattr__(self, "_offset", float(offset))
+        offset, upper = np.asarray(self.base.cdf(np.stack([lo, hi])))
+        mass = upper - offset
+        bad = np.atleast_1d(~(mass > 0))
+        if bad.any():
+            p = np.argmax(bad)
+            raise DomainError(
+                f"restriction to [{lo.reshape(-1)[p]}, {hi.reshape(-1)[p]}] has no mass"
+            )
+        self._set(lo, hi, offset, mass)
+
+    def _set(self, lo, hi, offset, mass) -> None:
+        lo, hi = _unwrap(lo), _unwrap(hi)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "support", (lo, hi))
+        object.__setattr__(self, "total_mass", _unwrap(mass))
+        object.__setattr__(self, "_offset", _unwrap(offset))
+
+    def __getitem__(self, rows) -> "RestrictedMeasure":
+        """Window ``rows`` of a stack (an index or a slice), as a view."""
+        if not np.ndim(self.lo):
+            raise TypeError("a one-window restriction has no rows")
+        view = object.__new__(RestrictedMeasure)
+        object.__setattr__(view, "base", self.base)
+        view._set(self.lo[rows], self.hi[rows], self._offset[rows], self.total_mass[rows])
+        return view
+
+    def outside(self, t) -> np.ndarray:
+        """Where t lies outside its window (row p of t against window p)."""
+        t = np.asarray(t, dtype=float)
+        return (t < _per_row(self.lo, t)) | (t > _per_row(self.hi, t))
 
     def cdf(self, t):
-        t = np.asarray(t, dtype=float)
-        out = self.base.cdf(np.clip(t, self.lo, self.hi)) - self._offset
+        return _blockwise(self, self.total_mass, t, RestrictedMeasure._cdf)
+
+    def _cdf(self, t):
+        lo, hi, offset = (_per_row(v, t) for v in (self.lo, self.hi, self._offset))
+        out = self.base.cdf(np.clip(t, lo, hi)) - offset
         return float(out) if np.ndim(out) == 0 else out
 
     def quantile(self, u):
@@ -152,27 +208,76 @@ class RestrictedMeasure:
         The base level is the largest c with fl(c - offset) <= u, so the
         base's invariant base.cdf(x) <= c carries over to cdf(x) <= u.
         """
-        levels = _levels(u, self.total_mass)
-        offset = self._offset
+        return _blockwise(self, self.total_mass, u, RestrictedMeasure._quantile)
+
+    def _quantile(self, u):
+        mass = _per_row(self.total_mass, u)
+        levels = _levels(u, mass)
+        offset = _per_row(self._offset, levels)
         c = offset + levels
         while (over := c - offset > levels).any():
             c[over] = np.nextafter(c[over], -np.inf)
         while (fits := np.nextafter(c, np.inf) - offset <= levels).any():
             c[fits] = np.nextafter(c[fits], np.inf)
-        x = np.clip(self.base.quantile(c), self.lo, self.hi)
-        x[levels >= self.total_mass] = self.hi
+        hi = _per_row(self.hi, levels)
+        x = np.clip(self.base.quantile(c), _per_row(self.lo, levels), hi)
+        np.copyto(x, hi, where=levels >= mass)
         return _shaped(x, u)
 
 
-def _levels(u, mass: float) -> np.ndarray:
-    """Quantile levels as a new 1-d array, clipped to [0, mass].
+def _unwrap(values):
+    """A float for a 0-d value, else the array."""
+    return float(values) if np.ndim(values) == 0 else values
 
-    Levels more than 1e-9 * max(1, mass) outside that range raise RangeError.
+
+def _per_row(values, arg):
+    """Per-window ``values`` shaped to broadcast against ``arg``, whose
+    leading axis runs over the windows; a one-window value as it is."""
+    if not np.ndim(values):
+        return values
+    return values.reshape(values.shape + (1,) * (np.ndim(arg) - values.ndim))
+
+
+def row_blocks(rows: int, row_size: int) -> list[slice]:
+    """Slices of whole rows, at most ``ROW_BLOCK`` levels each (one row at least)."""
+    step = max(1, ROW_BLOCK // max(1, row_size))
+    return [slice(i, i + step) for i in range(0, rows, step)]
+
+
+def _blockwise(stack, masses, arg, evaluate: Callable):
+    """evaluate(stack, arg) for one window; for a stack, over row blocks.
+
+    ``masses`` holds one value per window.  Each block of whole rows goes
+    through ``evaluate`` with the matching sub-stack ``stack[rows]``.
+    """
+    arg = np.asarray(arg, dtype=float)
+    if not np.ndim(masses):
+        return evaluate(stack, arg)
+    if arg.shape[:1] != masses.shape:
+        raise RangeError(
+            f"an argument to {masses.size} stacked windows needs a leading axis of that length"
+        )
+    blocks = row_blocks(arg.shape[0], math.prod(arg.shape[1:]))
+    if len(blocks) == 1:
+        return evaluate(stack, arg)
+    out = np.empty_like(arg)
+    for rows in blocks:
+        out[rows] = evaluate(stack[rows], arg[rows])
+    return out
+
+
+def _levels(u, mass) -> np.ndarray:
+    """Quantile levels as a new array of at least one axis, clipped to [0, mass].
+
+    ``mass`` is a float or broadcasts against u, one mass per row.  Levels
+    more than 1e-9 * max(1, mass) outside that range raise RangeError.
     """
     levels = np.atleast_1d(np.asarray(u, dtype=float))
-    tol = 1e-9 * max(1.0, mass)
-    if (levels < -tol).any() or (levels > mass + tol).any():
-        raise RangeError(f"quantile level outside [0, {mass}]")
+    tol = 1e-9 * np.maximum(1.0, mass)
+    outside = (levels < -tol) | (levels > mass + tol)
+    if outside.any():
+        bound = np.broadcast_to(mass, levels.shape)[outside][0]
+        raise RangeError(f"quantile level outside [0, {bound}]")
     return np.clip(levels, 0.0, mass)
 
 
@@ -262,28 +367,45 @@ def _step_left(cdf: Callable, x: np.ndarray, values, u: np.ndarray, floor: float
 
 @dataclass(frozen=True, eq=False)
 class TransportMap:
-    """Monotone map G with dst = (M_dst/M_src) * src o G, dst-support -> src-support."""
+    """Monotone map G with dst = (M_dst/M_src) * src o G, dst-support -> src-support.
+
+    Between two stacks of C windows it is C maps: row p of an argument goes
+    from target window p to source window p, and ``g[p]`` is map p alone.
+    """
 
     source: MeasureSpec | RestrictedMeasure
     target: MeasureSpec | RestrictedMeasure
 
+    def __getitem__(self, rows) -> "TransportMap":
+        return TransportMap(self.source[rows], self.target[rows])
+
     def __call__(self, t):
-        level = (self.source.total_mass / self.target.total_mass) * self.target.cdf(t)
-        return self.source.quantile(np.clip(level, 0.0, self.source.total_mass))
+        return _blockwise(self, self.target.total_mass, t, TransportMap._map)
+
+    def _map(self, t):
+        source, target = self.source, self.target
+        ratio = _per_row(source.total_mass / target.total_mass, t)
+        level = ratio * target.cdf(t)
+        return source.quantile(np.clip(level, 0.0, _per_row(source.total_mass, t)))
 
     @property
     def inverse(self) -> "TransportMap":
         return TransportMap(self.target, self.source)
 
 
-def quadrature_nodes(m, interval: tuple[float, float] | None, nodes: int):
-    """Inverse-transform nodes: quantiles of midpoint levels on [cdf(s), cdf(t)]."""
+def quadrature_nodes(m, interval: tuple | None, nodes: int):
+    """Inverse-transform nodes: quantiles of midpoint levels on [cdf(s), cdf(t)].
+
+    Returns the nodes and their mass step du.  On a stack of C windows the
+    interval ends are (C,) arrays (by default the window supports), the
+    nodes a (C, nodes) table, row p in window p, and du a (C,) array.
+    """
     if nodes < 1:
         raise RangeError(f"need at least one node, got {nodes}")
     if interval is None:
         interval = m.support
-    u_lo = float(m.cdf(interval[0]))
-    u_hi = float(m.cdf(interval[1]))
+    u_lo = np.asarray(m.cdf(interval[0]))
+    u_hi = np.asarray(m.cdf(interval[1]))
     du = (u_hi - u_lo) / nodes
-    levels = u_lo + (np.arange(nodes) + 0.5) * du
-    return m.quantile(levels), du
+    levels = u_lo[..., None] + (np.arange(nodes) + 0.5) * du[..., None]
+    return m.quantile(levels), _unwrap(du)

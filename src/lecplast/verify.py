@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, PreconditionError
-from .measures import quadrature_nodes
+from .measures import quadrature_nodes, row_blocks
 from .spectrum import PartKind, SpectralDescriptor, enumerate_points
-from .witness import ShiftWitness, TransportWitness
+from .witness import ShiftWitness, TransportWitness, fitting_window
 
 SHIFT_TOL = 1e-12
 DENSITY_TOL = 1e-5
@@ -128,34 +128,43 @@ class _TransportTables:
     t g^2 du_{p+1} M_p / M_{p+1}, with g^2 = G_p(t) / t.  ``norm_sq`` drops
     the factor x or t, and ``mean_gsq[p]`` is the mean of g^2.
 
-    All cells get their nodes before any is transported; one whose nodes are
-    not strictly increasing raises ``CapacityError``, as floating point
-    cannot hold that many distinct points in it.  No per-node array and no
-    reference to the witness outlives the build.
+    The nodes of all cells come from one stacked quadrature call and the
+    pulled nodes from one stacked transport call; the sums run over blocks
+    of whole rows, as those calls do.  A cell whose nodes are not strictly
+    increasing raises ``CapacityError`` before anything is transported, as
+    floating point cannot hold that many distinct points in it; a cell's
+    nodes do not depend on K, so the message names the largest window that
+    works.  No per-node array and no reference to the witness outlives the
+    build.
     """
 
     def __init__(self, w: TransportWitness, nodes: int):
-        cells = [quadrature_nodes(cell, None, nodes) for cell in w.cells]
-        for p, (x, _) in enumerate(cells):
-            if not (np.diff(x) > 0).all():
-                raise CapacityError(
-                    f"transport cell k={p - w.window} at window K={w.window} is too "
-                    f"narrow for --nodes {nodes} distinct quadrature points"
-                )
-        moments = np.empty((2, 2, len(w.maps), 2 * _COEFFS - 1))  # kind, side, cell, order
-        self.mean_gsq = np.empty(len(w.maps))
-        for p, (g, (x, du), (t, next_du)) in enumerate(zip(w.maps, cells, cells[1:])):
-            pulled = g(t)
-            gsq = pulled / t
-            image_du = next_du * (w.masses[p] / w.masses[p + 1])
-            z = (np.stack([x, pulled]) - x[0]) / (x[-1] - x[0])
-            weights = np.stack([[x * du, t * gsq * image_du],
-                                [np.full_like(x, du), gsq * image_du]])
+        K = w.window
+        x, du = quadrature_nodes(w.cells, None, nodes)
+        narrow = np.nonzero(~(np.diff(x, axis=1) > 0).all(axis=1))[0]
+        if narrow.size:
+            raise CapacityError(
+                f"transport cell k={narrow[0] - K} at window K={K} is too narrow for "
+                f"--nodes {nodes} distinct quadrature points; "
+                + fitting_window(K, narrow, "distinct quadrature points")
+            )
+        image_du = du[1:] * (w.masses[:-1] / w.masses[1:])
+        x, t, du = x[:-1], x[1:], du[:-1]  # cells with a successor, and the successors
+        pulled = w.maps(t)
+        moments = np.empty((2, 2, 2 * K - 1, 2 * _COEFFS - 1))  # kind, side, cell, order
+        self.mean_gsq = np.empty(2 * K - 1)
+        for rows in row_blocks(2 * K - 1, nodes):
+            xs, ts, gs = x[rows], t[rows], pulled[rows]
+            dus, image_dus = du[rows, None], image_du[rows, None]
+            gsq = gs / ts
+            z = (np.stack([xs, gs]) - xs[:, :1]) / (xs[:, -1:] - xs[:, :1])
+            weights = np.stack([[xs * dus, ts * gsq * image_dus],
+                                [np.broadcast_to(dus, xs.shape), gsq * image_dus]])
             power = np.ones_like(z)
             for order in range(2 * _COEFFS - 1):
-                moments[:, :, p, order] = (power * weights).sum(axis=-1)
+                moments[:, :, rows, order] = (power * weights).sum(axis=-1)
                 power = power * z
-            self.mean_gsq[p] = np.mean(gsq)
+            self.mean_gsq[rows] = np.mean(gsq, axis=-1)
         j = np.arange(_COEFFS)
         self.form, self.norm_sq = moments[..., j[:, None] + j]  # Hankel: G[j, l] = m[j + l]
 

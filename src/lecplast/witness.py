@@ -192,16 +192,20 @@ def build_partition(m: MeasureSpec | RestrictedMeasure, K: int) -> np.ndarray:
 class TransportWitness:
     """Measure-transport witness over a bilateral quantile partition.
 
-    Cells Delta_k = [a_k, a_{k+1}) for k = -K..K-1; maps[k] is
-    G_k = G_{mu_k, mu_{k+1}} : Delta_{k+1} -> Delta_k for k = -K..K-2.
+    Cells Delta_k = [a_k, a_{k+1}) for k = -K..K-1 are one stack of 2K
+    windows of the measure, ``cells``, whose row p is cell k = p - K; their
+    masses come from one cdf call on the endpoints.  ``maps`` is the stack
+    of the 2K - 1 maps G_k = G_{mu_k, mu_{k+1}} : Delta_{k+1} -> Delta_k,
+    k = -K..K-2, row p again for k = p - K.  ``cell(k)`` and ``map(k)`` are
+    one-window views of a row; a stacked call runs every cell at once.
     """
 
     measure: MeasureSpec
     window: int
     endpoints: np.ndarray
-    cells: tuple[RestrictedMeasure, ...] = field(init=False)
+    cells: RestrictedMeasure = field(init=False)
     masses: np.ndarray = field(init=False)
-    maps: tuple[TransportMap, ...] = field(init=False)
+    maps: TransportMap = field(init=False)
 
     def __post_init__(self):
         K = self.window
@@ -211,18 +215,10 @@ class TransportWitness:
             raise PreconditionError("endpoints must cover k = -K..K")
         if not (np.diff(pts) > 0).all():
             raise PreconditionError("partition endpoints must increase strictly")
-        cells = tuple(
-            self.measure.restrict(pts[p], pts[p + 1]) for p in range(2 * K)
-        )
+        cells = self.measure.restrict(pts[:-1], pts[1:])
         object.__setattr__(self, "cells", cells)
-        object.__setattr__(
-            self, "masses", np.array([cell.total_mass for cell in cells])
-        )
-        object.__setattr__(
-            self,
-            "maps",
-            tuple(TransportMap(cells[p], cells[p + 1]) for p in range(2 * K - 1)),
-        )
+        object.__setattr__(self, "masses", cells.total_mass)
+        object.__setattr__(self, "maps", TransportMap(cells[:-1], cells[1:]))
 
     def _cell_pos(self, k: int, need_successor: bool = False) -> int:
         hi = self.window - (2 if need_successor else 1)
@@ -240,16 +236,26 @@ class TransportWitness:
         """G_k : Delta_{k+1} -> Delta_k."""
         return self.maps[self._cell_pos(k, need_successor=True)]
 
-    def multiplier_squared(self, k: int, s):
-        """g_hat_k(s)^2 = s / G_k^{-1}(s) on the closed cell Delta_k."""
-        p = self._cell_pos(k, need_successor=True)
-        s = np.asarray(s, dtype=float)
-        lo, hi = self.cells[p].support
-        if (s < lo).any() or (s > hi).any():
-            raise RangeError(f"multiplier argument outside cell {k}")
-        return s / self.maps[p].inverse(s)
+    def multiplier_squared(self, k: int | None, s):
+        """g_hat_k(s)^2 = s / G_k^{-1}(s) on the closed cell Delta_k.
 
-    def multiplier(self, k: int, s):
+        With ``k=None``, every cell with a successor at once: row p of s
+        lies in cell k = p - K.
+        """
+        if k is None:
+            cells, maps = self.cells[:-1], self.maps
+        else:
+            p = self._cell_pos(k, need_successor=True)
+            cells, maps = self.cells[p], self.maps[p]
+        s = np.asarray(s, dtype=float)
+        outside = cells.outside(s)
+        if outside.any():
+            if k is None:
+                k = int(np.argwhere(outside)[0][0]) - self.window
+            raise RangeError(f"multiplier argument outside cell {k}")
+        return s / maps.inverse(s)
+
+    def multiplier(self, k: int | None, s):
         return np.sqrt(self.multiplier_squared(k, s))
 
     def apply(self, f_values, k: int, nodes=None):
@@ -269,12 +275,23 @@ class TransportWitness:
             nodes = np.asarray(nodes, dtype=float)
             if nodes.size != f_values.size:
                 raise RangeError("node and sample counts differ")
-            lo, hi = target.support
-            if (nodes < lo).any() or (nodes > hi).any():
+            if target.outside(nodes).any():
                 raise RangeError(f"node outside cell {k + 1}")
         pulled_back = self.maps[p](nodes)
         mass_ratio = self.masses[p] / self.masses[p + 1]
         return np.sqrt(pulled_back / nodes) * math.sqrt(mass_ratio) * f_values
+
+
+def fitting_window(K: int, bad: np.ndarray, what: str) -> str:
+    """Name the largest window K' < K that holds none of the ``bad`` steps.
+
+    Step p (endpoints p, p + 1, which bound cell k = p - K) lies in window
+    K' iff K - K' <= p < K + K'; the windows are nested in K.
+    """
+    largest = int(np.maximum(K - bad, bad - K + 1).min()) - 1
+    if largest:
+        return f"the largest window with {what} is K={largest}"
+    return f"no window has {what}"
 
 
 def build_transport_witness(part: ContinuousPart, K: int) -> TransportWitness:
@@ -288,15 +305,9 @@ def build_transport_witness(part: ContinuousPart, K: int) -> TransportWitness:
     endpoints = build_partition(m, K)
     collided = np.nonzero(~(np.diff(endpoints) > 0))[0]
     if collided.size:
-        # Step p (endpoints p, p + 1) lies in window K' iff K - K' <= p < K + K'.
-        largest = int(np.maximum(K - collided, collided - K + 1).min()) - 1
-        fits = (
-            f"the largest window with distinct endpoints is K={largest}"
-            if largest
-            else "no window has distinct endpoints"
-        )
         raise CapacityError(
-            f"partition endpoints of window K={K} collide in floating point; {fits}"
+            f"partition endpoints of window K={K} collide in floating point; "
+            + fitting_window(K, collided, "distinct endpoints")
         )
     return TransportWitness(measure=m, window=K, endpoints=endpoints)
 
@@ -332,18 +343,17 @@ def transport_witness_to_dict(w: TransportWitness, full: bool = False) -> dict:
         "masses": [float(v) for v in w.masses],
     }
     if full:
-        tables = []
-        for k in range(-w.window, w.window - 1):
-            lo, hi = w.cell(k).support
-            s = np.linspace(lo, hi, MULTIPLIER_NODES)
-            tables.append(
-                {
-                    "cell": k,
-                    "nodes": [float(v) for v in s],
-                    "multiplier": [float(v) for v in w.multiplier(k, s)],
-                }
-            )
-        doc["multiplier_tables"] = tables
+        lo, hi = w.maps.source.support
+        s = np.linspace(lo, hi, MULTIPLIER_NODES, axis=-1)
+        multipliers = w.multiplier(None, s)
+        doc["multiplier_tables"] = [
+            {
+                "cell": p - w.window,
+                "nodes": [float(v) for v in row],
+                "multiplier": [float(v) for v in mult],
+            }
+            for p, (row, mult) in enumerate(zip(s, multipliers))
+        ]
     return doc
 
 

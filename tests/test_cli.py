@@ -45,8 +45,12 @@ NON_FINITE = [(field, value) for field in WITH_NUMBER for value in ("inf", "nan"
 
 
 def write(tmp_path, name, doc):
+    """Write doc as JSON, or bytes as they are."""
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    if isinstance(doc, bytes):
+        path.write_bytes(doc)
+    else:
+        path.write_text(json.dumps(doc))
     return str(path)
 
 
@@ -100,15 +104,38 @@ class TestClassify:
             # an integer past the float range, and Infinity or NaN in each number field
             (WITH_NUMBER["atom_value"](10**400), ["classify"]),
             *[(WITH_NUMBER[field](float(value)), ["classify"]) for field, value in NON_FINITE],
+            # an integer past the interpreter's 4300-digit limit, nesting past
+            # the recursion limit, and bytes that are not UTF-8
+            (b'{"atoms": [{"value": ' + b"1" * 5000 + b', "multiplicity": 1}]}', ["classify"]),
+            (b"[" * 100_000, ["classify"]),
+            (b'{"atoms": [{"value": 1, "multiplicity": "\xe9"}]}', ["classify"]),
         ],
         ids=["window_0", "nodes_8", "cantor_window_40", "sequence_window_80",
              "cantor_window_32", "lebesgue_window_46", "lebesgue_window_51",
-             "atom_value_huge_int", *[f"{field}_{value}" for field, value in NON_FINITE]],
+             "atom_value_huge_int", *[f"{field}_{value}" for field, value in NON_FINITE],
+             "integer_5000_digits", "nested_100000_deep", "not_utf8"],
     )
     def test_rejected_run_exits_1_with_one_line(self, tmp_path, capsys, doc, args):
         assert main([*args, "--input", write(tmp_path, "d.json", doc)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+
+    @pytest.mark.parametrize(
+        "doc, args, largest",
+        [(LEBESGUE, ["--window", "44", "--nodes", "256"], 43),
+         (CANTOR, ["--window", "20"], 19)],
+        ids=["lebesgue", "cantor"],
+    )
+    def test_narrow_cells_name_largest_window(self, tmp_path, capsys, doc, args, largest):
+        path = write(tmp_path, "d.json", doc)
+        assert main(["verify", *args, "--input", path]) == 1
+        err = capsys.readouterr().err
+        assert err.endswith(
+            f"; the largest window with distinct quadrature points is K={largest}\n"
+        )
+        assert main(["verify", *args, "--window", str(largest), "--input", path]) == 3
+        capsys.readouterr()
 
 
 class TestWitnessCommand:

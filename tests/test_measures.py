@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lecplast import MeasureSpec, RangeError, TransportMap, build_transport_witness
+from lecplast import (
+    DomainError,
+    MeasureSpec,
+    RangeError,
+    TransportMap,
+    build_partition,
+    build_transport_witness,
+)
+from lecplast.measures import quadrature_nodes, row_blocks
 from lecplast.witness import partition_levels
 from conftest import (
     bisect_quantile,
@@ -166,7 +174,8 @@ class TestClosedFormQuantile:
     @pytest.mark.parametrize("part", SINGLE_PARTS.values(), ids=SINGLE_PARTS.keys())
     def test_invariant_on_every_witness_cell(self, part):
         w = build_transport_witness(part, 16)
-        for cell in w.cells:
+        for k in range(-16, 16):
+            cell = w.cell(k)
             levels = np.concatenate([
                 cell.total_mass * (np.arange(512) + 0.5) / 512,
                 cell.total_mass * partition_levels(8),
@@ -271,3 +280,58 @@ class TestIntegrate:
     def test_cantor_mean_by_symmetry(self, cantor_01):
         # the Cantor measure is symmetric about 1/2, forcing mean 1/2
         assert integrate(cantor_01, lambda t: t, nodes=4096) == pytest.approx(0.5, abs=1e-3)
+
+
+class TestStackedWindows:
+    """Row p of a stacked call equals the one-window call on window p, bit for bit."""
+
+    @staticmethod
+    def windows(part, K=6):
+        """The 2K partition cells as one stack and as fresh one-window restrictions."""
+        m = MeasureSpec(part)
+        pts = build_partition(m, K)
+        one = [m.restrict(lo, hi) for lo, hi in zip(pts[:-1], pts[1:])]
+        return m.restrict(pts[:-1], pts[1:]), one
+
+    # 12 rows of 700 levels span three blocks of whole rows (5, 5 and 2).
+    @pytest.mark.parametrize("n", [33, 700])
+    @pytest.mark.parametrize("part", SINGLE_PARTS.values(), ids=SINGLE_PARTS.keys())
+    def test_rows_equal_one_window_calls(self, part, n):
+        stack, one = self.windows(part)
+        assert len(row_blocks(len(one), n)) == (1 if n == 33 else 3)
+        assert [float(v) for v in stack.total_mass] == [w.total_mass for w in one]
+        lo, hi = stack.support
+        t = np.linspace(lo - 0.25 * (hi - lo), hi + 0.25 * (hi - lo), n, axis=-1)
+        u = np.concatenate([
+            stack.total_mass[:, None] * (np.arange(n - 2) + 0.5) / (n - 2),
+            np.zeros((len(one), 1)), stack.total_mass[:, None],
+        ], axis=1)
+        x, du = quadrature_nodes(stack, None, n)
+        g = TransportMap(stack[:-1], stack[1:])
+        pulled, pushed = g(x[1:]), g.inverse(x[:-1])
+        cdf, quantile = stack.cdf(t), stack.quantile(u)
+        for p, w in enumerate(one):
+            assert (cdf[p] == w.cdf(t[p])).all()
+            assert (quantile[p] == w.quantile(u[p])).all()
+            nodes, step = quadrature_nodes(w, None, n)
+            assert (x[p] == nodes).all() and du[p] == step
+            assert stack.cdf(lo)[p] == w.cdf(lo[p]) and stack[p].support == w.support
+            if p + 1 < len(one):
+                single = TransportMap(w, one[p + 1])
+                assert (pulled[p] == single(x[p + 1])).all()
+                assert (pushed[p] == single.inverse(x[p])).all()
+
+    def test_one_window_checks_apply_per_row(self):
+        m = MeasureSpec(cantor(0.0, 1.0))
+        with pytest.raises(DomainError, match=r"empty restriction window \[0.5, 0.5\]"):
+            m.restrict(np.array([0.0, 0.5]), np.array([0.5, 0.5]))
+        # (0.4, 0.6) lies inside the middle gap of the Cantor set
+        with pytest.raises(DomainError, match=r"restriction to \[0.4, 0.6\] has no mass"):
+            m.restrict(np.array([0.0, 0.4]), np.array([0.3, 0.6]))
+        stack, _ = self.windows(density(1.0, 2.0), K=2)
+        u = np.tile(stack.total_mass[:, None] * 0.5, (1, 3))
+        u[2, 1] = 1.5 * stack.total_mass[2]
+        with pytest.raises(RangeError, match=f"outside \\[0, {stack.total_mass[2]}\\]"):
+            stack.quantile(u)
+        with pytest.raises(RangeError):
+            stack.cdf(np.ones(3))  # one row short of the four windows

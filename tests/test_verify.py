@@ -9,6 +9,7 @@ import pytest
 
 from lecplast import (
     INFINITE,
+    MeasureSpec,
     PreconditionError,
     ShiftWitness,
     Rule,
@@ -31,7 +32,7 @@ from lecplast.verify import (
     PROBE_ANGLES,
     plasticity_map,
 )
-from lecplast.measures import quadrature_nodes
+from lecplast.measures import ROW_BLOCK, quadrature_nodes
 from conftest import atom, cantor, density, descriptor, seq
 
 mpmath.mp.dps = 40
@@ -217,8 +218,9 @@ def per_node_transport_residuals(w, samples, seed, nodes):
     residuals; both checks draw the same coefficients from one seed.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    cells = [quadrature_nodes(cell, None, nodes) for cell in w.cells]
-    pulled = [g(t) for g, (t, _) in zip(w.maps, cells[1:])]
+    K = w.window
+    cells = [quadrature_nodes(w.cell(k), None, nodes) for k in range(-K, K)]
+    pulled = [w.map(k)(cells[k + K + 1][0]) for k in range(-K, K - 1)]
     form, growth = 0.0, -math.inf
     for _ in range(samples):
         q = image_q = norm_sq = image_norm_sq = 0.0
@@ -293,6 +295,24 @@ class TestAgainstPerSampleLoops:
     def test_row_norms_equal_vector_norms(self, n):
         x = np.random.default_rng(n).normal(size=(500, n))
         assert [float(v) for v in verify._row_norms(x)] == [np.linalg.norm(r) for r in x]
+
+    def test_table_build_batches_quantile_calls(self, monkeypatch):
+        # every windowed quantile goes through the base measure's quantile,
+        # once per block of whole rows of at most ROW_BLOCK levels
+        K, nodes = 16, 256
+        w = build_transport_witness(cantor(1.0, 2.0), K)
+        calls = []
+        quantile = MeasureSpec.quantile
+
+        def counting_quantile(self, u):
+            calls.append(np.size(u))
+            return quantile(self, u)
+
+        monkeypatch.setattr(MeasureSpec, "quantile", counting_quantile)
+        verify._TransportTables(w, nodes)
+        blocks = lambda rows: math.ceil(rows * nodes / ROW_BLOCK)
+        assert len(calls) <= blocks(2 * K) + blocks(2 * K - 1)
+        assert sum(calls) == (4 * K - 1) * nodes
 
     def test_table_size_does_not_grow_with_nodes(self):
         w = build_transport_witness(density(1.0, 2.0), 3)

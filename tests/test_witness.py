@@ -18,6 +18,7 @@ from lecplast import (
     classify,
 )
 from lecplast.measures import quadrature_nodes
+from lecplast.witness import MULTIPLIER_NODES, transport_witness_to_dict
 from conftest import atom, cantor, density, descriptor, seq
 
 mpmath.mp.dps = 40
@@ -201,6 +202,19 @@ class TestTransportWitness:
                 values = w.multiplier_squared(k, nodes)
                 assert (values > 0).all() and (values < 1).all()
 
+    @pytest.mark.parametrize(
+        "part", [density(1.0, 2.0, coeffs=(0.0, 1.0)), cantor(1.0, 2.0)], ids=["density", "cantor"]
+    )
+    def test_full_tables_equal_per_cell_multipliers(self, part):
+        w = build_transport_witness(part, 4)
+        tables = transport_witness_to_dict(w, full=True)["multiplier_tables"]
+        assert [table["cell"] for table in tables] == list(range(-4, 3))
+        for table in tables:
+            k = table["cell"]
+            s = np.linspace(*w.cell(k).support, MULTIPLIER_NODES)
+            assert table["nodes"] == list(s)
+            assert table["multiplier"] == list(w.multiplier(k, s))
+
     def test_cell_masses_positive(self):
         w = build_transport_witness(cantor(1.0, 2.0, mass=0.7), 5)
         assert (w.masses > 0).all()
@@ -270,3 +284,7 @@ class TestApplyTransport:
             w.apply(np.ones(4), 0, nodes=np.array([0.0, 1.6, 1.7, 1.8]))
         with pytest.raises(RangeError):
             w.apply(np.ones(4), w.window - 1)  # no successor cell
+        s = np.linspace(*w.maps.source.support, 5, axis=-1)
+        s[2, 0] = 1.0  # row 2 is cell 0 = [1.5, 1.75]
+        with pytest.raises(RangeError, match="outside cell 0$"):
+            w.multiplier(None, s)
