@@ -1,18 +1,25 @@
 """Numerical verification of witness and spectral-bound properties.
 
-Every check is deterministic given (inputs, seed, node counts): the sampling
-checks draw from a counter-based Philox generator keyed by the check's seed,
-so no check's result depends on which checks ran before it.  The two
-operator checks, finite-dimensional plasticity and extremal invariance,
-draw nothing: they share one set of deterministic 2 x 2 rotation probes and
-only record their seed.  The witness checks take all their samples in one
-draw; a transport check reads each sample's sums as quadratic forms in its
-cubics' coefficients, off per-cell Gram matrices built once per witness.
+Every check is deterministic given (inputs, seed, node counts).  Only the
+transport checks draw: they take all their samples in one draw from a
+counter-based Philox generator keyed by the check's seed, so no check's
+result depends on which checks ran before it, and read each sample's sums
+as quadratic forms in its cubics' coefficients, off per-cell Gram matrices
+built once per witness.  Every point-side check is exact and draws nothing;
+it only records its seed.  The shift checks read the witness's per-slot
+coefficients; the Rayleigh-quotient checks read the eigenbasis and the
+probes cos theta e_lam + sin theta e_mu, theta in ``PROBE_ANGLES``, of
+extremal pairs of eigenvalues; the two operator checks, finite-dimensional
+plasticity and extremal invariance, share 2 x 2 rotation probes over the
+same angles.
 
 Shift-witness identities are exact-arithmetic paths (thresholds 1e-12);
 transport identities go through quadrature (1e-5 for densities, 1e-3 when a
-Cantor part participates).  Residuals are reduced with np.max, np.maximum
-and np.minimum, which keep NaN, so a non-finite residual fails its check.
+Cantor part participates).  A point-side residual is relative to the
+largest eigenvalue it involves, so its verdict does not change when A is
+scaled; a transport form residual is relative to q(x).  Residuals are
+reduced with np.max, np.maximum and np.minimum, which keep NaN, so a
+non-finite residual fails its check.
 """
 
 from __future__ import annotations
@@ -35,6 +42,10 @@ SPACE_TOL = 1e-12
 OPERATOR_TOL = 1e-8
 #: Acceptance band for contraction candidates: ||T|| <= 1 + this.
 NORM_SLACK = 1e-10
+#: Rotation angles of the point-side probes, pi/2 down to 1.6e-12 in decades:
+#: on a pair with gap/sqrt(lam mu) between about 2e-10 and 120, the ladder
+#: holds operator probes on both sides of ||T|| = 1 + NORM_SLACK.
+PROBE_ANGLES = np.pi / 2 * 10.0 ** -np.arange(13)
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -103,9 +114,6 @@ class TruncatedQuadraticSpace:
     def form(self, x) -> float:
         x = np.asarray(x, dtype=float)
         return float(np.sum(self.lambdas * x * x))
-
-    def group(self, value: float) -> np.ndarray:
-        return np.nonzero(self.lambdas == value)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +193,6 @@ def _tables(w: TransportWitness, nodes: int) -> _TransportTables:
     return by_nodes[nodes]
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Row norms of x, each bit for bit equal to np.linalg.norm(row)."""
-    # A (1, n) @ (n, 1) stack runs the dot kernel of a 1-D norm;
-    # np.linalg.norm(x, axis=1) sums in another order.
-    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
-
-
 def _cubic_forms(gram: np.ndarray, samples: int, seed: int) -> np.ndarray:
     """(source, image) forms c^T G c of ``samples`` random cubics per cell."""
     # One draw reads the stream of a size-4 draw per cell, sample by sample.
@@ -205,17 +206,19 @@ def check_form_preservation(
     seed: int = 0,
     nodes: int = 4096,
 ) -> VerificationReport:
-    """|q(Tx) - q(x)| over random inputs supported inside the window.
+    """|q(Tx) - q(x)| over inputs supported inside the window.
 
-    Transport inputs are random cubics per cell (``_TransportTables``), and
-    their residual is relative to q(x).
+    On a shift both forms are diagonal, so the supremum over unit x is the
+    largest per-slot defect |image_weights_k - lambda_{n_k}| over the slots
+    k = -K+1..K (slot -K maps outside the window), each relative to
+    lambda_{n_{k-1}}, the larger eigenvalue of the slot.  Nothing is drawn
+    and ``samples`` is unused.  Transport inputs are ``samples`` random
+    cubics per cell (``_TransportTables``), and their residual is relative
+    to q(x).
     """
     if isinstance(op, ShiftWitness):
-        x = _rng(seed).normal(size=(samples, op.lambdas.size))
-        x[:, 0] = 0.0  # slot k = -K maps outside the window
-        x /= _row_norms(x)[:, None]
-        worst = np.max(np.abs(op.form_of_image(x) - op.form(x)), initial=0.0)
-        return _report("form_preservation", samples, worst, SHIFT_TOL, seed)
+        defect = np.abs(op.image_weights - op.lambdas[1:]) / op.lambdas[:-1]
+        return _report("form_preservation", defect.size, np.max(defect), SHIFT_TOL, seed)
 
     q, image = _cubic_forms(_tables(op, nodes).form, samples, seed)
     worst = np.max(np.abs(image - q) * (1.0 / q), initial=0.0)
@@ -229,13 +232,14 @@ def check_nonexpansive(
     seed: int = 0,
     nodes: int = 4096,
 ) -> VerificationReport:
-    """(||Tx|| - ||x||)/||x|| over random inputs; shifts also need factors <= 1."""
+    """(||Tx|| - ||x||)/||x||, at most 0 for a non-expansive T.
+
+    A shift's supremum over x is its largest factor minus 1; nothing is
+    drawn and ``samples`` is unused.  Transport inputs are ``samples``
+    random cubics per cell.
+    """
     if isinstance(op, ShiftWitness):
-        x = _rng(seed).normal(size=(samples, op.lambdas.size))
-        norm = _row_norms(x)
-        growth = (_row_norms(op.apply(x)) - norm) / norm
-        worst = np.max(growth, initial=float(op.factors.max()) - 1.0)
-        return _report("nonexpansive", samples, worst, SHIFT_TOL, seed)
+        return _report("nonexpansive", op.factors.size, np.max(op.factors) - 1.0, SHIFT_TOL, seed)
 
     norm, image = _cubic_forms(_tables(op, nodes).norm_sq, samples, seed) ** 0.5
     worst = np.max((image - norm) / norm, initial=-np.inf)
@@ -265,85 +269,63 @@ def check_strict_contraction(
 # Spectral-bound checks (Rayleigh quotients, minimizers)
 # ---------------------------------------------------------------------------
 
-def _unit_rows(rng, count: int, dim: int) -> np.ndarray:
-    vectors = rng.normal(size=(count, dim))
-    return vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
+def _extremal_pairs(values: np.ndarray, ends) -> np.ndarray:
+    """(lam, mu) for each lam in ``ends`` and every other distinct value mu."""
+    return np.array([(lam, mu) for lam in ends for mu in values if mu != lam]).reshape(-1, 2)
 
 
-#: Rows per block of random unit vectors in ``check_rayleigh_bounds``.
-_RAYLEIGH_BLOCK = 1024
+def _probe_quotients(pairs: np.ndarray) -> np.ndarray:
+    """Quotients lam cos^2 theta + mu sin^2 theta of cos theta e_lam + sin theta e_mu.
 
-
-def check_rayleigh_bounds(
-    space: TruncatedQuadraticSpace, samples: int = 10_000, seed: int = 0
-) -> VerificationReport:
-    """No Rayleigh quotient escapes [min lambda, max lambda].
-
-    The sample set always contains the eigenbasis, which witnesses that the
-    bounds are attained; for n <= 8 at >= 10^4 samples the sampled extrema
-    must additionally approach the bounds within 5% of the spectral width.
-
-    The ``samples`` random unit rows are drawn and reduced in blocks of
-    ``_RAYLEIGH_BLOCK`` rows, so memory stays at O(_RAYLEIGH_BLOCK * n); the
-    generator fills the same values as one (samples, n) draw, and every
-    draw is read.  The eigenbasis rows are stacked under the last block
-    instead of being replaced by their exact quotients lam: a BLAS
-    matrix-vector kernel may round the last few rows of a matrix differently
-    (OpenBLAS takes rows in fours and the remainder apart), and with the
-    eigenbasis last every sample row meets the kernel it met in one
-    (samples + n) x n product, on one BLAS thread.
+    One row per (lam, mu) pair, one column per theta in ``PROBE_ANGLES``.
     """
-    if space.dimension < 1:
-        raise PreconditionError("need dimension >= 1")
-    rng = _rng(seed)
+    return pairs[:, :1] * np.cos(PROBE_ANGLES) ** 2 + pairs[:, 1:] * np.sin(PROBE_ANGLES) ** 2
+
+
+def check_rayleigh_bounds(space: TruncatedQuadraticSpace, seed: int = 0) -> VerificationReport:
+    """Rayleigh quotients span exactly [min lambda, max lambda].
+
+    For a diagonal form q(x)/|x|^2 = sum_v w_v v is a convex combination of
+    the distinct eigenvalues v (w_v the share of |x|^2 in Ker(A - v)), so no
+    quotient escapes the bounds and the eigenbasis attains both.  The check
+    reads the quotients of the eigenbasis, which are the distinct values,
+    and of every extremal-pair probe: lam the min or the max and mu any other
+    value.  Its residual is the distance of the smallest and the largest
+    quotient from min lambda and max lambda, relative to max lambda.  It
+    draws nothing; ``seed`` is only recorded.
+    """
     lam = space.lambdas
-    last = max(samples - 1, 0) // _RAYLEIGH_BLOCK * _RAYLEIGH_BLOCK  # start of the last block
-    q_min, q_max = np.inf, -np.inf
-    for start in range(0, last + 1, _RAYLEIGH_BLOCK):
-        rows = _unit_rows(rng, min(_RAYLEIGH_BLOCK, samples - start), lam.size)
-        if start == last:
-            rows = np.vstack([rows, np.eye(lam.size)])
-        quotients = (rows * rows) @ lam
-        q_min = np.minimum(q_min, quotients.min())
-        q_max = np.maximum(q_max, quotients.max())
+    values = np.unique(lam)
+    quotients = np.concatenate(
+        [values, _probe_quotients(_extremal_pairs(values, values[[0, -1]])).ravel()]
+    )
     lo, hi = lam.min(), lam.max()
-    worst = np.max([0.0, lo - q_min, q_max - hi])
-    if space.dimension <= 8 and samples >= 10_000 and hi > lo:
-        band = 0.05 * (hi - lo)
-        worst = np.max([worst, q_min - (lo + band), (hi - band) - q_max])
-    return _report("rayleigh_bounds", samples + lam.size, worst, SPACE_TOL, seed)
+    worst = np.maximum(np.abs(quotients.min() - lo), np.abs(quotients.max() - hi)) / hi
+    return _report("rayleigh_bounds", quotients.size, worst, SPACE_TOL, seed)
 
 
-def check_min_attained(
-    space: TruncatedQuadraticSpace, samples: int = 1000, seed: int = 0
-) -> VerificationReport:
+def check_min_attained(space: TruncatedQuadraticSpace, seed: int = 0) -> VerificationReport:
     """Minimizers of the Rayleigh quotient are exactly the min-eigenvalue group.
 
-    (a) unit vectors inside the group attain the minimum; (b) any unit vector
-    with mass m outside the group exceeds it by at least gap * m, where gap
-    is the distance to the second-smallest eigenvalue.
+    (a) The group's eigenvectors attain lo = min lambda.  (b) A unit vector
+    with mass m outside the group exceeds lo by at least gap * m, where gap
+    is the distance to the second-smallest value.  Both hold for every x of
+    a diagonal form, so the check reads (a) on the eigenbasis and (b) on the
+    probes cos theta e_lo + sin theta e_mu, m = sin^2 theta, for every other
+    value mu.  Each residual is relative to the largest eigenvalue of its
+    quotient.  The check draws nothing; ``seed`` is only recorded.
     """
     if space.dimension < 2:
         raise PreconditionError("need dimension >= 2")
-    rng = _rng(seed)
-    lam = space.lambdas
-    lo = lam.min()
-    group = space.group(lo)
-    worst = 0.0
-
-    inside = np.zeros((samples, lam.size))
-    inside[:, group] = _unit_rows(rng, samples, group.size)
-    worst = np.maximum(worst, np.abs((inside * inside) @ lam - lo).max())
-
-    distinct = np.unique(lam)
-    if distinct.size > 1:
-        gap = distinct[1] - lo
-        mixed = _unit_rows(rng, samples, lam.size)
-        quotients = (mixed * mixed) @ lam
-        outside_mass = 1.0 - (mixed[:, group] ** 2).sum(axis=1)
-        violation = (lo + gap * outside_mass) - quotients
-        worst = np.maximum(worst, violation.max())
-    return _report("min_attained", 2 * samples, worst, SPACE_TOL, seed)
+    lo = space.lambdas.min()
+    values = np.unique(space.lambdas)
+    residuals = np.abs(values[:1] - lo) / lo  # (a)
+    if values.size > 1:
+        pairs = _extremal_pairs(values, values[:1])
+        excess = _probe_quotients(pairs) - lo
+        violation = (values[1] - lo) * np.sin(PROBE_ANGLES) ** 2 - excess
+        residuals = np.append(residuals, violation / pairs[:, 1:])
+    return _report("min_attained", residuals.size, np.max(residuals), SPACE_TOL, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +340,6 @@ def plasticity_map(lambdas, u: np.ndarray) -> np.ndarray:
     lam = np.asarray(lambdas, dtype=float)
     return (lam[..., :, None] ** -0.5) * u * (lam[..., None, :] ** 0.5)
 
-
-#: Rotation angles of the operator probes, pi/2 down to 1.6e-12 in decades:
-#: on a pair with gap/sqrt(lam mu) between about 2e-10 and 120, the ladder
-#: holds probes on both sides of ||T|| = 1 + NORM_SLACK.
-PROBE_ANGLES = np.pi / 2 * 10.0 ** -np.arange(13)
 
 #: Eigenvalues whose pairs the finite-dimensional plasticity check probes.
 FINITE_DIM_SPECTRUM = (0.5, 1.0, 1.5, 2.0, 2.5)
@@ -437,9 +414,7 @@ def check_extremal_invariance(
     if space.dimension < 2:
         raise PreconditionError("need dimension >= 2")
     values = np.unique(space.lambdas)
-    t, singular, lam, mu = _rotation_probes(
-        [(lam, mu) for lam in (values[0], values[-1]) for mu in values if mu != lam]
-    )
+    t, singular, lam, mu = _rotation_probes(_extremal_pairs(values, values[[0, -1]]))
     sigma = singular[:, 0]
     leak = np.maximum(np.abs(t[:, 0, 1]), np.abs(t[:, 1, 0]))
     gap = np.abs(mu - lam) / np.maximum(lam, mu)

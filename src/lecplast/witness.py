@@ -47,6 +47,9 @@ class ShiftWitness:
     R: float
     rule: Rule
     factors: np.ndarray = field(init=False)  # position k + window - 1 holds factor(k)
+    #: Weight of x_k^2 in the image form, lambda_{n_{k-1}} * (lambda_{n_k}/lambda_{n_{k-1}}),
+    #: at position k + window - 1.
+    image_weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
         K = self.window
@@ -66,7 +69,9 @@ class ShiftWitness:
             self.basis_labels
         ) != len(lam):
             raise PreconditionError("basis labels must be distinct, one per chain slot")
-        object.__setattr__(self, "factors", np.sqrt(lam[1:] / lam[:-1]))
+        ratios = lam[1:] / lam[:-1]
+        object.__setattr__(self, "factors", np.sqrt(ratios))
+        object.__setattr__(self, "image_weights", lam[:-1] * ratios)
 
     def factor(self, k: int) -> float:
         """sqrt(lambda_{n_k}/lambda_{n_{k-1}}) for k in -K+1..K."""
@@ -94,13 +99,12 @@ class ShiftWitness:
     def form_of_image(self, window_coeffs):
         """<Tx, ATx> evaluated with exact eigenvalue ratios, along the last axis.
 
-        Uses lambda_{n_{k-1}} * (lambda_{n_k}/lambda_{n_{k-1}}) per slot, not
-        the rounded square of factor(k), so the preservation identity holds
-        to machine precision.
+        Weighs slot k by ``image_weights``, lambda_{n_{k-1}} *
+        (lambda_{n_k}/lambda_{n_{k-1}}), not by the rounded square of
+        factor(k), so the preservation identity holds to machine precision.
         """
         x = np.asarray(window_coeffs, dtype=float)[..., 1:]
-        ratios = self.lambdas[1:] / self.lambdas[:-1]
-        return np.sum(np.multiply(t := self.lambdas[:-1] * ratios * x, x, out=t), axis=-1)
+        return np.sum(np.multiply(t := self.image_weights * x, x, out=t), axis=-1)
 
 
 def _first_geometric_index(seq: EigenSequence, threshold: float) -> int:

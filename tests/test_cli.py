@@ -244,6 +244,21 @@ class TestVerifyCommand:
         checks = json.loads(out.read_text())["checks"]
         assert [c["name"] for c in checks if not c["pass"]] == []
 
+    @pytest.mark.parametrize("scale", [1e4, 1e6, 1e-6])
+    def test_verdict_does_not_depend_on_scale(self, tmp_path, capsys, scale):
+        # LEC-plasticity is invariant under A -> cA, so every check must pass
+        # at any scale; residuals absolute in A failed at 1e4 and 1e6.
+        doc = {"atoms": [{"value": 1.0 * scale, "multiplicity": "inf"},
+                         {"value": 1.5 * scale, "multiplicity": 2},
+                         {"value": 2.0 * scale, "multiplicity": "inf"}]}
+        out = tmp_path / "report.json"
+        argv = ["all", "--input", write(tmp_path, "d.json", doc), "--output", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == ""
+        checks = json.loads(out.read_text())["checks"]
+        assert len(checks) == 7
+        assert [c["name"] for c in checks if not c["pass"]] == []
+
     def test_plastic_descriptor_runs_space_checks(self, tmp_path):
         config = RunConfig(
             "all", write(tmp_path, "d.json", SINGLE_ATOM), per_sequence=4, nodes=64

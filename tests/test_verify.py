@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from fractions import Fraction
 from functools import partial
 
 import mpmath
@@ -66,7 +67,13 @@ def svd_spy(monkeypatch):
 
 
 def unblocked_rayleigh_bounds(space, samples, seed):
-    """Reference: check_rayleigh_bounds on one (samples + n) x n matrix."""
+    """Reference: the sampled rayleigh_bounds on one (samples + n) x n matrix.
+
+    Random unit rows and the eigenbasis; the residual, relative to max
+    lambda, is how far the sampled quotients escape [min lambda, max lambda]
+    and, for n <= 8 at >= 10^4 samples, how far their extrema stay from
+    the bounds beyond 5% of the spectral width.
+    """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     lam = space.lambdas
     vectors = rng.normal(size=(samples, lam.size))
@@ -78,7 +85,56 @@ def unblocked_rayleigh_bounds(space, samples, seed):
     if lam.size <= 8 and samples >= 10_000 and hi > lo:
         band = 0.05 * (hi - lo)
         worst = max(worst, quotients.min() - (lo + band), (hi - band) - quotients.max())
-    return float(worst), len(vectors)
+    return float(worst / hi)
+
+
+def exact_squares(x):
+    """Squares of the float entries of x as integers over one common denominator."""
+    ratios = [float(v).as_integer_ratio() for v in x]
+    denominator = max(d for _, d in ratios)  # every denominator is a power of two
+    return [(n * (denominator // d)) ** 2 for n, d in ratios]
+
+
+def per_sample_space_residuals(space, samples, seed):
+    """Reference: sampled rayleigh_bounds and min_attained, one vector at a time.
+
+    Each random vector is divided by its vector norm; its quotient and its
+    mass outside the min group are then evaluated exactly in rational
+    arithmetic.  Returns the worst rayleigh_bounds residual (escape from
+    [min lambda, max lambda]) and the worst min_attained residual ((a) the
+    quotient of vectors inside the group minus min lambda, (b) the shortfall
+    of the quotient below min lambda + gap * outside mass), both relative to
+    max lambda.
+    """
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    values, group_of = np.unique(space.lambdas, return_inverse=True)
+    values = [Fraction(v) for v in values]
+    lo, hi = values[0], values[-1]
+    gap = values[1] - lo if len(values) > 1 else Fraction(0)
+
+    def quotient(x):
+        """Exact Rayleigh quotient and outside mass of x / ||x||."""
+        shares = [0] * len(values)
+        for group, square in zip(group_of, exact_squares(x / np.linalg.norm(x))):
+            shares[group] += square
+        total = sum(shares)
+        return sum(v * s for v, s in zip(values, shares)) / total, Fraction(total - shares[0], total)
+
+    rayleigh = attained = Fraction(0)
+    for _ in range(samples):
+        q, _ = quotient(rng.normal(size=space.dimension))
+        rayleigh = max(rayleigh, lo - q, q - hi)
+    if space.dimension >= 2:
+        inside = group_of == 0
+        for _ in range(samples):
+            x = np.zeros(space.dimension)
+            x[inside] = rng.normal(size=inside.sum())
+            q, _ = quotient(x)
+            attained = max(attained, abs(q - lo))
+        for _ in range(samples):
+            q, outside = quotient(rng.normal(size=space.dimension))
+            attained = max(attained, lo + gap * outside - q)
+    return float(rayleigh / hi), float(attained / hi)
 
 
 #: Two infinite atoms and one simple atom between them at --per-sequence 64.
@@ -184,20 +240,26 @@ class TestStrictContraction:
 
 
 def per_sample_shift_residuals(w, samples, seed):
-    """Reference: the shift checks' per-sample loops, one 1-D vector at a time.
+    """Reference: the sampled shift checks, one 1-D vector at a time.
 
-    Returns the form_preservation and nonexpansive residuals.
+    Returns the worst form_preservation residual |q(Tx) - q(x)| over unit
+    vectors with slot -K cleared, with both forms evaluated exactly in
+    rational arithmetic on the float vector and the rounded image weights
+    lambda_{n_{k-1}} * (lambda_{n_k}/lambda_{n_{k-1}}), relative to max
+    lambda; and the worst nonexpansive growth (||Tx|| - ||x||)/||x||.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    ratios = w.lambdas[1:] / w.lambdas[:-1]
-    form = 0.0
+    lam = [Fraction(v) for v in w.lambdas]
+    weights = [Fraction(v) for v in w.lambdas[:-1] * (w.lambdas[1:] / w.lambdas[:-1])]
+    form = Fraction(0)
     for _ in range(samples):
         x = rng.normal(size=w.lambdas.size)
         x[0] = 0.0
         x /= np.linalg.norm(x)
-        q = float(np.sum(w.lambdas * x * x))
-        image_q = float(np.sum(w.lambdas[:-1] * ratios * x[1:] * x[1:]))
-        form = max(form, abs(image_q - q))
+        sq = exact_squares(x)
+        q = sum(v * s for v, s in zip(lam, sq))
+        image_q = sum(v * s for v, s in zip(weights, sq[1:]))
+        form = max(form, abs(image_q - q) / sum(sq))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     growth = -math.inf
     for _ in range(samples):
@@ -206,7 +268,7 @@ def per_sample_shift_residuals(w, samples, seed):
         image[:-1] = w.factors * x[1:]
         norm = np.linalg.norm(x)
         growth = max(growth, (np.linalg.norm(image) - norm) / norm)
-    return form, max(growth, float(w.factors.max()) - 1.0)
+    return float(form / max(lam)), growth
 
 
 def per_node_transport_residuals(w, samples, seed, nodes):
@@ -281,20 +343,37 @@ class TestAgainstPerSampleLoops:
             descriptor(sequences=[seq(1, "dec"), seq(2, "inc")]),
             descriptor(atoms=[atom(1, INFINITE)], sequences=[seq(2, "inc", ratio=0.8)]),
             descriptor(atoms=[atom(2, INFINITE)], sequences=[seq(1, "dec", ratio=0.9)]),
+            descriptor(sequences=[seq(1, "dec", offset=0.7, ratio=0.85),
+                                  seq(3, "inc", offset=0.7, ratio=0.85)]),
         ],
-        ids=["two_atoms", "two_sequences", "atom_min_seq", "seq_atom_max"],
+        ids=["two_atoms", "two_sequences", "atom_min_seq", "seq_atom_max", "rounded_ratios"],
     )
     @pytest.mark.parametrize("K", [1, 8, 16])
     def test_batched_shift_checks_equal_per_sample_loop(self, d, K):
+        # The exact per-slot residuals bound every sampled residual.
         w = build_shift_witness(d, classify(d).certificate, K)
-        form, growth = per_sample_shift_residuals(w, samples=200, seed=K + 11)
-        assert check_form_preservation(w, samples=200, seed=K + 11).worst_residual == form
-        assert check_nonexpansive(w, samples=200, seed=K + 11).worst_residual == growth
+        reports = [check(w, seed=K + 11) for check in (check_form_preservation, check_nonexpansive)]
+        assert [r.samples for r in reports] == [2 * K, 2 * K]
+        for seed in (K + 11, K + 12, K + 13):
+            sampled = per_sample_shift_residuals(w, samples=200, seed=seed)
+            for report, worst in zip(reports, sampled):
+                assert report.worst_residual >= worst
+                assert report.passed == (worst <= report.threshold)
 
     @pytest.mark.parametrize("n", [1, 3, 17, 33, 129])
     def test_row_norms_equal_vector_norms(self, n):
-        x = np.random.default_rng(n).normal(size=(500, n))
-        assert [float(v) for v in verify._row_norms(x)] == [np.linalg.norm(r) for r in x]
+        # Vectors normalised by their vector norms, quotients evaluated
+        # exactly: the exact space residuals bound every sampled one.
+        counts = [len(part) for part in np.array_split(np.arange(n), min(n, 4))]
+        values = np.linspace(1.0, 2.5, len(counts))
+        space = TruncatedQuadraticSpace(tuple(zip(values, counts)))
+        checks = [check_rayleigh_bounds, check_min_attained][: 1 + (n >= 2)]
+        reports = [check(space) for check in checks]
+        for seed in (n, n + 1, n + 2):
+            sampled = per_sample_space_residuals(space, samples=200, seed=seed)
+            for report, worst in zip(reports, sampled):
+                assert report.worst_residual >= worst
+                assert report.passed == (worst <= report.threshold)
 
     def test_table_build_batches_quantile_calls(self, monkeypatch):
         # every windowed quantile goes through the base measure's quantile,
@@ -320,6 +399,78 @@ class TestAgainstPerSampleLoops:
         assert small == large > 0
 
 
+def three_atoms(scale):
+    """Two infinite atoms and a double atom between them, all times scale."""
+    return descriptor(
+        atoms=[atom(1.0 * scale, INFINITE), atom(1.5 * scale, 2), atom(2.0 * scale, INFINITE)]
+    )
+
+
+def point_side_reports(d, K=8):
+    """The four exact point-side checks on d's shift witness and truncation."""
+    w = build_shift_witness(d, classify(d).certificate, K)
+    space = TruncatedQuadraticSpace.from_descriptor(d, per_sequence=4)
+    return [check_form_preservation(w), check_nonexpansive(w),
+            check_rayleigh_bounds(space), check_min_attained(space)]
+
+
+class TestExactPointChecks:
+    @pytest.mark.parametrize("scale", [2.0**-20, 2.0**14, 2.0**20])
+    def test_residuals_do_not_depend_on_scale(self, scale):
+        # A power-of-two scale is exact, so relative residuals are bit for bit equal.
+        assert point_side_reports(three_atoms(scale)) == point_side_reports(three_atoms(1.0))
+
+    def test_perturbed_image_eigenvalue_fails_form_preservation(self):
+        w = shift_no_min_no_max()
+        assert check_form_preservation(w).passed
+        weights = w.image_weights.copy()
+        weights[w.window] *= 1.0 + 1e-9  # slot k = 1 weighed by a perturbed lambda_{n_0}
+        object.__setattr__(w, "image_weights", weights)
+        x = np.zeros(w.lambdas.size)
+        x[w.window + 1] = 1.0
+        assert abs(w.form_of_image(x) - w.form(x)) > 1e-10
+        report = check_form_preservation(w)
+        assert not report.passed
+        assert report.worst_residual == pytest.approx(1e-9 * w.lambdas[w.window + 1]
+                                                      / w.lambdas[w.window], rel=1e-6)
+
+    def test_factor_above_one_fails_nonexpansive(self):
+        w = shift_two_atoms()
+        assert check_nonexpansive(w).passed
+        factors = w.factors.copy()
+        factors[0] = 1.0 + 1e-9
+        object.__setattr__(w, "factors", factors)
+        report = check_nonexpansive(w)
+        assert not report.passed
+        assert report.worst_residual == pytest.approx(1e-9, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "points", [((1.0, 1), (math.nan, 1), (2.0, 2)), ((math.nan, 2),)], ids=["mixed", "alone"]
+    )
+    def test_nan_eigenvalue_fails_space_checks(self, points):
+        space = TruncatedQuadraticSpace(points)  # the space does not reject NaN
+        for check in (check_rayleigh_bounds, check_min_attained):
+            report = check(space)
+            assert not report.passed and math.isnan(report.worst_residual)
+
+    def test_eigenvalue_order_does_not_matter(self):
+        # The space takes values in any order; the checks read min and max.
+        ordered = TruncatedQuadraticSpace(((1.0, 2), (1.5, 1), (2.0, 3)))
+        shuffled = TruncatedQuadraticSpace(((1.5, 1), (2.0, 3), (1.0, 2)))
+        for check in (check_rayleigh_bounds, check_min_attained):
+            assert check(shuffled) == check(ordered) and check(ordered).passed
+
+    def test_space_checks_draw_nothing(self, monkeypatch):
+        def no_generator(*args, **kwargs):
+            raise AssertionError("a point-side check drew a random number")
+
+        monkeypatch.setattr(np.random, "Generator", no_generator)
+        reports = point_side_reports(three_atoms(1.0))
+        assert all(r.passed for r in reports)
+        assert [r.samples for r in reports] == [16, 16, 3 + 4 * PROBE_ANGLES.size,
+                                                1 + 2 * PROBE_ANGLES.size]
+
+
 class TestRayleigh:
     def test_eigenvector_attains_bound(self):
         space = TruncatedQuadraticSpace(((1.0, 1), (2.0, 1)))
@@ -331,7 +482,7 @@ class TestRayleigh:
         for _ in range(10):
             values = np.sort(rng.uniform(0.5, 3.0, size=8))
             space = TruncatedQuadraticSpace(tuple((v, 1) for v in values))
-            report = check_rayleigh_bounds(space, samples=10_000, seed=int(rng.integers(1 << 31)))
+            report = check_rayleigh_bounds(space, seed=int(rng.integers(1 << 31)))
             assert report.passed and report.threshold == 1e-12
 
     @pytest.mark.parametrize("samples", [0, 1, 1023, 1024, 1025, 10_000])
@@ -341,11 +492,15 @@ class TestRayleigh:
         ids=["dim_8", "dim_257"],
     )
     def test_matches_unblocked_reference(self, points, samples):
+        # The exact residual bounds the sampled one at any sample count.
         space = TruncatedQuadraticSpace(points)
-        report = check_rayleigh_bounds(space, samples=samples, seed=29)
-        worst, count = unblocked_rayleigh_bounds(space, samples, 29)
-        assert report.samples == count == samples + space.dimension
-        assert report.worst_residual == worst
+        report = check_rayleigh_bounds(space, seed=29)
+        values = sorted({v for v, _ in points})
+        assert report.samples == len(values) + 2 * (len(values) - 1) * PROBE_ANGLES.size
+        for seed in (29, 30, 31):
+            worst = unblocked_rayleigh_bounds(space, samples, seed)
+            assert report.worst_residual >= worst
+            assert report.passed == (worst <= report.threshold)
 
     def test_precondition(self):
         with pytest.raises(PreconditionError):
@@ -369,7 +524,7 @@ class TestMinAttained:
             values = np.sort(rng.uniform(0.5, 3.0, size=5))
             mults = rng.integers(1, 3, size=5)
             space = TruncatedQuadraticSpace(tuple(zip(values, mults)))
-            report = check_min_attained(space, samples=1000, seed=int(rng.integers(1 << 31)))
+            report = check_min_attained(space, seed=int(rng.integers(1 << 31)))
             assert report.passed
 
 
