@@ -35,10 +35,6 @@ from .witness import build_shift_witness, build_transport_witness, witness_to_di
 
 _COMMANDS = ("classify", "witness", "verify", "all")
 
-# Random cubics per transport check; every point-side check is exact.
-_TRANSPORT_SAMPLES = 50
-
-
 @dataclass(frozen=True)
 class RunConfig:
     command: str
@@ -79,14 +75,7 @@ def _run_checks(d, witness, config: RunConfig) -> list[VerificationReport]:
     reports: list[VerificationReport] = []
     if witness is not None:
         for index, check in enumerate((check_form_preservation, check_nonexpansive)):
-            reports.append(
-                check(
-                    witness,
-                    samples=_TRANSPORT_SAMPLES,
-                    seed=_check_seed(config.seed, index),
-                    nodes=config.nodes,
-                )
-            )
+            reports.append(check(witness, seed=_check_seed(config.seed, index), nodes=config.nodes))
         reports.append(
             check_strict_contraction(witness, nodes=config.nodes, seed=_check_seed(config.seed, 2))
         )

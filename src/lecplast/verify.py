@@ -1,15 +1,14 @@
 """Numerical verification of witness and spectral-bound properties.
 
-Every check is deterministic given (inputs, seed, node counts).  Only the
-transport checks draw: they take all their samples in one draw from a
-counter-based Philox generator keyed by the check's seed, so no check's
-result depends on which checks ran before it, and read each sample's sums
-as quadratic forms in its cubics' coefficients, off per-cell Gram matrices
-built once per witness.  Every point-side check is exact and draws nothing;
-it only records its seed.  The shift checks read the witness's per-slot
-coefficients; the Rayleigh-quotient checks read the eigenbasis and the
-probes cos theta e_lam + sin theta e_mu, theta in ``PROBE_ANGLES``, of
-extremal pairs of eigenvalues; the two operator checks, finite-dimensional
+Every check is deterministic given (inputs, node counts) and draws nothing;
+its seed is only recorded.  Each reads a supremum over its whole test
+space.  The shift checks read the witness's per-slot coefficients.  The
+transport checks range over the cubics on each cell: both read per-cell
+Gram matrices built once per witness through the published multiplier,
+and report the extreme eigenvalue of each cell's pencil.  The
+Rayleigh-quotient checks read the eigenbasis and the probes
+cos theta e_lam + sin theta e_mu, theta in ``PROBE_ANGLES``, of extremal
+pairs of eigenvalues; the two operator checks, finite-dimensional
 plasticity and extremal invariance, share 2 x 2 rotation probes over the
 same angles.
 
@@ -46,10 +45,6 @@ NORM_SLACK = 1e-10
 #: on a pair with gap/sqrt(lam mu) between about 2e-10 and 120, the ladder
 #: holds operator probes on both sides of ||T|| = 1 + NORM_SLACK.
 PROBE_ANGLES = np.pi / 2 * 10.0 ** -np.arange(13)
-
-
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
 @dataclass(frozen=True)
@@ -95,8 +90,8 @@ class TruncatedQuadraticSpace:
         pts = tuple((float(v), int(m)) for v, m in self.points)
         if not pts:
             raise PreconditionError("the truncation is empty")
-        if any(v <= 0 or m < 1 for v, m in pts):
-            raise PreconditionError("eigenvalues must be positive with multiplicity >= 1")
+        if any(not 0 < v < np.inf or m < 1 for v, m in pts):
+            raise PreconditionError("eigenvalues must be finite and > 0, multiplicity >= 1")
         object.__setattr__(self, "points", pts)
         lam = np.repeat([v for v, _ in pts], [m for _, m in pts]).astype(float)
         object.__setattr__(self, "lambdas", lam)
@@ -120,30 +115,31 @@ class TruncatedQuadraticSpace:
 # Witness checks
 # ---------------------------------------------------------------------------
 
-#: Coefficients of the random cubic that a transport check puts on a cell.
+#: Coefficients of the cubics f(z) = sum_j c_j z^j on a transport cell.
 _COEFFS = 4
 
 
 class _TransportTables:
     """Per-cell Gram matrices shared by the transport checks.
 
-    The checks put a random cubic f(z) = sum_j c_j z^j on each cell p with a
-    successor, in the coordinate z = (s - x_0) / (x_last - x_0) of the cell's
-    inverse-transform nodes x (mass step du).  Each quadrature sum they read
-    is then c^T G c with a Gram matrix G[j, l] = sum_i w_i z_i^(j + l):
-    ``form[0, p]`` (the form of f) weighs the nodes x by x du, ``form[1, p]``
-    (the form of Tf) the pulled nodes G_p(t) of cell p + 1 by
-    t g^2 du_{p+1} M_p / M_{p+1}, with g^2 = G_p(t) / t.  ``norm_sq`` drops
-    the factor x or t, and ``mean_gsq[p]`` is the mean of g^2.
+    The checks range over the cubics f(z) = sum_j c_j z^j on each cell p with
+    a successor, in the coordinate z = (s - x_0) / (x_last - x_0) of the
+    cell's inverse-transform nodes x (mass step du); a quadrature sum is then
+    c^T G c with a Gram matrix G[j, l] = sum_i w_i z_i^(j + l).  The image
+    side rests on the node identity of ``TransportWitness.apply``: G_p
+    carries node t_i of cell p + 1 onto node x_i of cell p, so
+    (Tf)(t_i) = g(x_i) f(x_i) sqrt(M_p / M_{p+1}), with g^2 the published
+    ``multiplier_squared``.  Both sides thus read the same z: ``form[0, p]``
+    (the form of f) weighs it by x du, ``form[1, p]`` (the form of Tf) by
+    t g^2 du_{p+1} M_p / M_{p+1}; ``norm_sq`` drops the factor x or t.
 
-    The nodes of all cells come from one stacked quadrature call and the
-    pulled nodes from one stacked transport call; the sums run over blocks
-    of whole rows, as those calls do.  A cell whose nodes are not strictly
-    increasing raises ``CapacityError`` before anything is transported, as
-    floating point cannot hold that many distinct points in it; a cell's
-    nodes do not depend on K, so the message names the largest window that
-    works.  No per-node array and no reference to the witness outlives the
-    build.
+    The nodes of all cells come from one stacked quadrature call and g^2
+    from one stacked multiplier call; the sums run over blocks of whole rows,
+    as those calls do.  A cell whose nodes are not strictly increasing raises
+    ``CapacityError`` before anything is transported, as floating point
+    cannot hold that many distinct points in it; a cell's nodes do not
+    depend on K, so the message names the largest window that works.  No
+    per-node array and no reference to the witness outlives the build.
     """
 
     def __init__(self, w: TransportWitness, nodes: int):
@@ -158,21 +154,17 @@ class _TransportTables:
             )
         image_du = du[1:] * (w.masses[:-1] / w.masses[1:])
         x, t, du = x[:-1], x[1:], du[:-1]  # cells with a successor, and the successors
-        pulled = w.maps(t)
+        gsq = w.multiplier_squared(None, x)
         moments = np.empty((2, 2, 2 * K - 1, 2 * _COEFFS - 1))  # kind, side, cell, order
-        self.mean_gsq = np.empty(2 * K - 1)
         for rows in row_blocks(2 * K - 1, nodes):
-            xs, ts, gs = x[rows], t[rows], pulled[rows]
-            dus, image_dus = du[rows, None], image_du[rows, None]
-            gsq = gs / ts
-            z = (np.stack([xs, gs]) - xs[:, :1]) / (xs[:, -1:] - xs[:, :1])
-            weights = np.stack([[xs * dus, ts * gsq * image_dus],
-                                [np.broadcast_to(dus, xs.shape), gsq * image_dus]])
+            xs, dus, image = x[rows], du[rows, None], gsq[rows] * image_du[rows, None]
+            z = (xs - xs[:, :1]) / (xs[:, -1:] - xs[:, :1])
+            weights = np.stack([[xs * dus, t[rows] * image],
+                                [np.broadcast_to(dus, xs.shape), image]])
             power = np.ones_like(z)
             for order in range(2 * _COEFFS - 1):
                 moments[:, :, rows, order] = (power * weights).sum(axis=-1)
                 power = power * z
-            self.mean_gsq[rows] = np.mean(gsq, axis=-1)
         j = np.arange(_COEFFS)
         self.form, self.norm_sq = moments[..., j[:, None] + j]  # Hankel: G[j, l] = m[j + l]
 
@@ -193,57 +185,63 @@ def _tables(w: TransportWitness, nodes: int) -> _TransportTables:
     return by_nodes[nodes]
 
 
-def _cubic_forms(gram: np.ndarray, samples: int, seed: int) -> np.ndarray:
-    """(source, image) forms c^T G c of ``samples`` random cubics per cell."""
-    # One draw reads the stream of a size-4 draw per cell, sample by sample.
-    coeffs = _rng(seed).normal(size=(samples, gram.shape[1], _COEFFS))
-    return np.einsum("scj,kcjl,scl->ks", coeffs, gram, coeffs)
+def _pencil_eigenvalues(gram: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the pencil (image - source, source) per cell, ascending.
+
+    ``gram`` stacks each cell's source and image Gram matrices; the extreme
+    eigenvalues are those of c^T (image - source) c / c^T source c over the
+    cell's cubics c.  Whitening through the source's eigenbasis keeps a zero
+    difference exactly 0.  A cell with a non-finite matrix, or with a source
+    that is not positive definite, gets NaN.
+    """
+    source, diff = gram[0], gram[1] - gram[0]
+    valid = (np.isfinite(source) & np.isfinite(diff)).all(axis=(1, 2))
+    scale, basis = np.linalg.eigh(np.where(valid[:, None, None], source, np.eye(_COEFFS)))
+    valid &= scale[:, 0] > 0
+    whiten = basis / np.sqrt(np.where(valid[:, None], scale, 1.0))[:, None, :]
+    whitened = np.swapaxes(whiten, 1, 2) @ np.where(valid[:, None, None], diff, 0.0) @ whiten
+    return np.where(valid[:, None], np.linalg.eigvalsh(whitened), np.nan)
 
 
 def check_form_preservation(
-    op: ShiftWitness | TransportWitness,
-    samples: int = 200,
-    seed: int = 0,
-    nodes: int = 4096,
+    op: ShiftWitness | TransportWitness, seed: int = 0, nodes: int = 4096
 ) -> VerificationReport:
     """|q(Tx) - q(x)| over inputs supported inside the window.
 
     On a shift both forms are diagonal, so the supremum over unit x is the
     largest per-slot defect |image_weights_k - lambda_{n_k}| over the slots
     k = -K+1..K (slot -K maps outside the window), each relative to
-    lambda_{n_{k-1}}, the larger eigenvalue of the slot.  Nothing is drawn
-    and ``samples`` is unused.  Transport inputs are ``samples`` random
-    cubics per cell (``_TransportTables``), and their residual is relative
-    to q(x).
+    lambda_{n_{k-1}}, the larger eigenvalue of the slot.  On a transport it
+    is the largest |q(Tf) - q(f)| / q(f) over the cubics f of each cell
+    (``_TransportTables``), one pencil eigenvalue per cell; a piecewise
+    cubic's ratio is at most the largest cell's.  Nothing is drawn and
+    ``seed`` is only recorded.
     """
     if isinstance(op, ShiftWitness):
         defect = np.abs(op.image_weights - op.lambdas[1:]) / op.lambdas[:-1]
         return _report("form_preservation", defect.size, np.max(defect), SHIFT_TOL, seed)
 
-    q, image = _cubic_forms(_tables(op, nodes).form, samples, seed)
-    worst = np.max(np.abs(image - q) * (1.0 / q), initial=0.0)
+    cells = _pencil_eigenvalues(_tables(op, nodes).form)
     tol = CANTOR_TOL if op.measure.part.kind is PartKind.CANTOR else DENSITY_TOL
-    return _report("form_preservation", samples, worst, tol, seed)
+    return _report("form_preservation", len(cells), np.max(np.abs(cells)), tol, seed)
 
 
 def check_nonexpansive(
-    op: ShiftWitness | TransportWitness,
-    samples: int = 200,
-    seed: int = 0,
-    nodes: int = 4096,
+    op: ShiftWitness | TransportWitness, seed: int = 0, nodes: int = 4096
 ) -> VerificationReport:
-    """(||Tx|| - ||x||)/||x||, at most 0 for a non-expansive T.
+    """sup (||Tx|| - ||x||)/||x||, at most 0 for a non-expansive T.
 
-    A shift's supremum over x is its largest factor minus 1; nothing is
-    drawn and ``samples`` is unused.  Transport inputs are ``samples``
-    random cubics per cell.
+    A shift's supremum is its largest factor minus 1.  A transport's is
+    sqrt(1 + lambda) - 1 for the largest pencil eigenvalue lambda of
+    ``norm_sq`` over the cells, the supremum over every cell's cubics.
+    Nothing is drawn and ``seed`` is only recorded.
     """
     if isinstance(op, ShiftWitness):
         return _report("nonexpansive", op.factors.size, np.max(op.factors) - 1.0, SHIFT_TOL, seed)
 
-    norm, image = _cubic_forms(_tables(op, nodes).norm_sq, samples, seed) ** 0.5
-    worst = np.max((image - norm) / norm, initial=-np.inf)
-    return _report("nonexpansive", samples, worst, DENSITY_TOL, seed)
+    cells = _pencil_eigenvalues(_tables(op, nodes).norm_sq)
+    worst = np.sqrt(1.0 + np.max(cells[:, -1])) - 1.0
+    return _report("nonexpansive", len(cells), worst, DENSITY_TOL, seed)
 
 
 def check_strict_contraction(
@@ -259,9 +257,10 @@ def check_strict_contraction(
         factor = op.factor(1)  # ||T e_{n_1}||; the junction is the strict drop
     else:
         # Indicator of cell k = 0, or at K = 1 (where k = 0 has no successor)
-        # of the last cell with one; every g_hat_k is below 1.
-        mean_gsq = _tables(op, nodes).mean_gsq
-        factor = float(mean_gsq[min(op.window, len(mean_gsq) - 1)]) ** 0.5
+        # of the last cell with one: the (0, 0) entries of its Gram matrices.
+        norm_sq = _tables(op, nodes).norm_sq
+        p = min(op.window, norm_sq.shape[1] - 1)
+        factor = np.sqrt(norm_sq[1, p, 0, 0] / norm_sq[0, p, 0, 0])
     return _report("strict_contraction", 1, factor, 1.0 - CONTRACTION_MARGIN, seed)
 
 

@@ -333,8 +333,12 @@ def shift_witness_to_dict(w: ShiftWitness) -> dict:
     }
 
 
-#: Evenly spaced nodes per cell in the ``--full`` multiplier tables.
-MULTIPLIER_NODES = 33
+#: Nodes per cell in the ``--full`` multiplier tables: the midpoints
+#: (2i + 1)/64 of the cell's 32 equal subintervals.  A Cantor cell's
+#: multiplier jumps at the cell's gap edges, which lie at m/(2 * 3^j) or
+#: m/(4 * 3^j) of the cell; no odd multiple of 1/64 is one, so no node sits
+#: where the last bit of an endpoint picks the side of a jump.
+MULTIPLIER_NODES = 32
 
 
 def transport_witness_to_dict(w: TransportWitness, full: bool = False) -> dict:
@@ -348,7 +352,8 @@ def transport_witness_to_dict(w: TransportWitness, full: bool = False) -> dict:
     }
     if full:
         lo, hi = w.maps.source.support
-        s = np.linspace(lo, hi, MULTIPLIER_NODES, axis=-1)
+        step = (hi - lo) / MULTIPLIER_NODES
+        s = lo[:, None] + (np.arange(MULTIPLIER_NODES) + 0.5) * step[:, None]
         multipliers = w.multiplier(None, s)
         doc["multiplier_tables"] = [
             {

@@ -89,7 +89,7 @@ def test_criterion_2_shift_witness_exactness():
     factors_ok = True
     for d, expected_delta in cases:
         w = build_shift_witness(d, classify(d).certificate, K=50)
-        report = check_form_preservation(w, samples=1000, seed=2025)
+        report = check_form_preservation(w, seed=2025)
         worst_form = max(worst_form, report.worst_residual)
         factors_ok = factors_ok and bool((w.factors <= 1.0).all())
         delta = 1.0 - check_strict_contraction(w).worst_residual

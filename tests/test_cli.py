@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lecplast import RangeError, verify
+from lecplast import RangeError, TransportWitness, verify
 from lecplast.cli import RunConfig, main, run
 
 TWO_ATOMS = {
@@ -203,21 +203,31 @@ class TestVerifyCommand:
             assert all(c["pass"] for c in report["checks"])
 
     def test_nan_residual_fails_its_check(self, tmp_path, capsys, monkeypatch):
-        class NanGenerator:
-            def normal(self, size=None):
-                return np.full(size, np.nan)
-
-        monkeypatch.setattr(verify, "_rng", lambda seed: NanGenerator())
+        monkeypatch.setattr(TransportWitness, "multiplier_squared",
+                            lambda self, k, s: np.full(np.shape(s), np.nan))
         out = tmp_path / "report.json"
         argv = ["verify", "--window", "3", "--nodes", "256", "--output", str(out)]
         assert main([*argv, "--input", write(tmp_path, "d.json", LEBESGUE)]) == 2
-        capsys.readouterr()
+        assert capsys.readouterr().err == ""
         assert '"worst_residual": NaN' in out.read_text()
         checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
-        for name in ("form_preservation", "nonexpansive"):
+        for name in ("form_preservation", "nonexpansive", "strict_contraction"):
             assert checks[name]["pass"] is False
             assert checks[name]["worst_residual"] != checks[name]["worst_residual"]
-        assert checks["strict_contraction"]["pass"] is True
+
+    @pytest.mark.parametrize("doc", [LEBESGUE, CANTOR], ids=["lebesgue", "cantor"])
+    def test_inverted_multiplier_fails(self, tmp_path, capsys, monkeypatch, doc):
+        # g^2 = G^{-1}(s)/s in place of s/G^{-1}(s): the checks read the
+        # published multiplier, so the mutant witness must not pass.
+        multiplier_squared = TransportWitness.multiplier_squared
+        monkeypatch.setattr(TransportWitness, "multiplier_squared",
+                            lambda self, k, s: 1.0 / multiplier_squared(self, k, s))
+        out = tmp_path / "report.json"
+        argv = ["all", "--input", write(tmp_path, "d.json", doc), "--output", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == ""
+        failed = [c["name"] for c in json.loads(out.read_text())["checks"] if not c["pass"]]
+        assert "nonexpansive" in failed and "strict_contraction" in failed
 
     def test_transport_table_built_once(self, tmp_path, monkeypatch):
         builds = []
@@ -301,6 +311,18 @@ class TestDeterminism:
         _, second = run(config)
         dumps = lambda rep: json.dumps(rep, indent=2, sort_keys=True)
         assert dumps(first) == dumps(second)
+
+    @pytest.mark.parametrize("doc", [LEBESGUE, CANTOR, TWO_ATOMS],
+                             ids=["lebesgue", "cantor", "two_atoms"])
+    def test_checks_do_not_depend_on_seed(self, tmp_path, doc):
+        # No check draws: the seed is only recorded.
+        path = write(tmp_path, "d.json", doc)
+        checks = [
+            [{**c, "seed": None} for c in run(RunConfig("all", path, seed=seed, window=3,
+                                                         nodes=256, per_sequence=4))[1]["checks"]]
+            for seed in (0, 1)
+        ]
+        assert checks[0] == checks[1]
 
     def test_output_file_written(self, tmp_path):
         out = tmp_path / "report.json"

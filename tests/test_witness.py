@@ -211,9 +211,22 @@ class TestTransportWitness:
         assert [table["cell"] for table in tables] == list(range(-4, 3))
         for table in tables:
             k = table["cell"]
-            s = np.linspace(*w.cell(k).support, MULTIPLIER_NODES)
+            lo, hi = w.cell(k).support
+            s = lo + (np.arange(MULTIPLIER_NODES) + 0.5) * ((hi - lo) / MULTIPLIER_NODES)
             assert table["nodes"] == list(s)
             assert table["multiplier"] == list(w.multiplier(k, s))
+
+    @pytest.mark.parametrize("support", [(1.0, 2.0), (0.37, 5.3)], ids=str)
+    @pytest.mark.parametrize("K", [4, 16, 19])
+    def test_full_tables_stable_under_one_ulp(self, support, K):
+        # A Cantor cell's multiplier jumps at triadic points; evenly spaced
+        # nodes with both ends hit them and moved by up to 0.17 per ulp.
+        w = build_transport_witness(cantor(*support), K)
+        for table in transport_witness_to_dict(w, full=True)["multiplier_tables"]:
+            s = np.array(table["nodes"])
+            for direction in (-np.inf, np.inf):
+                moved = w.multiplier(table["cell"], np.nextafter(s, direction))
+                assert np.abs(moved - table["multiplier"]).max() <= 1e-12
 
     def test_cell_masses_positive(self):
         w = build_transport_witness(cantor(1.0, 2.0, mass=0.7), 5)
