@@ -1,10 +1,13 @@
 """Command-line front end: classify descriptors, build witnesses, verify.
 
+One parser serves the four commands (classify, witness, verify, all), and
+every command takes the same flags, before or after the command name.
+
 Exit codes form a trichotomy for scripting over descriptor corpora:
 0 = plastic (or, for verify, plastic with all checks passing), 3 = verdict
 "not plastic" reached successfully, 2 = some verification check failed,
-1 = input or usage error.  Identical (input, flags, seed) produce
-byte-identical reports.
+1 = input, usage or capacity error, reported as one ``error:`` line on
+stderr.  Identical (input, flags, seed) produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -123,56 +126,50 @@ def run(config: RunConfig) -> tuple[int, dict]:
     return exit_code, report
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ``RangeError`` instead of printing usage and exiting 2."""
+
+    def error(self, message):
+        # Unrecognised arguments are echoed as given; keep their line breaks
+        # from splitting the message.
+        raise RangeError("\\n".join(message.splitlines()))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lecplast",
         description="Decide LEC-plasticity of spectral ellipsoids, build and "
         "verify witness operators.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "classify": "emit the plasticity verdict",
-        "witness": "verdict plus a serialized witness operator",
-        "verify": "verdict, witness and the full verification suite",
-        "all": "alias chaining classify, witness and verify",
-    }
-    for name in _COMMANDS:
-        cmd = sub.add_parser(name, help=helps[name])
-        cmd.add_argument("--input", required=True, help="descriptor JSON file")
-        cmd.add_argument("--output", default=None, help="report path (default stdout)")
-        cmd.add_argument("--seed", type=int, default=RunConfig.seed)
-        cmd.add_argument("--window", type=int, default=RunConfig.window, help="witness window K")
-        cmd.add_argument("--nodes", type=int, default=RunConfig.nodes, help="quadrature nodes")
-        cmd.add_argument(
-            "--per-sequence", type=int, default=RunConfig.per_sequence, dest="per_sequence"
-        )
-        cmd.add_argument(
-            "--full", action="store_true", help="include sampled multiplier tables"
-        )
+    parser.add_argument(
+        "command",
+        choices=_COMMANDS,
+        help="classify: emit the plasticity verdict; witness: the verdict plus a "
+        "serialized witness operator; verify: the verdict, witness and the full "
+        "verification suite; all: the same as verify",
+    )
+    parser.add_argument("--input", required=True, dest="input_path", metavar="PATH",
+                        help="descriptor JSON file")
+    parser.add_argument("--output", dest="output_path", metavar="PATH",
+                        help="report path (default stdout)")
+    parser.add_argument("--seed", type=int, default=RunConfig.seed)
+    parser.add_argument("--window", type=int, default=RunConfig.window, help="witness window K")
+    parser.add_argument("--nodes", type=int, default=RunConfig.nodes, help="quadrature nodes")
+    parser.add_argument("--per-sequence", type=int, default=RunConfig.per_sequence)
+    parser.add_argument("--full", action="store_true", help="include sampled multiplier tables")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code == 0 else 1
-    try:
-        config = RunConfig(
-            command=args.command,
-            input_path=args.input,
-            output_path=args.output,
-            seed=args.seed,
-            window=args.window,
-            nodes=args.nodes,
-            per_sequence=args.per_sequence,
-            full=args.full,
-        )
+        config = RunConfig(**vars(build_parser().parse_args(argv)))
         exit_code, report = run(config)
+    except SystemExit as exc:  # --help and --version
+        return 0 if exc.code == 0 else 1
     except (
         OSError,
+        MemoryError,
         SchemaError,
         DomainError,
         RangeError,

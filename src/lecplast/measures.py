@@ -393,19 +393,15 @@ class TransportMap:
         return TransportMap(self.target, self.source)
 
 
-def quadrature_nodes(m, interval: tuple | None, nodes: int):
-    """Inverse-transform nodes: quantiles of midpoint levels on [cdf(s), cdf(t)].
+def quadrature_nodes(m, *, nodes: int):
+    """Inverse-transform nodes: quantiles of the midpoint levels (i + 1/2) du.
 
-    Returns the nodes and their mass step du.  On a stack of C windows the
-    interval ends are (C,) arrays (by default the window supports), the
-    nodes a (C, nodes) table, row p in window p, and du a (C,) array.
+    The mass step is du = total_mass / nodes.  Returns the nodes and du.  On
+    a stack of C windows the nodes are a (C, nodes) table, row p in window
+    p, and du is a (C,) array.
     """
     if nodes < 1:
         raise RangeError(f"need at least one node, got {nodes}")
-    if interval is None:
-        interval = m.support
-    u_lo = np.asarray(m.cdf(interval[0]))
-    u_hi = np.asarray(m.cdf(interval[1]))
-    du = (u_hi - u_lo) / nodes
-    levels = u_lo[..., None] + (np.arange(nodes) + 0.5) * du[..., None]
+    du = np.asarray(m.total_mass) / nodes
+    levels = (np.arange(nodes) + 0.5) * du[..., None]
     return m.quantile(levels), _unwrap(du)

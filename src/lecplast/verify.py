@@ -144,7 +144,7 @@ class _TransportTables:
 
     def __init__(self, w: TransportWitness, nodes: int):
         K = w.window
-        x, du = quadrature_nodes(w.cells, None, nodes)
+        x, du = quadrature_nodes(w.cells, nodes=nodes)
         narrow = np.nonzero(~(np.diff(x, axis=1) > 0).all(axis=1))[0]
         if narrow.size:
             raise CapacityError(

@@ -274,7 +274,7 @@ class TransportWitness:
         p = self._cell_pos(k, need_successor=True)
         target = self.cells[p + 1]
         if nodes is None:
-            nodes, _ = quadrature_nodes(target, None, f_values.size)
+            nodes, _ = quadrature_nodes(target, nodes=f_values.size)
         else:
             nodes = np.asarray(nodes, dtype=float)
             if nodes.size != f_values.size:

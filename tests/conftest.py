@@ -109,7 +109,7 @@ def integrate(m, integrand, nodes: int = 1024) -> float:
 
     Deterministic for fixed node count; exact for constant integrands.
     """
-    x, du = quadrature_nodes(m, None, nodes)
+    x, du = quadrature_nodes(m, nodes=nodes)
     return float(np.sum(np.asarray(integrand(x), dtype=float)) * du)
 
 

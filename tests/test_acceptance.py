@@ -108,7 +108,7 @@ def test_criterion_3_closed_form_transport_oracle():
     worst_endpoint = 0.0
     for k in range(-10, 11):
         ak, ak1, ak2 = a[k + K], a[k + K + 1], a[k + K + 2]
-        nodes, _ = quadrature_nodes(w.cell(k), None, 100)
+        nodes, _ = quadrature_nodes(w.cell(k), nodes=100)
         oracle = nodes * (ak1 - ak) / (nodes * (ak2 - ak1) + ak1**2 - ak * ak2)
         worst = max(worst, np.abs(w.multiplier_squared(k, nodes) - oracle).max())
         worst_endpoint = max(
@@ -128,8 +128,8 @@ def _hk_isometry_worst(w, nodes, funcs, rng):
     worst = 0.0
     for k in range(-w.window, w.window - 1):
         src, img = w.cell(k), w.cell(k + 1)
-        s_nodes, du_s = quadrature_nodes(src, None, nodes)
-        t_nodes, du_t = quadrature_nodes(img, None, nodes)
+        s_nodes, du_s = quadrature_nodes(src, nodes=nodes)
+        t_nodes, du_t = quadrature_nodes(img, nodes=nodes)
         pulled = w.map(k)(t_nodes)
         ratio = w.cell_mass(k) / w.cell_mass(k + 1)
         lo, span = src.support[0], src.support[1] - src.support[0]

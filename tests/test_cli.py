@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from lecplast import RangeError, TransportWitness, verify
-from lecplast.cli import RunConfig, main, run
+from lecplast import __version__
+from lecplast.cli import RunConfig, build_parser, main, run
 
 TWO_ATOMS = {
     "atoms": [
@@ -82,8 +83,10 @@ class TestClassify:
         capsys.readouterr()
 
     def test_usage_error_exits_1(self, capsys):
-        assert main(["frobnicate"]) == 1
-        capsys.readouterr()
+        for argv in (["frobnicate"], ["all"], []):
+            assert main(argv) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ")
 
     @pytest.mark.parametrize(
         "doc, args",
@@ -109,11 +112,22 @@ class TestClassify:
             (b'{"atoms": [{"value": ' + b"1" * 5000 + b', "multiplicity": 1}]}', ["classify"]),
             (b"[" * 100_000, ["classify"]),
             (b'{"atoms": [{"value": 1, "multiplicity": "\xe9"}]}', ["classify"]),
+            # usage errors: an unknown command, a flag value that is not an
+            # integer, an unknown flag, an unknown argument holding a line break
+            (LEBESGUE, ["frobnicate"]),
+            (LEBESGUE, ["all", "--window", "x"]),
+            (LEBESGUE, ["all", "--bogus"]),
+            (LEBESGUE, ["all", "two\nlines"]),
+            # node tables past the 64-bit address space fail to allocate
+            # before any memory is touched
+            (LEBESGUE, ["all", "--nodes", str(10**15)]),
         ],
         ids=["window_0", "nodes_8", "cantor_window_40", "sequence_window_80",
              "cantor_window_32", "lebesgue_window_46", "lebesgue_window_51",
              "atom_value_huge_int", *[f"{field}_{value}" for field, value in NON_FINITE],
-             "integer_5000_digits", "nested_100000_deep", "not_utf8"],
+             "integer_5000_digits", "nested_100000_deep", "not_utf8",
+             "unknown_command", "window_not_int", "unknown_flag", "argument_with_newline",
+             "nodes_1e15"],
     )
     def test_rejected_run_exits_1_with_one_line(self, tmp_path, capsys, doc, args):
         assert main([*args, "--input", write(tmp_path, "d.json", doc)]) == 1
@@ -332,6 +346,43 @@ class TestDeterminism:
         )
         assert code == 0
         assert json.loads(out.read_text())["verdict"]["plastic"] is True
+
+
+class TestParser:
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["classify", "--input", "d.json"], RunConfig("classify", "d.json")),
+            (["all", "--input", "d.json", "--window", "4", "--nodes", "1024"],
+             RunConfig("all", "d.json", window=4, nodes=1024)),
+            (["all", "--input", "d.json", "--per-sequence", "48"],
+             RunConfig("all", "d.json", per_sequence=48)),
+            (["witness", "--input", "d.json", "--window", "8", "--full"],
+             RunConfig("witness", "d.json", window=8, full=True)),
+            (["verify", "--input", "d.json", "--output", "report.json"],
+             RunConfig("verify", "d.json", output_path="report.json")),
+            (["all", "--input", "d.json", "--seed", "7", "--full"],
+             RunConfig("all", "d.json", seed=7, full=True)),
+            (["witness", "--input", "d.json", "--output", "r.json", "--seed", "100003",
+              "--window", "8", "--full"],
+             RunConfig("witness", "d.json", "r.json", seed=100003, window=8, full=True)),
+            # options may come before the command
+            (["--seed", "3", "all", "--input", "d.json"], RunConfig("all", "d.json", seed=3)),
+        ],
+        ids=["defaults", "window_nodes", "per_sequence", "full", "output", "seed",
+             "benchmark_form", "options_first"],
+    )
+    def test_argv_gives_run_config(self, argv, config):
+        assert RunConfig(**vars(build_parser().parse_args(argv))) == config
+
+    def test_help_names_commands_and_flags(self, capsys):
+        assert main(["--help"]) == 0
+        out = capsys.readouterr().out
+        for name in ("classify", "witness", "verify", "all", "--input", "--output",
+                     "--seed", "--window", "--nodes", "--per-sequence", "--full"):
+            assert name in out
+        assert main(["--version"]) == 0
+        assert capsys.readouterr().out == f"{__version__}\n"
 
 
 class TestRunConfig:

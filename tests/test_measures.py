@@ -306,14 +306,14 @@ class TestStackedWindows:
             stack.total_mass[:, None] * (np.arange(n - 2) + 0.5) / (n - 2),
             np.zeros((len(one), 1)), stack.total_mass[:, None],
         ], axis=1)
-        x, du = quadrature_nodes(stack, None, n)
+        x, du = quadrature_nodes(stack, nodes=n)
         g = TransportMap(stack[:-1], stack[1:])
         pulled, pushed = g(x[1:]), g.inverse(x[:-1])
         cdf, quantile = stack.cdf(t), stack.quantile(u)
         for p, w in enumerate(one):
             assert (cdf[p] == w.cdf(t[p])).all()
             assert (quantile[p] == w.quantile(u[p])).all()
-            nodes, step = quadrature_nodes(w, None, n)
+            nodes, step = quadrature_nodes(w, nodes=n)
             assert (x[p] == nodes).all() and du[p] == step
             assert stack.cdf(lo)[p] == w.cdf(lo[p]) and stack[p].support == w.support
             if p + 1 < len(one):
@@ -335,3 +335,33 @@ class TestStackedWindows:
             stack.quantile(u)
         with pytest.raises(RangeError):
             stack.cdf(np.ones(3))  # one row short of the four windows
+
+
+class TestQuadratureNodes:
+    @staticmethod
+    def cdf_formula(m, n):
+        """Nodes and step from the cdf at both support ends, as an explicit interval."""
+        lo, hi = m.support
+        u_lo, u_hi = np.asarray(m.cdf(lo)), np.asarray(m.cdf(hi))
+        du = (u_hi - u_lo) / n
+        return m.quantile(u_lo[..., None] + (np.arange(n) + 0.5) * du[..., None]), du
+
+    @pytest.mark.parametrize("n", [33, 256])
+    @pytest.mark.parametrize("part", SINGLE_PARTS.values(), ids=SINGLE_PARTS.keys())
+    def test_mass_step_equals_cdf_of_support(self, part, n):
+        # On its own support a measure's cdf is 0 at the start and its total
+        # mass at the end, exactly, so du = total_mass / n loses no bit.
+        stack, _ = TestStackedWindows.windows(part)
+        for m in (stack, stack[0], stack[5], MeasureSpec(part)):
+            lo, hi = m.support
+            assert (np.asarray(m.cdf(lo)) == 0.0).all()
+            assert (np.asarray(m.cdf(hi)) == m.total_mass).all()
+            x, du = quadrature_nodes(m, nodes=n)
+            x_ref, du_ref = self.cdf_formula(m, n)
+            assert np.array_equal(du, du_ref) and np.array_equal(x, x_ref)
+
+    def test_nodes_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            quadrature_nodes(MeasureSpec(density(1.0, 2.0)), None, 16)
+        with pytest.raises(RangeError):
+            quadrature_nodes(MeasureSpec(density(1.0, 2.0)), nodes=0)

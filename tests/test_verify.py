@@ -282,7 +282,7 @@ def per_node_transport_residuals(w, samples, seed, nodes):
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     K = w.window
-    cells = [quadrature_nodes(w.cell(k), None, nodes) for k in range(-K, K)]
+    cells = [quadrature_nodes(w.cell(k), nodes=nodes) for k in range(-K, K)]
     pulled = [w.map(k)(cells[k + K + 1][0]) for k in range(-K, K - 1)]
     form, growth = 0.0, -math.inf
     for _ in range(samples):
@@ -425,7 +425,7 @@ class TestTransportSuprema:
         growth = check_nonexpansive(w, nodes=nodes).worst_residual
         norm_sq = verify._TransportTables(w, nodes).norm_sq
         constant = np.sqrt(norm_sq[1, :, 0, 0] / norm_sq[0, :, 0, 0]) - 1.0
-        x, du = quadrature_nodes(w.cells, None, nodes)
+        x, du = quadrature_nodes(w.cells, nodes=nodes)
         image_du = du[1:] * (w.masses[:-1] / w.masses[1:])
         top = np.max(w.multiplier(None, x[:-1]) * np.sqrt(image_du / du[:-1])[:, None]) - 1.0
         assert constant.max() - 1e-12 <= growth <= top + 1e-12

@@ -176,7 +176,7 @@ class TestTransportWitness:
         a = w.endpoints
         K = w.window
         for k in range(-K, K - 1):
-            nodes, _ = quadrature_nodes(w.cell(k), None, 50)
+            nodes, _ = quadrature_nodes(w.cell(k), nodes=50)
             ak, ak1, ak2 = a[k + K], a[k + K + 1], a[k + K + 2]
             expected = nodes * (ak1 - ak) / (nodes * (ak2 - ak1) + ak1**2 - ak * ak2)
             assert np.abs(w.multiplier_squared(k, nodes) - expected).max() <= 1e-9
@@ -198,7 +198,7 @@ class TestTransportWitness:
         for part in (density(1.0, 2.0, coeffs=(0.0, 1.0)), cantor(1.0, 2.0)):
             w = build_transport_witness(part, 3)
             for k in range(-3, 2):
-                nodes, _ = quadrature_nodes(w.cell(k), None, 64)
+                nodes, _ = quadrature_nodes(w.cell(k), nodes=64)
                 values = w.multiplier_squared(k, nodes)
                 assert (values > 0).all() and (values < 1).all()
 
@@ -263,7 +263,7 @@ class TestApplyTransport:
         n = 128
         f = np.ones(n)
         out = w.apply(f, 0)
-        nodes, _ = quadrature_nodes(w.cell(1), None, n)
+        nodes, _ = quadrature_nodes(w.cell(1), nodes=n)
         g = w.map(0)(nodes)
         expected = np.sqrt(g / nodes) * math.sqrt(w.cell_mass(0) / w.cell_mass(1))
         assert np.abs(out - expected).max() <= 1e-12
@@ -273,8 +273,8 @@ class TestApplyTransport:
         n = 4096
         rng = np.random.default_rng(13)
         for k in (-2, 0, 1):
-            src_nodes, du_src = quadrature_nodes(w.cell(k), None, n)
-            img_nodes, du_img = quadrature_nodes(w.cell(k + 1), None, n)
+            src_nodes, du_src = quadrature_nodes(w.cell(k), nodes=n)
+            img_nodes, du_img = quadrature_nodes(w.cell(k + 1), nodes=n)
             coeffs = rng.normal(size=4)
             f = np.polynomial.polynomial.polyval(src_nodes - src_nodes[0], coeffs)
             out = w.apply(f, k)
@@ -285,8 +285,8 @@ class TestApplyTransport:
     def test_norm_strictly_decreases(self):
         w = build_transport_witness(density(1.0, 2.0), 2)
         n = 1024
-        src_nodes, du_src = quadrature_nodes(w.cell(0), None, n)
-        _, du_img = quadrature_nodes(w.cell(1), None, n)
+        src_nodes, du_src = quadrature_nodes(w.cell(0), nodes=n)
+        _, du_img = quadrature_nodes(w.cell(1), nodes=n)
         f = 1.0 + 0.3 * np.sin(6.0 * src_nodes)
         out = w.apply(f, 0)
         assert du_img * np.sum(out**2) < du_src * np.sum(f**2)
