@@ -37,6 +37,13 @@ from .verify import (
 from .witness import build_shift_witness, build_transport_witness, witness_to_dict
 
 _COMMANDS = ("classify", "witness", "verify", "all")
+#: Check names by the index their report seed is drawn at.
+_CHECK_NAMES = ("form_preservation", "nonexpansive", "strict_contraction", "rayleigh_bounds",
+                "min_attained", "extremal_invariance", "finite_dim_plasticity")
+#: Largest count flag: float64 holds every count exactly up to here, and an
+#: array this long is addressable, so a run too large ends in MemoryError.
+_MAX_COUNT = 2**53
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -52,17 +59,18 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in _COMMANDS:
             raise RangeError(f"unknown command {self.command!r}")
-        if self.window < 1:
-            raise RangeError(f"window must be >= 1, got {self.window}")
-        if self.nodes < 16:
-            raise RangeError(f"nodes must be >= 16, got {self.nodes}")
-        if self.per_sequence < 1:
-            raise RangeError(f"per-sequence must be >= 1, got {self.per_sequence}")
+        for name, value, least in (("window", self.window, 1), ("nodes", self.nodes, 16),
+                                   ("per-sequence", self.per_sequence, 1)):
+            if value < least:
+                raise RangeError(f"{name} must be >= {least}, got {value}")
+            if value > _MAX_COUNT:
+                raise RangeError(f"{name} must be <= 2**53, got {value}")
         if self.seed < 0:
             raise RangeError(f"seed must be >= 0, got {self.seed}")
 
 
 def _check_seed(base: int, index: int) -> int:
+    """The seed a report stamps on the check at ``index``; no check reads it."""
     return int(np.random.SeedSequence([base, index]).generate_state(1)[0])
 
 
@@ -77,19 +85,16 @@ def _build_witness(d: SpectralDescriptor, verdict: Verdict, config: RunConfig):
 def _run_checks(d, witness, config: RunConfig) -> list[VerificationReport]:
     reports: list[VerificationReport] = []
     if witness is not None:
-        for index, check in enumerate((check_form_preservation, check_nonexpansive)):
-            reports.append(check(witness, seed=_check_seed(config.seed, index), nodes=config.nodes))
-        reports.append(
-            check_strict_contraction(witness, nodes=config.nodes, seed=_check_seed(config.seed, 2))
-        )
+        for check in (check_form_preservation, check_nonexpansive, check_strict_contraction):
+            reports.append(check(witness, nodes=config.nodes))
 
     if d.has_point_spectrum:
         space = TruncatedQuadraticSpace.from_descriptor(d, per_sequence=config.per_sequence)
-        reports.append(check_rayleigh_bounds(space, seed=_check_seed(config.seed, 3)))
+        reports.append(check_rayleigh_bounds(space))
         if space.dimension >= 2:
-            reports.append(check_min_attained(space, seed=_check_seed(config.seed, 4)))
-            reports.append(check_extremal_invariance(space, seed=_check_seed(config.seed, 5)))
-    reports.append(check_finite_dim_plasticity(seed=_check_seed(config.seed, 6)))
+            reports.append(check_min_attained(space))
+            reports.append(check_extremal_invariance(space))
+    reports.append(check_finite_dim_plasticity())
     return reports
 
 
@@ -120,7 +125,10 @@ def run(config: RunConfig) -> tuple[int, dict]:
     exit_code = 0 if verdict.plastic else 3
     if config.command in ("verify", "all"):
         checks = _run_checks(descriptor, witness, config)
-        report["checks"] = [c.to_dict() for c in checks]
+        report["checks"] = [
+            {**c.to_dict(), "seed": _check_seed(config.seed, _CHECK_NAMES.index(c.name))}
+            for c in checks
+        ]
         if not all(c.passed for c in checks):
             exit_code = 2
     return exit_code, report

@@ -15,14 +15,12 @@ from enum import Enum
 
 import numpy as np
 from numpy.polynomial import Polynomial
+from numpy.polynomial import polynomial as P
 
 from .errors import CapacityError, DomainError, EmptyDescriptorError, RangeError, SchemaError
 
 #: Multiplicity token for an infinite-dimensional eigenspace.
 INFINITE = math.inf
-
-# Grid used to certify that a density payload is nonnegative on its support.
-_DENSITY_GRID = 1024
 
 
 class Direction(str, Enum):
@@ -124,6 +122,31 @@ class EigenSequence:
         return values
 
 
+def _nonnegative_on(coeffs: np.ndarray, a: float, b: float) -> bool:
+    """Whether p = sum_i coeffs[i] t^i is >= 0 on [a, b], from its exact minimum.
+
+    The minimum lies at a, at b or at a real root of p' inside (a, b); the
+    real parts of all roots are read, so a double root that root finding
+    splits into a complex pair is still seen.  A value may fall below 0 by
+    no more than the rounding of Horner's rule, gamma_2n sum_i |c_i| t^i
+    for degree n and t >= 0 (Higham, Accuracy and Stability of Numerical
+    Algorithms, section 5.1), so a polynomial whose exact minimum is 0 is
+    kept; where that bound overflows, the value itself must be >= 0.
+    """
+    with np.errstate(all="ignore"):  # an overflow is read from the inf or NaN it leaves
+        slope = coeffs[1:] * np.arange(1, coeffs.size)  # p'
+        try:
+            roots = P.polyroots(slope).real if slope.size else slope
+        except np.linalg.LinAlgError:  # coefficient ratios past the float range
+            raise DomainError("density coefficients differ too much in scale to locate "
+                              "its minimum") from None
+        t = np.concatenate([[a, b], roots[(a < roots) & (roots < b)]])
+        nu = (coeffs.size - 1) * np.finfo(float).eps  # 2n unit roundoffs
+        value, scale = P.polyval(t, np.stack([coeffs, np.abs(coeffs)], axis=1))
+        rounding = nu / (1 - nu) * scale
+    return bool((value >= -np.where(np.isfinite(rounding), rounding, 0.0)).all())
+
+
 @dataclass(frozen=True)
 class ContinuousPart:
     """Atomless measure component on [a, b].
@@ -161,9 +184,7 @@ class ContinuousPart:
             object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
             shifted = Polynomial(self.coeffs)(Polynomial([a, 1.0]))
             object.__setattr__(self, "antiderivative", shifted.integ())
-            grid = np.linspace(a, b, _DENSITY_GRID)
-            values = Polynomial(self.coeffs)(grid)
-            if values.min() < 0:
+            if not _nonnegative_on(np.array(self.coeffs), a, b):
                 raise DomainError("density is negative on its support")
             if not self.total_mass > 0:
                 raise DomainError("density integrates to zero mass")

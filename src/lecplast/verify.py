@@ -1,12 +1,12 @@
 """Numerical verification of witness and spectral-bound properties.
 
-Every check is deterministic given (inputs, node counts) and draws nothing;
-its seed is only recorded.  Each reads a supremum over its whole test
-space.  The shift checks read the witness's per-slot coefficients.  The
-transport checks range over the cubics on each cell: both read per-cell
-Gram matrices built once per witness through the published multiplier,
-and report the extreme eigenvalue of each cell's pencil.  The
-Rayleigh-quotient checks read the eigenbasis and the probes
+Every check is deterministic given (inputs, node counts) and draws
+nothing.  Each reads a supremum over its whole test space.  The
+shift checks read the witness's per-slot coefficients.  The transport
+checks range over the cubics on each cell: both read per-cell Gram
+matrices built once per witness through the published multiplier, and
+report the extreme eigenvalue of each cell's pencil.  The Rayleigh-quotient
+checks read the eigenbasis and the probes
 cos theta e_lam + sin theta e_mu, theta in ``PROBE_ANGLES``, of extremal
 pairs of eigenvalues; the two operator checks, finite-dimensional
 plasticity and extremal invariance, share 2 x 2 rotation probes over the
@@ -54,7 +54,6 @@ class VerificationReport:
     worst_residual: float
     threshold: float
     passed: bool
-    seed: int
 
     def to_dict(self) -> dict:
         return {
@@ -63,13 +62,12 @@ class VerificationReport:
             "worst_residual": self.worst_residual,
             "threshold": self.threshold,
             "pass": self.passed,
-            "seed": self.seed,
         }
 
 
-def _report(name, samples, worst, threshold, seed) -> VerificationReport:
+def _report(name, samples, worst, threshold) -> VerificationReport:
     worst = float(worst)
-    return VerificationReport(name, samples, worst, threshold, worst <= threshold, seed)
+    return VerificationReport(name, samples, worst, threshold, worst <= threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -126,12 +124,13 @@ class _TransportTables:
     a successor, in the coordinate z = (s - x_0) / (x_last - x_0) of the
     cell's inverse-transform nodes x (mass step du); a quadrature sum is then
     c^T G c with a Gram matrix G[j, l] = sum_i w_i z_i^(j + l).  The image
-    side rests on the node identity of ``TransportWitness.apply``: G_p
-    carries node t_i of cell p + 1 onto node x_i of cell p, so
-    (Tf)(t_i) = g(x_i) f(x_i) sqrt(M_p / M_{p+1}), with g^2 the published
-    ``multiplier_squared``.  Both sides thus read the same z: ``form[0, p]``
-    (the form of f) weighs it by x du, ``form[1, p]`` (the form of Tf) by
-    t g^2 du_{p+1} M_p / M_{p+1}; ``norm_sq`` drops the factor x or t.
+    side rests on a node identity: the nodes of adjacent cells sit at the
+    same relative mass levels, so G_p carries node t_i of cell p + 1 onto
+    node x_i of cell p, and (Tf)(t_i) = g(x_i) f(x_i) sqrt(M_p / M_{p+1}),
+    with g^2 the published ``multiplier_squared``.  Both sides thus read the
+    same z: ``form[0, p]`` (the form of f) weighs it by x du, ``form[1, p]``
+    (the form of Tf) by t g^2 du_{p+1} M_p / M_{p+1}; ``norm_sq`` drops the
+    factor x or t.
 
     The nodes of all cells come from one stacked quadrature call and g^2
     from one stacked multiplier call; the sums run over blocks of whole rows,
@@ -154,7 +153,7 @@ class _TransportTables:
             )
         image_du = du[1:] * (w.masses[:-1] / w.masses[1:])
         x, t, du = x[:-1], x[1:], du[:-1]  # cells with a successor, and the successors
-        gsq = w.multiplier_squared(None, x)
+        gsq = w.multiplier_squared(x)
         moments = np.empty((2, 2, 2 * K - 1, 2 * _COEFFS - 1))  # kind, side, cell, order
         for rows in row_blocks(2 * K - 1, nodes):
             xs, dus, image = x[rows], du[rows, None], gsq[rows] * image_du[rows, None]
@@ -204,7 +203,7 @@ def _pencil_eigenvalues(gram: np.ndarray) -> np.ndarray:
 
 
 def check_form_preservation(
-    op: ShiftWitness | TransportWitness, seed: int = 0, nodes: int = 4096
+    op: ShiftWitness | TransportWitness, nodes: int = 4096
 ) -> VerificationReport:
     """|q(Tx) - q(x)| over inputs supported inside the window.
 
@@ -214,38 +213,36 @@ def check_form_preservation(
     lambda_{n_{k-1}}, the larger eigenvalue of the slot.  On a transport it
     is the largest |q(Tf) - q(f)| / q(f) over the cubics f of each cell
     (``_TransportTables``), one pencil eigenvalue per cell; a piecewise
-    cubic's ratio is at most the largest cell's.  Nothing is drawn and
-    ``seed`` is only recorded.
+    cubic's ratio is at most the largest cell's.
     """
     if isinstance(op, ShiftWitness):
         defect = np.abs(op.image_weights - op.lambdas[1:]) / op.lambdas[:-1]
-        return _report("form_preservation", defect.size, np.max(defect), SHIFT_TOL, seed)
+        return _report("form_preservation", defect.size, np.max(defect), SHIFT_TOL)
 
     cells = _pencil_eigenvalues(_tables(op, nodes).form)
     tol = CANTOR_TOL if op.measure.part.kind is PartKind.CANTOR else DENSITY_TOL
-    return _report("form_preservation", len(cells), np.max(np.abs(cells)), tol, seed)
+    return _report("form_preservation", len(cells), np.max(np.abs(cells)), tol)
 
 
 def check_nonexpansive(
-    op: ShiftWitness | TransportWitness, seed: int = 0, nodes: int = 4096
+    op: ShiftWitness | TransportWitness, nodes: int = 4096
 ) -> VerificationReport:
     """sup (||Tx|| - ||x||)/||x||, at most 0 for a non-expansive T.
 
     A shift's supremum is its largest factor minus 1.  A transport's is
     sqrt(1 + lambda) - 1 for the largest pencil eigenvalue lambda of
     ``norm_sq`` over the cells, the supremum over every cell's cubics.
-    Nothing is drawn and ``seed`` is only recorded.
     """
     if isinstance(op, ShiftWitness):
-        return _report("nonexpansive", op.factors.size, np.max(op.factors) - 1.0, SHIFT_TOL, seed)
+        return _report("nonexpansive", op.factors.size, np.max(op.factors) - 1.0, SHIFT_TOL)
 
     cells = _pencil_eigenvalues(_tables(op, nodes).norm_sq)
     worst = np.sqrt(1.0 + np.max(cells[:, -1])) - 1.0
-    return _report("nonexpansive", len(cells), worst, DENSITY_TOL, seed)
+    return _report("nonexpansive", len(cells), worst, DENSITY_TOL)
 
 
 def check_strict_contraction(
-    op: ShiftWitness | TransportWitness, nodes: int = 4096, seed: int = 0
+    op: ShiftWitness | TransportWitness, nodes: int = 4096
 ) -> VerificationReport:
     """Exhibit a unit direction with ||Tx|| <= 1 - delta, delta >= 1e-6.
 
@@ -261,7 +258,7 @@ def check_strict_contraction(
         norm_sq = _tables(op, nodes).norm_sq
         p = min(op.window, norm_sq.shape[1] - 1)
         factor = np.sqrt(norm_sq[1, p, 0, 0] / norm_sq[0, p, 0, 0])
-    return _report("strict_contraction", 1, factor, 1.0 - CONTRACTION_MARGIN, seed)
+    return _report("strict_contraction", 1, factor, 1.0 - CONTRACTION_MARGIN)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +278,7 @@ def _probe_quotients(pairs: np.ndarray) -> np.ndarray:
     return pairs[:, :1] * np.cos(PROBE_ANGLES) ** 2 + pairs[:, 1:] * np.sin(PROBE_ANGLES) ** 2
 
 
-def check_rayleigh_bounds(space: TruncatedQuadraticSpace, seed: int = 0) -> VerificationReport:
+def check_rayleigh_bounds(space: TruncatedQuadraticSpace) -> VerificationReport:
     """Rayleigh quotients span exactly [min lambda, max lambda].
 
     For a diagonal form q(x)/|x|^2 = sum_v w_v v is a convex combination of
@@ -290,8 +287,7 @@ def check_rayleigh_bounds(space: TruncatedQuadraticSpace, seed: int = 0) -> Veri
     reads the quotients of the eigenbasis, which are the distinct values,
     and of every extremal-pair probe: lam the min or the max and mu any other
     value.  Its residual is the distance of the smallest and the largest
-    quotient from min lambda and max lambda, relative to max lambda.  It
-    draws nothing; ``seed`` is only recorded.
+    quotient from min lambda and max lambda, relative to max lambda.
     """
     lam = space.lambdas
     values = np.unique(lam)
@@ -300,10 +296,10 @@ def check_rayleigh_bounds(space: TruncatedQuadraticSpace, seed: int = 0) -> Veri
     )
     lo, hi = lam.min(), lam.max()
     worst = np.maximum(np.abs(quotients.min() - lo), np.abs(quotients.max() - hi)) / hi
-    return _report("rayleigh_bounds", quotients.size, worst, SPACE_TOL, seed)
+    return _report("rayleigh_bounds", quotients.size, worst, SPACE_TOL)
 
 
-def check_min_attained(space: TruncatedQuadraticSpace, seed: int = 0) -> VerificationReport:
+def check_min_attained(space: TruncatedQuadraticSpace) -> VerificationReport:
     """Minimizers of the Rayleigh quotient are exactly the min-eigenvalue group.
 
     (a) The group's eigenvectors attain lo = min lambda.  (b) A unit vector
@@ -312,7 +308,7 @@ def check_min_attained(space: TruncatedQuadraticSpace, seed: int = 0) -> Verific
     a diagonal form, so the check reads (a) on the eigenbasis and (b) on the
     probes cos theta e_lo + sin theta e_mu, m = sin^2 theta, for every other
     value mu.  Each residual is relative to the largest eigenvalue of its
-    quotient.  The check draws nothing; ``seed`` is only recorded.
+    quotient.
     """
     if space.dimension < 2:
         raise PreconditionError("need dimension >= 2")
@@ -324,7 +320,7 @@ def check_min_attained(space: TruncatedQuadraticSpace, seed: int = 0) -> Verific
         excess = _probe_quotients(pairs) - lo
         violation = (values[1] - lo) * np.sin(PROBE_ANGLES) ** 2 - excess
         residuals = np.append(residuals, violation / pairs[:, 1:])
-    return _report("min_attained", residuals.size, np.max(residuals), SPACE_TOL, seed)
+    return _report("min_attained", residuals.size, np.max(residuals), SPACE_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +355,7 @@ def _rotation_probes(pairs):
     return t, np.linalg.svd(t, compute_uv=False), lam, mu
 
 
-def check_finite_dim_plasticity(seed: int = 0) -> VerificationReport:
+def check_finite_dim_plasticity() -> VerificationReport:
     """Finite-dimensional shadow of ball plasticity for form-preserving maps.
 
     Every pair lam <= mu of ``FINITE_DIM_SPECTRUM``, equal pairs included, is
@@ -369,8 +365,7 @@ def check_finite_dim_plasticity(seed: int = 0) -> VerificationReport:
     singular value >= 1), so no form-preserving map is a strict contraction;
     (c) a T with ||T|| <= 1 + NORM_SLACK has every singular value within
     tolerance of 1, i.e. is an isometry; (d) lam = mu gives ||T|| = 1.  The
-    small angles put probes of unequal pairs into (c).  The check draws
-    nothing; ``seed`` is only recorded.
+    small angles put probes of unequal pairs into (c).
     """
     values = FINITE_DIM_SPECTRUM
     t, singular, lam, mu = _rotation_probes(
@@ -384,12 +379,10 @@ def check_finite_dim_plasticity(seed: int = 0) -> VerificationReport:
         np.where(norm <= 1.0 + NORM_SLACK, np.abs(singular - 1.0).max(axis=1), 0.0),
         np.where(lam == mu, np.abs(norm - 1.0), 0.0),
     ]
-    return _report("finite_dim_plasticity", len(t), np.max(residuals), OPERATOR_TOL, seed)
+    return _report("finite_dim_plasticity", len(t), np.max(residuals), OPERATOR_TOL)
 
 
-def check_extremal_invariance(
-    space: TruncatedQuadraticSpace, seed: int = 0
-) -> VerificationReport:
+def check_extremal_invariance(space: TruncatedQuadraticSpace) -> VerificationReport:
     """Form-preserving maps leave an extremal eigenspace only by expanding.
 
     Each extremal value lam (min and max) is paired with every other distinct
@@ -407,8 +400,7 @@ def check_extremal_invariance(
 
     The residual is the largest defect of the identity relative to sigma,
     since an SVD returns sigma to relative accuracy.  A space with one
-    distinct value has no probe.  The check draws nothing; ``seed`` is only
-    recorded.
+    distinct value has no probe.
     """
     if space.dimension < 2:
         raise PreconditionError("need dimension >= 2")
@@ -418,4 +410,4 @@ def check_extremal_invariance(
     leak = np.maximum(np.abs(t[:, 0, 1]), np.abs(t[:, 1, 0]))
     gap = np.abs(mu - lam) / np.maximum(lam, mu)
     defect = np.abs(sigma - 1.0 / sigma - leak * gap) / sigma
-    return _report("extremal_invariance", len(t), np.max(defect, initial=0.0), OPERATOR_TOL, seed)
+    return _report("extremal_invariance", len(t), np.max(defect, initial=0.0), OPERATOR_TOL)

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, PreconditionError, RangeError
+# quadrature_nodes is not called here; perfbench/tracing.py patches it in this module.
 from .measures import MeasureSpec, RestrictedMeasure, TransportMap, quadrature_nodes
 from .plasticity import ComponentRef, Rule, ViolationCertificate
 from .spectrum import ContinuousPart, Direction, EigenSequence, SpectralDescriptor
@@ -200,8 +201,8 @@ class TransportWitness:
     windows of the measure, ``cells``, whose row p is cell k = p - K; their
     masses come from one cdf call on the endpoints.  ``maps`` is the stack
     of the 2K - 1 maps G_k = G_{mu_k, mu_{k+1}} : Delta_{k+1} -> Delta_k,
-    k = -K..K-2, row p again for k = p - K.  ``cell(k)`` and ``map(k)`` are
-    one-window views of a row; a stacked call runs every cell at once.
+    k = -K..K-2, row p again for k = p - K.  Every call runs all rows at
+    once; ``cells[p]`` and ``maps[p]`` are one-window views of row p.
     """
 
     measure: MeasureSpec
@@ -224,66 +225,20 @@ class TransportWitness:
         object.__setattr__(self, "masses", cells.total_mass)
         object.__setattr__(self, "maps", TransportMap(cells[:-1], cells[1:]))
 
-    def _cell_pos(self, k: int, need_successor: bool = False) -> int:
-        hi = self.window - (2 if need_successor else 1)
-        if not -self.window <= k <= hi:
-            raise RangeError(f"cell index {k} outside window")
-        return k + self.window
+    def multiplier_squared(self, s):
+        """g_hat_k(s)^2 = s / G_k^{-1}(s) on the closed cells with a successor.
 
-    def cell(self, k: int) -> RestrictedMeasure:
-        return self.cells[self._cell_pos(k)]
-
-    def cell_mass(self, k: int) -> float:
-        return float(self.masses[self._cell_pos(k)])
-
-    def map(self, k: int) -> TransportMap:
-        """G_k : Delta_{k+1} -> Delta_k."""
-        return self.maps[self._cell_pos(k, need_successor=True)]
-
-    def multiplier_squared(self, k: int | None, s):
-        """g_hat_k(s)^2 = s / G_k^{-1}(s) on the closed cell Delta_k.
-
-        With ``k=None``, every cell with a successor at once: row p of s
-        lies in cell k = p - K.
+        Row p of s lies in cell k = p - K, for the 2K - 1 cells at once.
         """
-        if k is None:
-            cells, maps = self.cells[:-1], self.maps
-        else:
-            p = self._cell_pos(k, need_successor=True)
-            cells, maps = self.cells[p], self.maps[p]
         s = np.asarray(s, dtype=float)
-        outside = cells.outside(s)
+        outside = self.cells[:-1].outside(s)
         if outside.any():
-            if k is None:
-                k = int(np.argwhere(outside)[0][0]) - self.window
+            k = int(np.argwhere(outside)[0][0]) - self.window
             raise RangeError(f"multiplier argument outside cell {k}")
-        return s / maps.inverse(s)
+        return s / self.maps.inverse(s)
 
-    def multiplier(self, k: int | None, s):
-        return np.sqrt(self.multiplier_squared(k, s))
-
-    def apply(self, f_values, k: int, nodes=None):
-        """Transport node samples on Delta_k to the matching nodes of Delta_{k+1}.
-
-        Inverse-transform nodes of adjacent cells sit at the same relative
-        mass levels, so G_k carries node i of Delta_{k+1} onto node i of
-        Delta_k (up to quantile tolerance); the input samples line up by
-        index while the multiplier is evaluated through the transport map.
-        """
-        f_values = np.asarray(f_values, dtype=float)
-        p = self._cell_pos(k, need_successor=True)
-        target = self.cells[p + 1]
-        if nodes is None:
-            nodes, _ = quadrature_nodes(target, nodes=f_values.size)
-        else:
-            nodes = np.asarray(nodes, dtype=float)
-            if nodes.size != f_values.size:
-                raise RangeError("node and sample counts differ")
-            if target.outside(nodes).any():
-                raise RangeError(f"node outside cell {k + 1}")
-        pulled_back = self.maps[p](nodes)
-        mass_ratio = self.masses[p] / self.masses[p + 1]
-        return np.sqrt(pulled_back / nodes) * math.sqrt(mass_ratio) * f_values
+    def multiplier(self, s):
+        return np.sqrt(self.multiplier_squared(s))
 
 
 def fitting_window(K: int, bad: np.ndarray, what: str) -> str:
@@ -354,7 +309,7 @@ def transport_witness_to_dict(w: TransportWitness, full: bool = False) -> dict:
         lo, hi = w.maps.source.support
         step = (hi - lo) / MULTIPLIER_NODES
         s = lo[:, None] + (np.arange(MULTIPLIER_NODES) + 0.5) * step[:, None]
-        multipliers = w.multiplier(None, s)
+        multipliers = w.multiplier(s)
         doc["multiplier_tables"] = [
             {
                 "cell": p - w.window,

@@ -89,7 +89,7 @@ def test_criterion_2_shift_witness_exactness():
     factors_ok = True
     for d, expected_delta in cases:
         w = build_shift_witness(d, classify(d).certificate, K=50)
-        report = check_form_preservation(w, seed=2025)
+        report = check_form_preservation(w)
         worst_form = max(worst_form, report.worst_residual)
         factors_ok = factors_ok and bool((w.factors <= 1.0).all())
         delta = 1.0 - check_strict_contraction(w).worst_residual
@@ -104,18 +104,15 @@ def test_criterion_2_shift_witness_exactness():
 def test_criterion_3_closed_form_transport_oracle():
     w = build_transport_witness(density(1.0, 2.0), K=12)
     a, K = w.endpoints, w.window
-    worst = 0.0
-    worst_endpoint = 0.0
-    for k in range(-10, 11):
-        ak, ak1, ak2 = a[k + K], a[k + K + 1], a[k + K + 2]
-        nodes, _ = quadrature_nodes(w.cell(k), nodes=100)
-        oracle = nodes * (ak1 - ak) / (nodes * (ak2 - ak1) + ak1**2 - ak * ak2)
-        worst = max(worst, np.abs(w.multiplier_squared(k, nodes) - oracle).max())
-        worst_endpoint = max(
-            worst_endpoint,
-            abs(w.multiplier_squared(k, ak) - ak / ak1),
-            abs(w.multiplier_squared(k, ak1) - ak1 / ak2),
-        )
+    # Cells k = -10..10 are rows p = k + K of the stacked multiplier calls.
+    rows = np.arange(-10, 11) + K
+    ak, ak1, ak2 = (a[rows + shift, None] for shift in range(3))
+    nodes, _ = quadrature_nodes(w.cells[:-1], nodes=100)
+    oracle = nodes[rows] * (ak1 - ak) / (nodes[rows] * (ak2 - ak1) + ak1**2 - ak * ak2)
+    worst = np.abs(w.multiplier_squared(nodes)[rows] - oracle).max()
+    ends = w.multiplier_squared(np.stack([a[:-2], a[1:-1]], axis=1))[rows]
+    worst_endpoint = max(np.abs(ends[:, :1] - ak / ak1).max(),
+                         np.abs(ends[:, 1:] - ak1 / ak2).max())
     _record(
         "3 closed-form-transport-oracle",
         worst <= 1e-9 and worst_endpoint <= 1e-10,
@@ -126,12 +123,12 @@ def test_criterion_3_closed_form_transport_oracle():
 def _hk_isometry_worst(w, nodes, funcs, rng):
     """Relative norm defect of H_k f = f o G_k * sqrt(M_k/M_{k+1}) per cell."""
     worst = 0.0
-    for k in range(-w.window, w.window - 1):
-        src, img = w.cell(k), w.cell(k + 1)
+    for p in range(2 * w.window - 1):
+        src, img = w.cells[p], w.cells[p + 1]
         s_nodes, du_s = quadrature_nodes(src, nodes=nodes)
         t_nodes, du_t = quadrature_nodes(img, nodes=nodes)
-        pulled = w.map(k)(t_nodes)
-        ratio = w.cell_mass(k) / w.cell_mass(k + 1)
+        pulled = w.maps[p](t_nodes)
+        ratio = w.masses[p] / w.masses[p + 1]
         lo, span = src.support[0], src.support[1] - src.support[0]
         for _ in range(funcs):
             coeffs = rng.normal(size=4)
@@ -186,9 +183,9 @@ def test_criterion_6_rayleigh_minimizer_suite():
         while mults.sum() > 64:
             mults = np.maximum(1, mults - 1)
         space = TruncatedQuadraticSpace(tuple(zip(values, mults)))
-        seed = int(rng.integers(1 << 31))
-        all_pass = all_pass and check_rayleigh_bounds(space, seed=seed).passed
-        all_pass = all_pass and check_min_attained(space, seed=seed + 1).passed
+        rng.integers(1 << 31)  # once the checks' seed; drawn so later spectra stay the same
+        all_pass = all_pass and check_rayleigh_bounds(space).passed
+        all_pass = all_pass and check_min_attained(space).passed
     _record("6 rayleigh-minimizer-suite", all_pass, "(50 random truncations, n <= 64)")
 
 
@@ -220,12 +217,14 @@ def test_criterion_7_finite_dim_surrogate():
     checks_pass = True
     worst = 0.0
     for _ in range(7):
-        fd = check_finite_dim_plasticity(seed=int(rng.integers(1 << 31)))
+        rng.integers(1 << 31)  # once the checks' seeds; drawn so the spectra stay the same
+        fd = check_finite_dim_plasticity()
         count = int(rng.integers(2, 5))
         values = np.sort(rng.uniform(0.5, 2.5, size=count))
         mults = rng.integers(1, 3, size=count)
         space = TruncatedQuadraticSpace(tuple(zip(values, mults)))
-        ex = check_extremal_invariance(space, seed=int(rng.integers(1 << 31)))
+        rng.integers(1 << 31)
+        ex = check_extremal_invariance(space)
         checks_pass = checks_pass and fd.passed and ex.passed
         worst = max(worst, fd.worst_residual, ex.worst_residual)
     _record(

@@ -121,13 +121,23 @@ class TestClassify:
             # node tables past the 64-bit address space fail to allocate
             # before any memory is touched
             (LEBESGUE, ["all", "--nodes", str(10**15)]),
+            # count flags past 2**53 are rejected before anything is built
+            (LEBESGUE, ["all", "--nodes", str(10**19)]),
+            (LEBESGUE, ["all", "--window", str(10**20)]),
+            (TWO_ATOMS, ["all", "--window", str(10**19)]),
+            (TWO_ATOMS, ["all", "--per-sequence", str(10**20)]),
+            # (t - 1.5003)^2 - 1e-8 dips below 0 on (1.5002, 1.5004), between
+            # the points of any 1024-point grid of [1, 2]
+            ({"continuous": [dict(_DENSITY, coeffs=[1.5003**2 - 1e-8, -3.0006, 1.0])]},
+             ["all"]),
         ],
         ids=["window_0", "nodes_8", "cantor_window_40", "sequence_window_80",
              "cantor_window_32", "lebesgue_window_46", "lebesgue_window_51",
              "atom_value_huge_int", *[f"{field}_{value}" for field, value in NON_FINITE],
              "integer_5000_digits", "nested_100000_deep", "not_utf8",
              "unknown_command", "window_not_int", "unknown_flag", "argument_with_newline",
-             "nodes_1e15"],
+             "nodes_1e15", "nodes_1e19", "lebesgue_window_1e20", "atoms_window_1e19",
+             "atoms_per_sequence_1e20", "density_negative_between_grid_points"],
     )
     def test_rejected_run_exits_1_with_one_line(self, tmp_path, capsys, doc, args):
         assert main([*args, "--input", write(tmp_path, "d.json", doc)]) == 1
@@ -218,7 +228,7 @@ class TestVerifyCommand:
 
     def test_nan_residual_fails_its_check(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(TransportWitness, "multiplier_squared",
-                            lambda self, k, s: np.full(np.shape(s), np.nan))
+                            lambda self, s: np.full(np.shape(s), np.nan))
         out = tmp_path / "report.json"
         argv = ["verify", "--window", "3", "--nodes", "256", "--output", str(out)]
         assert main([*argv, "--input", write(tmp_path, "d.json", LEBESGUE)]) == 2
@@ -235,7 +245,7 @@ class TestVerifyCommand:
         # published multiplier, so the mutant witness must not pass.
         multiplier_squared = TransportWitness.multiplier_squared
         monkeypatch.setattr(TransportWitness, "multiplier_squared",
-                            lambda self, k, s: 1.0 / multiplier_squared(self, k, s))
+                            lambda self, s: 1.0 / multiplier_squared(self, s))
         out = tmp_path / "report.json"
         argv = ["all", "--input", write(tmp_path, "d.json", doc), "--output", str(out)]
         assert main(argv) == 2
@@ -315,6 +325,20 @@ class TestVerifyCommand:
         assert report["version"]
         assert report["descriptor"]["atoms"][0]["multiplicity"] == "inf"
 
+    @pytest.mark.parametrize("doc", [LEBESGUE, TWO_ATOMS], ids=["lebesgue", "two_atoms"])
+    def test_each_check_seed_follows_its_fixed_index(self, tmp_path, doc):
+        # The seed of check i is drawn from (--seed, i), whichever checks ran.
+        seeds = [3225285948, 3933992529, 302313366, 2967464816, 2909311008, 2768950738,
+                 196518968]
+        index = {"form_preservation": 0, "nonexpansive": 1, "strict_contraction": 2,
+                 "rayleigh_bounds": 3, "min_attained": 4, "extremal_invariance": 5,
+                 "finite_dim_plasticity": 6}
+        config = RunConfig("all", write(tmp_path, "d.json", doc), seed=9,
+                           window=2, per_sequence=2, nodes=64)
+        checks = run(config)[1]["checks"]
+        assert len(checks) == (4 if doc is LEBESGUE else 7)
+        assert [c["seed"] for c in checks] == [seeds[index[c["name"]]] for c in checks]
+
 
 class TestDeterminism:
     def test_identical_runs_identical_bytes(self, tmp_path):
@@ -329,7 +353,7 @@ class TestDeterminism:
     @pytest.mark.parametrize("doc", [LEBESGUE, CANTOR, TWO_ATOMS],
                              ids=["lebesgue", "cantor", "two_atoms"])
     def test_checks_do_not_depend_on_seed(self, tmp_path, doc):
-        # No check draws: the seed is only recorded.
+        # No check takes the seed: it only stamps the report and each check.
         path = write(tmp_path, "d.json", doc)
         checks = [
             [{**c, "seed": None} for c in run(RunConfig("all", path, seed=seed, window=3,
@@ -374,6 +398,12 @@ class TestParser:
     )
     def test_argv_gives_run_config(self, argv, config):
         assert RunConfig(**vars(build_parser().parse_args(argv))) == config
+
+    @pytest.mark.parametrize("flag", ["window", "nodes", "per_sequence"])
+    def test_count_flags_end_at_2_53(self, flag):
+        RunConfig("all", "d.json", **{flag: 2**53})
+        with pytest.raises(RangeError, match=r" must be <= 2\*\*53, got 9007199254740993$"):
+            RunConfig("all", "d.json", **{flag: 2**53 + 1})
 
     def test_help_names_commands_and_flags(self, capsys):
         assert main(["--help"]) == 0

@@ -174,8 +174,8 @@ class TestClosedFormQuantile:
     @pytest.mark.parametrize("part", SINGLE_PARTS.values(), ids=SINGLE_PARTS.keys())
     def test_invariant_on_every_witness_cell(self, part):
         w = build_transport_witness(part, 16)
-        for k in range(-16, 16):
-            cell = w.cell(k)
+        for p in range(32):
+            cell = w.cells[p]
             levels = np.concatenate([
                 cell.total_mass * (np.arange(512) + 0.5) / 512,
                 cell.total_mass * partition_levels(8),

@@ -67,6 +67,16 @@ class TestParse:
                 {"continuous": [{"kind": "density", "support": [1, 2], "coeffs": [-1]}]}
             )
 
+    @pytest.mark.parametrize(
+        "coeffs",
+        # (t - 1.3)^2, whose exact minimum rounds to -2.2e-16; (t - 1.5)^2;
+        # (t - 1)^2 and 2t - 2, both 0 at the support's start.
+        [(1.69, -2.6, 1.0), (2.25, -3.0, 1.0), (1.0, -2.0, 1.0), (-2.0, 2.0)],
+        ids=str,
+    )
+    def test_density_with_zero_minimum_accepted(self, coeffs):
+        assert density(1.0, 2.0, coeffs=coeffs).total_mass > 0
+
     def test_spectral_support_must_avoid_zero(self):
         with pytest.raises(DomainError):
             parse_descriptor(

@@ -164,17 +164,17 @@ def rotation_norm_oracle(theta):
 
 class TestFormPreservation:
     def test_shift_residual_vanishes(self):
-        report = check_form_preservation(shift_two_atoms(), seed=1)
+        report = check_form_preservation(shift_two_atoms())
         assert report.passed and report.worst_residual <= 1e-12
 
     def test_transport_density(self):
         w = build_transport_witness(density(1.0, 2.0, coeffs=(0.25, 1.0)), 3)
-        report = check_form_preservation(w, seed=2, nodes=2048)
+        report = check_form_preservation(w, nodes=2048)
         assert report.passed and report.threshold == 1e-5
 
     def test_transport_cantor_threshold(self):
         w = build_transport_witness(cantor(1.0, 2.0), 2)
-        report = check_form_preservation(w, seed=3, nodes=1024)
+        report = check_form_preservation(w, nodes=1024)
         assert report.passed and report.threshold == 1e-3
 
     def test_zero_vector_form(self):
@@ -184,7 +184,7 @@ class TestFormPreservation:
 
 class TestNonexpansive:
     def test_shift(self):
-        report = check_nonexpansive(shift_no_min_no_max(), seed=4)
+        report = check_nonexpansive(shift_no_min_no_max())
         assert report.passed
 
     def test_single_factor_column(self):
@@ -195,7 +195,7 @@ class TestNonexpansive:
 
     def test_transport(self):
         w = build_transport_witness(density(1.0, 2.0), 3)
-        report = check_nonexpansive(w, seed=5, nodes=1024)
+        report = check_nonexpansive(w, nodes=1024)
         assert report.passed
 
 
@@ -282,8 +282,8 @@ def per_node_transport_residuals(w, samples, seed, nodes):
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     K = w.window
-    cells = [quadrature_nodes(w.cell(k), nodes=nodes) for k in range(-K, K)]
-    pulled = [w.map(k)(cells[k + K + 1][0]) for k in range(-K, K - 1)]
+    cells = [quadrature_nodes(w.cells[p], nodes=nodes) for p in range(2 * K)]
+    pulled = [w.maps[p](cells[p + 1][0]) for p in range(2 * K - 1)]
     form, growth = 0.0, -math.inf
     for _ in range(samples):
         q = image_q = norm_sq = image_norm_sq = 0.0
@@ -331,7 +331,7 @@ class TestAgainstPerSampleLoops:
     def test_transport_gram_forms_match_per_node_loop(self, part, K):
         # The exact per-cell suprema bound every sampled residual.
         w = build_transport_witness(TRANSPORT_PARTS[part], K)
-        reports = [check(w, seed=K, nodes=1024)
+        reports = [check(w, nodes=1024)
                    for check in (check_form_preservation, check_nonexpansive)]
         assert [r.samples for r in reports] == [2 * K - 1, 2 * K - 1]
         for seed in (K, K + 1, K + 2):
@@ -356,7 +356,7 @@ class TestAgainstPerSampleLoops:
     def test_batched_shift_checks_equal_per_sample_loop(self, d, K):
         # The exact per-slot residuals bound every sampled residual.
         w = build_shift_witness(d, classify(d).certificate, K)
-        reports = [check(w, seed=K + 11) for check in (check_form_preservation, check_nonexpansive)]
+        reports = [check(w) for check in (check_form_preservation, check_nonexpansive)]
         assert [r.samples for r in reports] == [2 * K, 2 * K]
         for seed in (K + 11, K + 12, K + 13):
             sampled = per_sample_shift_residuals(w, samples=200, seed=seed)
@@ -427,7 +427,7 @@ class TestTransportSuprema:
         constant = np.sqrt(norm_sq[1, :, 0, 0] / norm_sq[0, :, 0, 0]) - 1.0
         x, du = quadrature_nodes(w.cells, nodes=nodes)
         image_du = du[1:] * (w.masses[:-1] / w.masses[1:])
-        top = np.max(w.multiplier(None, x[:-1]) * np.sqrt(image_du / du[:-1])[:, None]) - 1.0
+        top = np.max(w.multiplier(x[:-1]) * np.sqrt(image_du / du[:-1])[:, None]) - 1.0
         assert constant.max() - 1e-12 <= growth <= top + 1e-12
         assert growth < 0
 
@@ -538,7 +538,8 @@ class TestRayleigh:
         for _ in range(10):
             values = np.sort(rng.uniform(0.5, 3.0, size=8))
             space = TruncatedQuadraticSpace(tuple((v, 1) for v in values))
-            report = check_rayleigh_bounds(space, seed=int(rng.integers(1 << 31)))
+            rng.integers(1 << 31)  # once the check's seed; drawn so later spectra stay the same
+            report = check_rayleigh_bounds(space)
             assert report.passed and report.threshold == 1e-12
 
     @pytest.mark.parametrize("samples", [0, 1, 1023, 1024, 1025, 10_000])
@@ -550,7 +551,7 @@ class TestRayleigh:
     def test_matches_unblocked_reference(self, points, samples):
         # The exact residual bounds the sampled one at any sample count.
         space = TruncatedQuadraticSpace(points)
-        report = check_rayleigh_bounds(space, seed=29)
+        report = check_rayleigh_bounds(space)
         values = sorted({v for v, _ in points})
         assert report.samples == len(values) + 2 * (len(values) - 1) * PROBE_ANGLES.size
         for seed in (29, 30, 31):
@@ -580,7 +581,8 @@ class TestMinAttained:
             values = np.sort(rng.uniform(0.5, 3.0, size=5))
             mults = rng.integers(1, 3, size=5)
             space = TruncatedQuadraticSpace(tuple(zip(values, mults)))
-            report = check_min_attained(space, seed=int(rng.integers(1 << 31)))
+            rng.integers(1 << 31)  # once the check's seed; drawn so later spectra stay the same
+            report = check_min_attained(space)
             assert report.passed
 
 
@@ -612,10 +614,9 @@ class TestFiniteDimPlasticity:
 
     def test_check_passes(self):
         pairs = len(FINITE_DIM_SPECTRUM) * (len(FINITE_DIM_SPECTRUM) + 1) // 2
-        for seed in (0, 102, 105):
-            report = check_finite_dim_plasticity(seed=seed)
-            assert report.passed and report.worst_residual <= 1e-8
-            assert report.samples == pairs * PROBE_ANGLES.size and report.seed == seed
+        report = check_finite_dim_plasticity()
+        assert report.passed and report.worst_residual <= 1e-8
+        assert report.samples == pairs * PROBE_ANGLES.size
 
     def test_palette_reaches_isometry_branches(self, svd_spy):
         assert check_finite_dim_plasticity().passed
@@ -714,9 +715,9 @@ class TestExtremalInvariance:
         space = TruncatedQuadraticSpace(((1.0, 3), (1.5, 1), (2.0, 4)))
         samples = []
         for check in (partial(check_extremal_invariance, space), check_finite_dim_plasticity):
-            a = check(seed=7).to_dict()
-            b = check(seed=8).to_dict()
-            assert a.pop("seed") == 7 and b.pop("seed") == 8 and a == b and a["pass"]
+            a = check().to_dict()
+            b = check().to_dict()
+            assert a == b and a["pass"]
             samples += [a["samples"]] * 2
         assert qr_shapes == []
         assert [np.shape(t) for t, _ in svd_spy] == [(n, 2, 2) for n in samples]
@@ -727,20 +728,18 @@ class TestExtremalInvariance:
 
     def test_multiplicity_pattern(self):
         space = TruncatedQuadraticSpace(((1.0, 2), (1.5, 3), (2.0, 1)))
-        report = check_extremal_invariance(space, seed=61)
+        report = check_extremal_invariance(space)
         assert report.passed and report.worst_residual <= 1e-9
 
 
 class TestDeterminism:
-    def test_same_seed_same_report(self):
+    def test_same_input_same_report(self):
         w = shift_no_min_no_max()
-        a = check_form_preservation(w, seed=17)
-        b = check_form_preservation(w, seed=17)
-        assert a == b
+        assert check_form_preservation(w) == check_form_preservation(w)
         space = TruncatedQuadraticSpace(((1.0, 3), (2.0, 2)))
-        assert check_rayleigh_bounds(space, seed=23) == check_rayleigh_bounds(space, seed=23)
+        assert check_rayleigh_bounds(space) == check_rayleigh_bounds(space)
 
     def test_report_serialization_fields(self):
         report = check_strict_contraction(shift_two_atoms())
         doc = report.to_dict()
-        assert sorted(doc) == ["name", "pass", "samples", "seed", "threshold", "worst_residual"]
+        assert sorted(doc) == ["name", "pass", "samples", "threshold", "worst_residual"]

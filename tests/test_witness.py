@@ -172,35 +172,40 @@ class TestTransportWitness:
     def test_closed_form_multiplier(self, lebesgue_12):
         # the uniform-density case has the explicit multiplier
         # s(a_{k+1}-a_k) / (s(a_{k+2}-a_{k+1}) + a_{k+1}^2 - a_k a_{k+2})
+        # row p of the (2K - 1, n) argument lies in cell k = p - K
         w = build_transport_witness(density(1.0, 2.0), 4)
         a = w.endpoints
-        K = w.window
-        for k in range(-K, K - 1):
-            nodes, _ = quadrature_nodes(w.cell(k), nodes=50)
-            ak, ak1, ak2 = a[k + K], a[k + K + 1], a[k + K + 2]
-            expected = nodes * (ak1 - ak) / (nodes * (ak2 - ak1) + ak1**2 - ak * ak2)
-            assert np.abs(w.multiplier_squared(k, nodes) - expected).max() <= 1e-9
+        nodes, _ = quadrature_nodes(w.cells[:-1], nodes=50)
+        ak, ak1, ak2 = a[:-2, None], a[1:-1, None], a[2:, None]
+        expected = nodes * (ak1 - ak) / (nodes * (ak2 - ak1) + ak1**2 - ak * ak2)
+        assert np.abs(w.multiplier_squared(nodes) - expected).max() <= 1e-9
 
     def test_endpoint_identities(self):
         w = build_transport_witness(density(1.0, 2.0), 2)
         a = w.endpoints
-        K = w.window
-        for k in range(-K, K - 1):
-            ak, ak1, ak2 = a[k + K], a[k + K + 1], a[k + K + 2]
-            assert w.multiplier_squared(k, ak) == pytest.approx(ak / ak1, abs=1e-10)
-            assert w.multiplier_squared(k, ak1) == pytest.approx(ak1 / ak2, abs=1e-10)
+        ends = w.multiplier_squared(np.stack([a[:-2], a[1:-1]], axis=1))
+        assert ends[:, 0] == pytest.approx(a[:-2] / a[1:-1], abs=1e-10)
+        assert ends[:, 1] == pytest.approx(a[1:-1] / a[2:], abs=1e-10)
 
     def test_junction_value(self):
         w = build_transport_witness(density(1.0, 2.0), 2)
-        assert w.multiplier_squared(0, 1.5) == pytest.approx(6.0 / 7.0, abs=1e-12)
+        s = w.endpoints[:-2, None]  # every cell's left end; row K is cell 0 = [1.5, 1.75]
+        assert s[w.window, 0] == 1.5
+        assert w.multiplier_squared(s)[w.window, 0] == pytest.approx(6.0 / 7.0, abs=1e-12)
 
     def test_multiplier_strictly_contractive_at_nodes(self):
         for part in (density(1.0, 2.0, coeffs=(0.0, 1.0)), cantor(1.0, 2.0)):
             w = build_transport_witness(part, 3)
-            for k in range(-3, 2):
-                nodes, _ = quadrature_nodes(w.cell(k), nodes=64)
-                values = w.multiplier_squared(k, nodes)
-                assert (values > 0).all() and (values < 1).all()
+            nodes, _ = quadrature_nodes(w.cells[:-1], nodes=64)
+            values = w.multiplier_squared(nodes)
+            assert (values > 0).all() and (values < 1).all()
+
+    def test_multiplier_argument_outside_its_cell(self):
+        w = build_transport_witness(density(1.0, 2.0), 2)
+        s = np.linspace(*w.maps.source.support, 5, axis=-1)
+        s[2, 0] = 1.0  # row 2 is cell 0 = [1.5, 1.75]
+        with pytest.raises(RangeError, match="outside cell 0$"):
+            w.multiplier(s)
 
     @pytest.mark.parametrize(
         "part", [density(1.0, 2.0, coeffs=(0.0, 1.0)), cantor(1.0, 2.0)], ids=["density", "cantor"]
@@ -209,12 +214,10 @@ class TestTransportWitness:
         w = build_transport_witness(part, 4)
         tables = transport_witness_to_dict(w, full=True)["multiplier_tables"]
         assert [table["cell"] for table in tables] == list(range(-4, 3))
-        for table in tables:
-            k = table["cell"]
-            lo, hi = w.cell(k).support
-            s = lo + (np.arange(MULTIPLIER_NODES) + 0.5) * ((hi - lo) / MULTIPLIER_NODES)
-            assert table["nodes"] == list(s)
-            assert table["multiplier"] == list(w.multiplier(k, s))
+        lo, hi = (end[:, None] for end in w.cells[:-1].support)
+        s = lo + (np.arange(MULTIPLIER_NODES) + 0.5) * ((hi - lo) / MULTIPLIER_NODES)
+        assert [table["nodes"] for table in tables] == s.tolist()
+        assert [table["multiplier"] for table in tables] == w.multiplier(s).tolist()
 
     @pytest.mark.parametrize("support", [(1.0, 2.0), (0.37, 5.3)], ids=str)
     @pytest.mark.parametrize("K", [4, 16, 19])
@@ -222,11 +225,11 @@ class TestTransportWitness:
         # A Cantor cell's multiplier jumps at triadic points; evenly spaced
         # nodes with both ends hit them and moved by up to 0.17 per ulp.
         w = build_transport_witness(cantor(*support), K)
-        for table in transport_witness_to_dict(w, full=True)["multiplier_tables"]:
-            s = np.array(table["nodes"])
-            for direction in (-np.inf, np.inf):
-                moved = w.multiplier(table["cell"], np.nextafter(s, direction))
-                assert np.abs(moved - table["multiplier"]).max() <= 1e-12
+        tables = transport_witness_to_dict(w, full=True)["multiplier_tables"]
+        s = np.array([table["nodes"] for table in tables])
+        for direction in (-np.inf, np.inf):
+            moved = w.multiplier(np.nextafter(s, direction))
+            assert np.abs(moved - [table["multiplier"] for table in tables]).max() <= 1e-12
 
     def test_cell_masses_positive(self):
         w = build_transport_witness(cantor(1.0, 2.0, mass=0.7), 5)
@@ -255,49 +258,3 @@ class TestFloatHorizon:
     def test_two_ulp_support_has_no_window(self):
         with pytest.raises(CapacityError, match="no window has distinct endpoints$"):
             build_transport_witness(density(1.0, 1.0 + 2.0**-51), 1)
-
-
-class TestApplyTransport:
-    def test_constant_input_isolates_multiplier(self):
-        w = build_transport_witness(density(1.0, 2.0), 2)
-        n = 128
-        f = np.ones(n)
-        out = w.apply(f, 0)
-        nodes, _ = quadrature_nodes(w.cell(1), nodes=n)
-        g = w.map(0)(nodes)
-        expected = np.sqrt(g / nodes) * math.sqrt(w.cell_mass(0) / w.cell_mass(1))
-        assert np.abs(out - expected).max() <= 1e-12
-
-    def test_quadratic_form_cell_identity(self):
-        w = build_transport_witness(density(1.0, 2.0, coeffs=(0.5, 1.0)), 3)
-        n = 4096
-        rng = np.random.default_rng(13)
-        for k in (-2, 0, 1):
-            src_nodes, du_src = quadrature_nodes(w.cell(k), nodes=n)
-            img_nodes, du_img = quadrature_nodes(w.cell(k + 1), nodes=n)
-            coeffs = rng.normal(size=4)
-            f = np.polynomial.polynomial.polyval(src_nodes - src_nodes[0], coeffs)
-            out = w.apply(f, k)
-            lhs = du_img * np.sum(img_nodes * out**2)
-            rhs = du_src * np.sum(src_nodes * f**2)
-            assert abs(lhs - rhs) <= 1e-5 * max(1.0, abs(rhs))
-
-    def test_norm_strictly_decreases(self):
-        w = build_transport_witness(density(1.0, 2.0), 2)
-        n = 1024
-        src_nodes, du_src = quadrature_nodes(w.cell(0), nodes=n)
-        _, du_img = quadrature_nodes(w.cell(1), nodes=n)
-        f = 1.0 + 0.3 * np.sin(6.0 * src_nodes)
-        out = w.apply(f, 0)
-        assert du_img * np.sum(out**2) < du_src * np.sum(f**2)
-
-    def test_node_validation(self):
-        w = build_transport_witness(density(1.0, 2.0), 2)
-        with pytest.raises(RangeError):
-            w.apply(np.ones(4), 0, nodes=np.array([0.0, 1.6, 1.7, 1.8]))
-        with pytest.raises(RangeError):
-            w.apply(np.ones(4), w.window - 1)  # no successor cell
-        s = np.linspace(*w.maps.source.support, 5, axis=-1)
-        s[2, 0] = 1.0  # row 2 is cell 0 = [1.5, 1.75]
-        with pytest.raises(RangeError, match="outside cell 0$"):
-            w.multiplier(None, s)
