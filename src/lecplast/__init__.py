@@ -29,7 +29,6 @@ from .spectrum import (
     enumerate_points,
     parse_descriptor,
     serialize_descriptor,
-    spectral_bounds,
 )
 from .verify import (
     TruncatedQuadraticSpace,

@@ -2,20 +2,17 @@
 
 Provides its distribution function F(t) = mu([0, t]), the generalized
 inverse in the sup convention F^{-1}(u) = sup{x : F(x) <= u}, the same pair
-for windows of the measure, the monotone transport map
-G = F_src^{-1} o (M_src/M_dst) F_dst between two of them, and a
-deterministic inverse-transform quadrature rule.
+for stacks of windows of the measure, the monotone transport maps
+G = F_src^{-1} o (M_src/M_dst) F_dst between two such stacks, and a
+deterministic inverse-transform quadrature rule on a stack.
 
-Windows come one at a time or stacked: a ``RestrictedMeasure`` holds C
-windows [lo[p], hi[p]] of one base measure, and the leading axis of an
-argument runs over them, so row p of a (C, n) argument is evaluated in
-window p.  Each row goes through exactly the elementwise arithmetic of the
-one-window restriction to [lo[p], hi[p]] and equals its result bit for bit.
-A ``TransportMap`` between two stacks of C windows is C maps, and
-``quadrature_nodes`` gives a (C, nodes) table for a stack.  A stacked
-evaluation runs in blocks of whole rows of at most ``ROW_BLOCK`` levels,
-the size of one call at the default node count, so its working set does
-not grow with C.
+A ``RestrictedMeasure`` holds C windows [lo[p], hi[p]] of one base measure,
+and the leading axis of an argument runs over them: row p of a (C, n)
+argument is evaluated in window p.  A ``TransportMap`` between two stacks of
+C windows is C maps, and ``quadrature_nodes`` gives a (C, nodes) table.  A
+stacked evaluation runs in blocks of whole rows of at most ``ROW_BLOCK``
+levels, the size of one call at the default node count, so its working set
+does not grow with C; row p comes out bit for bit as in a one-row stack.
 
 A polynomial density is integrated in closed form, in s = t - a from the
 support start a (``ContinuousPart.antiderivative``).  A Cantor part
@@ -128,62 +125,54 @@ class MeasureSpec:
             x, values = _density_quantile(self.part, self.cdf, levels)
         x = _step_left(self.cdf, x, values, levels, a)
         x[levels >= self.total_mass] = b
-        return _shaped(x, u)
-
-    def restrict(self, lo: float, hi: float) -> "RestrictedMeasure":
-        return RestrictedMeasure(self, lo, hi)
+        return float(x[0]) if np.ndim(u) == 0 else x
 
 
 @dataclass(frozen=True, eq=False)
 class RestrictedMeasure:
-    """Restriction of a measure to one window [lo, hi], or to a stack of C.
+    """Restrictions of a measure to a stack of C windows [lo[p], hi[p]].
 
-    ``lo`` and ``hi`` are floats for one window and arrays of shape (C,) for
-    a stack; ``total_mass`` and ``support`` follow suit.  On a stack the
-    leading axis of every argument runs over the windows: row p of a (C, n)
-    argument, or element p of a (C,) one, is evaluated in window p, bit for
-    bit as the one-window restriction to [lo[p], hi[p]] would.  ``r[p]`` is
-    window p as a one-window view and ``r[i:j]`` a sub-stack; neither
-    evaluates the base measure again.  The window offsets and masses come
-    from one cdf call on both ends.
+    ``lo``, ``hi`` and ``total_mass`` have shape (C,).  The leading axis of
+    every argument runs over the windows: row p of a (C, n) argument, or
+    element p of a (C,) one, is evaluated in window p.  ``r[i:j]`` is a
+    sub-stack that does not evaluate the base measure again; a one-row
+    stack ``r[p:p + 1]`` is window p alone.  The window offsets and masses
+    come from one cdf call on both ends.
     """
 
     base: MeasureSpec
-    lo: float | np.ndarray
-    hi: float | np.ndarray
-    total_mass: float | np.ndarray = field(init=False)
+    lo: np.ndarray
+    hi: np.ndarray
+    total_mass: np.ndarray = field(init=False)
     support: tuple = field(init=False)
 
     def __post_init__(self):
         lo, hi = np.asarray(self.lo, dtype=float), np.asarray(self.hi, dtype=float)
-        bad = np.atleast_1d(~(lo < hi))
+        if lo.ndim != 1 or lo.shape != hi.shape:
+            raise RangeError("a restriction takes a stack of windows: lo and hi of shape (C,)")
+        bad = ~(lo < hi)
         if bad.any():
             p = np.argmax(bad)
-            raise DomainError(
-                f"empty restriction window [{lo.reshape(-1)[p]}, {hi.reshape(-1)[p]}]"
-            )
-        offset, upper = np.asarray(self.base.cdf(np.stack([lo, hi])))
+            raise DomainError(f"empty restriction window [{lo[p]}, {hi[p]}]")
+        offset, upper = self.base.cdf(np.stack([lo, hi]))
         mass = upper - offset
-        bad = np.atleast_1d(~(mass > 0))
+        bad = ~(mass > 0)
         if bad.any():
             p = np.argmax(bad)
-            raise DomainError(
-                f"restriction to [{lo.reshape(-1)[p]}, {hi.reshape(-1)[p]}] has no mass"
-            )
+            raise DomainError(f"restriction to [{lo[p]}, {hi[p]}] has no mass")
         self._set(lo, hi, offset, mass)
 
     def _set(self, lo, hi, offset, mass) -> None:
-        lo, hi = _unwrap(lo), _unwrap(hi)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "support", (lo, hi))
-        object.__setattr__(self, "total_mass", _unwrap(mass))
-        object.__setattr__(self, "_offset", _unwrap(offset))
+        object.__setattr__(self, "total_mass", mass)
+        object.__setattr__(self, "_offset", offset)
 
-    def __getitem__(self, rows) -> "RestrictedMeasure":
-        """Window ``rows`` of a stack (an index or a slice), as a view."""
-        if not np.ndim(self.lo):
-            raise TypeError("a one-window restriction has no rows")
+    def __getitem__(self, rows: slice) -> "RestrictedMeasure":
+        """The windows ``rows`` of the stack, as a view."""
+        if not isinstance(rows, slice):
+            raise TypeError("a stack takes rows by slice, window p as [p:p + 1]")
         view = object.__new__(RestrictedMeasure)
         object.__setattr__(view, "base", self.base)
         view._set(self.lo[rows], self.hi[rows], self._offset[rows], self.total_mass[rows])
@@ -199,8 +188,7 @@ class RestrictedMeasure:
 
     def _cdf(self, t):
         lo, hi, offset = (_per_row(v, t) for v in (self.lo, self.hi, self._offset))
-        out = self.base.cdf(np.clip(t, lo, hi)) - offset
-        return float(out) if np.ndim(out) == 0 else out
+        return self.base.cdf(np.clip(t, lo, hi)) - offset
 
     def quantile(self, u):
         """sup{x in [lo, hi] : cdf(x) <= u}, read off the base measure.
@@ -222,20 +210,13 @@ class RestrictedMeasure:
         hi = _per_row(self.hi, levels)
         x = np.clip(self.base.quantile(c), _per_row(self.lo, levels), hi)
         np.copyto(x, hi, where=levels >= mass)
-        return _shaped(x, u)
-
-
-def _unwrap(values):
-    """A float for a 0-d value, else the array."""
-    return float(values) if np.ndim(values) == 0 else values
+        return x
 
 
 def _per_row(values, arg):
     """Per-window ``values`` shaped to broadcast against ``arg``, whose
-    leading axis runs over the windows; a one-window value as it is."""
-    if not np.ndim(values):
-        return values
-    return values.reshape(values.shape + (1,) * (np.ndim(arg) - values.ndim))
+    leading axis runs over the windows."""
+    return values.reshape(values.shape + (1,) * (np.ndim(arg) - 1))
 
 
 def row_blocks(rows: int, row_size: int) -> list[slice]:
@@ -245,14 +226,13 @@ def row_blocks(rows: int, row_size: int) -> list[slice]:
 
 
 def _blockwise(stack, masses, arg, evaluate: Callable):
-    """evaluate(stack, arg) for one window; for a stack, over row blocks.
+    """evaluate(stack, arg) over blocks of whole rows.
 
-    ``masses`` holds one value per window.  Each block of whole rows goes
-    through ``evaluate`` with the matching sub-stack ``stack[rows]``.
+    ``masses`` holds one value per window, and the leading axis of ``arg``
+    runs over the windows.  Each block of rows goes through ``evaluate``
+    with the matching sub-stack ``stack[rows]``.
     """
     arg = np.asarray(arg, dtype=float)
-    if not np.ndim(masses):
-        return evaluate(stack, arg)
     if arg.shape[:1] != masses.shape:
         raise RangeError(
             f"an argument to {masses.size} stacked windows needs a leading axis of that length"
@@ -279,11 +259,6 @@ def _levels(u, mass) -> np.ndarray:
         bound = np.broadcast_to(mass, levels.shape)[outside][0]
         raise RangeError(f"quantile level outside [0, {bound}]")
     return np.clip(levels, 0.0, mass)
-
-
-def _shaped(x: np.ndarray, u):
-    """A float for a scalar level u, else the array x."""
-    return float(x[0]) if np.ndim(u) == 0 else x
 
 
 def _cantor_quantile(part: ContinuousPart, u: np.ndarray) -> np.ndarray:
@@ -341,7 +316,7 @@ def _density_quantile(part: ContinuousPart, cdf: Callable, u: np.ndarray):
         newton = x + step
         fast = (lo <= newton) & (newton <= hi) & (np.abs(step) <= 0.5 * moved)
         tight = hi - lo <= 4.0 * np.spacing(x)
-        nxt = np.select([done, fast, tight], [x, newton, lo], 0.5 * (lo + hi))
+        nxt = np.select([done, fast, tight], [x, newton, lo], 0.5 * lo + 0.5 * hi)
         done |= (fast & (error <= np.spacing(x))) | tight
         moved = np.abs(nxt - x)
         x = nxt
@@ -367,16 +342,22 @@ def _step_left(cdf: Callable, x: np.ndarray, values, u: np.ndarray, floor: float
 
 @dataclass(frozen=True, eq=False)
 class TransportMap:
-    """Monotone map G with dst = (M_dst/M_src) * src o G, dst-support -> src-support.
+    """Monotone maps G with dst = (M_dst/M_src) * src o G, dst-window -> src-window.
 
     Between two stacks of C windows it is C maps: row p of an argument goes
-    from target window p to source window p, and ``g[p]`` is map p alone.
+    from target window p to source window p, and ``g[i:j]`` is the maps of
+    rows i..j-1.
     """
 
-    source: MeasureSpec | RestrictedMeasure
-    target: MeasureSpec | RestrictedMeasure
+    source: RestrictedMeasure
+    target: RestrictedMeasure
 
-    def __getitem__(self, rows) -> "TransportMap":
+    def __post_init__(self):
+        shape = np.shape(self.source.total_mass)
+        if len(shape) != 1 or np.shape(self.target.total_mass) != shape:
+            raise RangeError("a transport map runs between two stacks of as many windows")
+
+    def __getitem__(self, rows: slice) -> "TransportMap":
         return TransportMap(self.source[rows], self.target[rows])
 
     def __call__(self, t):
@@ -393,15 +374,13 @@ class TransportMap:
         return TransportMap(self.target, self.source)
 
 
-def quadrature_nodes(m, *, nodes: int):
+def quadrature_nodes(m: RestrictedMeasure, *, nodes: int):
     """Inverse-transform nodes: quantiles of the midpoint levels (i + 1/2) du.
 
-    The mass step is du = total_mass / nodes.  Returns the nodes and du.  On
-    a stack of C windows the nodes are a (C, nodes) table, row p in window
-    p, and du is a (C,) array.
+    The mass step of window p is du[p] = total_mass[p] / nodes.  Returns the
+    (C, nodes) table of nodes, row p in window p, and the (C,) array du.
     """
     if nodes < 1:
         raise RangeError(f"need at least one node, got {nodes}")
-    du = np.asarray(m.total_mass) / nodes
-    levels = (np.arange(nodes) + 0.5) * du[..., None]
-    return m.quantile(levels), _unwrap(du)
+    du = m.total_mass / nodes
+    return m.quantile((np.arange(nodes) + 0.5) * du[:, None]), du

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial import polynomial as P
 
-from .errors import CapacityError, DomainError, EmptyDescriptorError, RangeError, SchemaError
+from .errors import CapacityError, DomainError, RangeError, SchemaError
 
 #: Multiplicity token for an infinite-dimensional eigenspace.
 INFINITE = math.inf
@@ -182,11 +182,15 @@ class ContinuousPart:
             if not self.coeffs:
                 raise DomainError("density parts need a polynomial coefficient list")
             object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-            shifted = Polynomial(self.coeffs)(Polynomial([a, 1.0]))
-            object.__setattr__(self, "antiderivative", shifted.integ())
+            with np.errstate(all="ignore"):  # an overflow is read from the inf or NaN it leaves
+                shifted = Polynomial(self.coeffs)(Polynomial([a, 1.0]))
+                object.__setattr__(self, "antiderivative", shifted.integ())
+                mass = self.total_mass
             if not _nonnegative_on(np.array(self.coeffs), a, b):
                 raise DomainError("density is negative on its support")
-            if not self.total_mass > 0:
+            if not (np.isfinite(self.antiderivative.coef).all() and np.isfinite(mass)):
+                raise DomainError("density overflows in floating point on its support")
+            if not mass > 0:
                 raise DomainError("density integrates to zero mass")
         else:
             if self.coeffs is not None:
@@ -256,20 +260,6 @@ def canonicalize(d: SpectralDescriptor) -> SpectralDescriptor:
 
 def _part_key(part: ContinuousPart):
     return (part.support, part.kind.value, part.coeffs or (), part.mass or 0.0)
-
-
-def spectral_bounds(d: SpectralDescriptor) -> tuple[float, float]:
-    """Envelope [lo, hi] of the spectrum, including unattained sequence limits."""
-    if d.is_empty:
-        raise EmptyDescriptorError("cannot bound an empty descriptor")
-    values: list[float] = []
-    for atom in d.atoms:
-        values.append(atom.value)
-    for seq in d.sequences:
-        values.extend((seq.limit, seq.term(1)))
-    for part in d.continuous:
-        values.extend(part.support)
-    return min(values), max(values)
 
 
 def enumerate_points(d: SpectralDescriptor, per_sequence: int) -> list[tuple[float, int]]:

@@ -104,10 +104,6 @@ class TruncatedQuadraticSpace:
     def dimension(self) -> int:
         return self.lambdas.size
 
-    def form(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(np.sum(self.lambdas * x * x))
-
 
 # ---------------------------------------------------------------------------
 # Witness checks
@@ -158,7 +154,10 @@ class _TransportTables:
         for rows in row_blocks(2 * K - 1, nodes):
             xs, dus, image = x[rows], du[rows, None], gsq[rows] * image_du[rows, None]
             z = (xs - xs[:, :1]) / (xs[:, -1:] - xs[:, :1])
-            weights = np.stack([[xs * dus, t[rows] * image],
+            x_shift, du_shift = _even_shift(xs[:, -1:]), _even_shift(dus)
+            xs, ts = np.ldexp(xs, x_shift), np.ldexp(t[rows], x_shift)
+            dus, image = np.ldexp(dus, du_shift), np.ldexp(image, du_shift)
+            weights = np.stack([[xs * dus, ts * image],
                                 [np.broadcast_to(dus, xs.shape), image]])
             power = np.ones_like(z)
             for order in range(2 * _COEFFS - 1):
@@ -166,6 +165,17 @@ class _TransportTables:
                 power = power * z
         j = np.arange(_COEFFS)
         self.form, self.norm_sq = moments[..., j[:, None] + j]  # Hankel: G[j, l] = m[j + l]
+
+
+def _even_shift(v: np.ndarray) -> np.ndarray:
+    """The even exponent n with ldexp(v, n) in [1/4, 1), elementwise.
+
+    Each table row is scaled by 2**n, once for x and t and once for the
+    mass steps, so that x du stays finite on wide supports.  The scaling is
+    exact, and it multiplies both sides of a pencil and of the contraction
+    ratio alike, so it cancels.
+    """
+    return -2 * ((np.frexp(v)[1] + 1) // 2)
 
 
 #: Tables by witness, then by node count; an entry goes when its witness does.
@@ -251,7 +261,7 @@ def check_strict_contraction(
     contracting direction (a witness bug) yields a failing report.
     """
     if isinstance(op, ShiftWitness):
-        factor = op.factor(1)  # ||T e_{n_1}||; the junction is the strict drop
+        factor = op.factors[op.window]  # ||T e_{n_1}||; the junction is the strict drop
     else:
         # Indicator of cell k = 0, or at K = 1 (where k = 0 has no successor)
         # of the last cell with one: the (0, 0) entries of its Gram matrices.

@@ -47,7 +47,7 @@ class ShiftWitness:
     r: float
     R: float
     rule: Rule
-    factors: np.ndarray = field(init=False)  # position k + window - 1 holds factor(k)
+    factors: np.ndarray = field(init=False)  # sqrt(lambda_{n_k}/lambda_{n_{k-1}}) at k + K - 1
     #: Weight of x_k^2 in the image form, lambda_{n_{k-1}} * (lambda_{n_k}/lambda_{n_{k-1}}),
     #: at position k + window - 1.
     image_weights: np.ndarray = field(init=False)
@@ -73,39 +73,6 @@ class ShiftWitness:
         ratios = lam[1:] / lam[:-1]
         object.__setattr__(self, "factors", np.sqrt(ratios))
         object.__setattr__(self, "image_weights", lam[:-1] * ratios)
-
-    def factor(self, k: int) -> float:
-        """sqrt(lambda_{n_k}/lambda_{n_{k-1}}) for k in -K+1..K."""
-        if not -self.window + 1 <= k <= self.window:
-            raise RangeError(f"factor index {k} outside window")
-        return float(self.factors[k + self.window - 1])
-
-    def apply(self, window_coeffs):
-        """Shift window coefficients down one slot, along the last axis.
-
-        Slot k = K receives 0: its in-chain source sits outside the window.
-        """
-        x = np.asarray(window_coeffs, dtype=float)
-        if x.shape[-1:] != self.lambdas.shape:
-            raise RangeError("coefficient vectors must cover k = -K..K")
-        out = np.zeros_like(x)
-        out[..., :-1] = self.factors * x[..., 1:]
-        return out
-
-    def form(self, window_coeffs):
-        """Quadratic form <x, Ax> of window coefficients, along the last axis."""
-        x = np.asarray(window_coeffs, dtype=float)
-        return np.sum(np.multiply(t := self.lambdas * x, x, out=t), axis=-1)
-
-    def form_of_image(self, window_coeffs):
-        """<Tx, ATx> evaluated with exact eigenvalue ratios, along the last axis.
-
-        Weighs slot k by ``image_weights``, lambda_{n_{k-1}} *
-        (lambda_{n_k}/lambda_{n_{k-1}}), not by the rounded square of
-        factor(k), so the preservation identity holds to machine precision.
-        """
-        x = np.asarray(window_coeffs, dtype=float)[..., 1:]
-        return np.sum(np.multiply(t := self.image_weights * x, x, out=t), axis=-1)
 
 
 def _first_geometric_index(seq: EigenSequence, threshold: float) -> int:
@@ -202,7 +169,7 @@ class TransportWitness:
     masses come from one cdf call on the endpoints.  ``maps`` is the stack
     of the 2K - 1 maps G_k = G_{mu_k, mu_{k+1}} : Delta_{k+1} -> Delta_k,
     k = -K..K-2, row p again for k = p - K.  Every call runs all rows at
-    once; ``cells[p]`` and ``maps[p]`` are one-window views of row p.
+    once.
     """
 
     measure: MeasureSpec
@@ -220,7 +187,7 @@ class TransportWitness:
             raise PreconditionError("endpoints must cover k = -K..K")
         if not (np.diff(pts) > 0).all():
             raise PreconditionError("partition endpoints must increase strictly")
-        cells = self.measure.restrict(pts[:-1], pts[1:])
+        cells = RestrictedMeasure(self.measure, pts[:-1], pts[1:])
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "masses", cells.total_mass)
         object.__setattr__(self, "maps", TransportMap(cells[:-1], cells[1:]))

@@ -11,7 +11,9 @@ from lecplast import (
     EigenSequence,
     MeasureSpec,
     RangeError,
+    RestrictedMeasure,
     SpectralDescriptor,
+    TransportMap,
     canonicalize,
 )
 from lecplast.measures import quadrature_nodes
@@ -92,6 +94,19 @@ def bisect_quantile(m, u):
     return lo_b
 
 
+def whole(m):
+    """The measure ``m`` on its whole support, as a one-row stack."""
+    a, b = m.support
+    return RestrictedMeasure(m, np.array([a]), np.array([b]))
+
+
+def row_map(src, dst):
+    """The transport map from ``dst`` onto ``src`` between one-row stacks
+    over their supports, as a function of a 1-D argument."""
+    g = TransportMap(whole(src), whole(dst))
+    return lambda t: g(np.asarray(t, dtype=float)[None])[0]
+
+
 def pushforward_check(src, dst, mapping, intervals) -> float:
     """Max over intervals [s, t] of |dst([s,t]) - (M_dst/M_src) src([G(s), G(t)])|."""
     intervals = np.asarray(intervals, dtype=float)
@@ -109,8 +124,8 @@ def integrate(m, integrand, nodes: int = 1024) -> float:
 
     Deterministic for fixed node count; exact for constant integrands.
     """
-    x, du = quadrature_nodes(m, nodes=nodes)
-    return float(np.sum(np.asarray(integrand(x), dtype=float)) * du)
+    x, du = quadrature_nodes(whole(m), nodes=nodes)
+    return float(np.sum(np.asarray(integrand(x[0]), dtype=float)) * du[0])
 
 
 def cantor_oracle(x, depth=22):

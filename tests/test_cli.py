@@ -130,6 +130,13 @@ class TestClassify:
             # the points of any 1024-point grid of [1, 2]
             ({"continuous": [dict(_DENSITY, coeffs=[1.5003**2 - 1e-8, -3.0006, 1.0])]},
              ["all"]),
+            # densities whose antiderivative or total mass overflows: an infinite
+            # mass, t^2 integrated over [1e150, 1e300], and a negative density
+            # whose shifted coefficients overflow before its sign is read
+            ({"continuous": [dict(_DENSITY, coeffs=[1e308, -1e308, 1e308])]}, ["classify"]),
+            ({"continuous": [dict(_DENSITY, support=[1e150, 1e300], coeffs=[0, 0, 1])]},
+             ["classify"]),
+            ({"continuous": [dict(_DENSITY, coeffs=[-1e308, -1e308, -1e308])]}, ["classify"]),
         ],
         ids=["window_0", "nodes_8", "cantor_window_40", "sequence_window_80",
              "cantor_window_32", "lebesgue_window_46", "lebesgue_window_51",
@@ -137,7 +144,9 @@ class TestClassify:
              "integer_5000_digits", "nested_100000_deep", "not_utf8",
              "unknown_command", "window_not_int", "unknown_flag", "argument_with_newline",
              "nodes_1e15", "nodes_1e19", "lebesgue_window_1e20", "atoms_window_1e19",
-             "atoms_per_sequence_1e20", "density_negative_between_grid_points"],
+             "atoms_per_sequence_1e20", "density_negative_between_grid_points",
+             "density_mass_overflows", "density_wide_support_mass_overflows",
+             "density_negative_coefficients_overflow"],
     )
     def test_rejected_run_exits_1_with_one_line(self, tmp_path, capsys, doc, args):
         assert main([*args, "--input", write(tmp_path, "d.json", doc)]) == 1
@@ -225,6 +234,17 @@ class TestVerifyCommand:
             assert names == ["form_preservation", "nonexpansive", "strict_contraction",
                              "finite_dim_plasticity"]
             assert all(c["pass"] for c in report["checks"])
+
+    @pytest.mark.parametrize("end", [1e200, 1e300, 1.7e308])
+    def test_wide_support_passes_without_warnings(self, tmp_path, capsys, end):
+        # Lebesgue on [1, end] at default flags: the Gram weights x du and the
+        # Newton bisection midpoint would leave the float range if formed as
+        # they are written; pytest turns a RuntimeWarning into an error.
+        path = write(tmp_path, "d.json", WITH_NUMBER["support_end"](end))
+        out = tmp_path / "report.json"
+        assert main(["all", "--full", "--input", path, "--output", str(out)]) == 3
+        assert capsys.readouterr().err == ""
+        assert all(c["pass"] for c in json.loads(out.read_text())["checks"])
 
     def test_nan_residual_fails_its_check(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(TransportWitness, "multiplier_squared",

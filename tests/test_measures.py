@@ -7,6 +7,7 @@ from lecplast import (
     DomainError,
     MeasureSpec,
     RangeError,
+    RestrictedMeasure,
     TransportMap,
     build_partition,
     build_transport_witness,
@@ -20,6 +21,8 @@ from conftest import (
     density,
     integrate,
     pushforward_check,
+    row_map,
+    whole,
 )
 
 GALOIS_TOL = 2.0**-40
@@ -175,11 +178,11 @@ class TestClosedFormQuantile:
     def test_invariant_on_every_witness_cell(self, part):
         w = build_transport_witness(part, 16)
         for p in range(32):
-            cell = w.cells[p]
-            levels = np.concatenate([
-                cell.total_mass * (np.arange(512) + 0.5) / 512,
-                cell.total_mass * partition_levels(8),
-            ])
+            cell = w.cells[p:p + 1]
+            mass = cell.total_mass[:, None]
+            levels = np.concatenate(
+                [mass * (np.arange(512) + 0.5) / 512, mass * partition_levels(8)], axis=1
+            )
             assert (cell.cdf(cell.quantile(levels)) <= levels).all()
 
     @pytest.mark.parametrize("part", SINGLE_PARTS.values(), ids=SINGLE_PARTS.keys())
@@ -196,9 +199,9 @@ class TestClosedFormQuantile:
         monkeypatch.setattr(MeasureSpec, "cdf", counting_cdf)
         m.quantile(levels)
         assert 1 <= len(calls) <= 8
-        cell = m.restrict(*m.quantile(m.total_mass * np.array([0.25, 0.75])))
+        cell = RestrictedMeasure(m, *m.quantile(m.total_mass * np.array([[0.25], [0.75]])))
         calls.clear()
-        cell.quantile(cell.total_mass * (np.arange(256) + 0.5) / 256)
+        cell.quantile(cell.total_mass[:, None] * (np.arange(256) + 0.5) / 256)
         assert 1 <= len(calls) <= 8
 
 
@@ -206,12 +209,12 @@ class TestTransportMap:
     def test_affine_pair(self):
         mu = MeasureSpec(density(0.0, 1.0))
         nu = MeasureSpec(density(0.0, 2.0))
-        g = TransportMap(mu, nu)
+        g = row_map(mu, nu)
         t = np.linspace(0.0, 2.0, 9)
         assert np.abs(g(t) - t / 2.0).max() <= 2.0**-40
 
     def test_self_transport_is_identity(self, lebesgue_12):
-        g = TransportMap(lebesgue_12, lebesgue_12)
+        g = row_map(lebesgue_12, lebesgue_12)
         t = np.linspace(1.0, 2.0, 11)
         assert np.abs(g(t) - t).max() <= 2.0**-40
 
@@ -219,20 +222,20 @@ class TestTransportMap:
         # F_nu(t) = (t-1)^2 for the density 2(t-1) on [1,2]; solving
         # F_mu(G) = F_nu gives G(t) = 1 + (t-1)^2.
         nu = MeasureSpec(density(1.0, 2.0, coeffs=(-2.0, 2.0)))
-        g = TransportMap(lebesgue_12, nu)
+        g = row_map(lebesgue_12, nu)
         t = np.linspace(1.05, 1.95, 10)
         assert np.abs(g(t) - (1.0 + (t - 1.0) ** 2)).max() <= 1e-12
 
     def test_monotone_on_ordered_pairs(self, cantor_01):
         dst = MeasureSpec(density(0.0, 1.0))
-        g = TransportMap(cantor_01, dst)
+        g = row_map(cantor_01, dst)
         rng = np.random.default_rng(17)
         pairs = np.sort(rng.uniform(0.0, 1.0, size=(1000, 2)), axis=1)
         assert (g(pairs[:, 0]) <= g(pairs[:, 1]) + 2.0**-45).all()
 
     def test_range_inside_source_support(self, lebesgue_12):
         nu = MeasureSpec(density(0.0, 3.0, coeffs=(0.5, 1.0)))
-        g = TransportMap(lebesgue_12, nu)
+        g = row_map(lebesgue_12, nu)
         values = g(np.linspace(0.0, 3.0, 200))
         assert (values >= 1.0 - 2.0**-45).all()
         assert (values <= 2.0 + 2.0**-45).all()
@@ -242,17 +245,17 @@ class TestPushforward:
     def test_affine_case(self):
         mu = MeasureSpec(density(0.0, 1.0))
         nu = MeasureSpec(density(0.0, 2.0))
-        g = TransportMap(mu, nu)
+        g = row_map(mu, nu)
         assert pushforward_check(mu, nu, g, [[0.0, 0.8]]) <= 1e-12
 
     def test_self_transport(self, lebesgue_12):
-        g = TransportMap(lebesgue_12, lebesgue_12)
+        g = row_map(lebesgue_12, lebesgue_12)
         intervals = [[1.0, 1.3], [1.2, 1.9], [1.5, 2.0]]
         assert pushforward_check(lebesgue_12, lebesgue_12, g, intervals) <= 1e-14
 
     def test_cantor_to_lebesgue(self, cantor_01):
         dst = MeasureSpec(density(0.0, 1.0))
-        g = TransportMap(cantor_01, dst)
+        g = row_map(cantor_01, dst)
         rng = np.random.default_rng(29)
         intervals = np.sort(rng.uniform(0.0, 1.0, size=(100, 2)), axis=1)
         assert pushforward_check(cantor_01, dst, g, intervals) <= 1e-6
@@ -260,7 +263,7 @@ class TestPushforward:
     def test_density_pairs_residual(self):
         src = MeasureSpec(density(1.0, 2.0, coeffs=(0.0, 2.0)))
         dst = MeasureSpec(density(0.5, 3.0, coeffs=(1.0, 0.5)))
-        g = TransportMap(src, dst)
+        g = row_map(src, dst)
         rng = np.random.default_rng(31)
         intervals = np.sort(rng.uniform(0.5, 3.0, size=(100, 2)), axis=1)
         assert pushforward_check(src, dst, g, intervals) <= 1e-9
@@ -283,15 +286,15 @@ class TestIntegrate:
 
 
 class TestStackedWindows:
-    """Row p of a stacked call equals the one-window call on window p, bit for bit."""
+    """Row p of a stacked call equals the same call on window p alone, bit for bit."""
 
     @staticmethod
     def windows(part, K=6):
-        """The 2K partition cells as one stack and as fresh one-window restrictions."""
+        """The 2K partition cells as one stack and as fresh one-row stacks."""
         m = MeasureSpec(part)
         pts = build_partition(m, K)
-        one = [m.restrict(lo, hi) for lo, hi in zip(pts[:-1], pts[1:])]
-        return m.restrict(pts[:-1], pts[1:]), one
+        one = [RestrictedMeasure(m, pts[p:p + 1], pts[p + 1:p + 2]) for p in range(2 * K)]
+        return RestrictedMeasure(m, pts[:-1], pts[1:]), one
 
     # 12 rows of 700 levels span three blocks of whole rows (5, 5 and 2).
     @pytest.mark.parametrize("n", [33, 700])
@@ -299,7 +302,7 @@ class TestStackedWindows:
     def test_rows_equal_one_window_calls(self, part, n):
         stack, one = self.windows(part)
         assert len(row_blocks(len(one), n)) == (1 if n == 33 else 3)
-        assert [float(v) for v in stack.total_mass] == [w.total_mass for w in one]
+        assert stack.total_mass.tolist() == [float(w.total_mass[0]) for w in one]
         lo, hi = stack.support
         t = np.linspace(lo - 0.25 * (hi - lo), hi + 0.25 * (hi - lo), n, axis=-1)
         u = np.concatenate([
@@ -311,23 +314,25 @@ class TestStackedWindows:
         pulled, pushed = g(x[1:]), g.inverse(x[:-1])
         cdf, quantile = stack.cdf(t), stack.quantile(u)
         for p, w in enumerate(one):
-            assert (cdf[p] == w.cdf(t[p])).all()
-            assert (quantile[p] == w.quantile(u[p])).all()
+            rows = slice(p, p + 1)
+            assert (cdf[rows] == w.cdf(t[rows])).all()
+            assert (quantile[rows] == w.quantile(u[rows])).all()
             nodes, step = quadrature_nodes(w, nodes=n)
-            assert (x[p] == nodes).all() and du[p] == step
-            assert stack.cdf(lo)[p] == w.cdf(lo[p]) and stack[p].support == w.support
+            assert (x[rows] == nodes).all() and (du[rows] == step).all()
+            assert (stack.cdf(lo)[rows] == w.cdf(lo[rows])).all()
+            assert stack[rows].support == w.support
             if p + 1 < len(one):
                 single = TransportMap(w, one[p + 1])
-                assert (pulled[p] == single(x[p + 1])).all()
-                assert (pushed[p] == single.inverse(x[p])).all()
+                assert (pulled[rows] == single(x[p + 1:p + 2])).all()
+                assert (pushed[rows] == single.inverse(x[rows])).all()
 
     def test_one_window_checks_apply_per_row(self):
         m = MeasureSpec(cantor(0.0, 1.0))
         with pytest.raises(DomainError, match=r"empty restriction window \[0.5, 0.5\]"):
-            m.restrict(np.array([0.0, 0.5]), np.array([0.5, 0.5]))
+            RestrictedMeasure(m, np.array([0.0, 0.5]), np.array([0.5, 0.5]))
         # (0.4, 0.6) lies inside the middle gap of the Cantor set
         with pytest.raises(DomainError, match=r"restriction to \[0.4, 0.6\] has no mass"):
-            m.restrict(np.array([0.0, 0.4]), np.array([0.3, 0.6]))
+            RestrictedMeasure(m, np.array([0.0, 0.4]), np.array([0.3, 0.6]))
         stack, _ = self.windows(density(1.0, 2.0), K=2)
         u = np.tile(stack.total_mass[:, None] * 0.5, (1, 3))
         u[2, 1] = 1.5 * stack.total_mass[2]
@@ -336,15 +341,30 @@ class TestStackedWindows:
         with pytest.raises(RangeError):
             stack.cdf(np.ones(3))  # one row short of the four windows
 
+    def test_scalar_window_is_rejected(self, lebesgue_12):
+        with pytest.raises(RangeError, match="a stack of windows"):
+            RestrictedMeasure(lebesgue_12, 1.25, 1.5)
+        with pytest.raises(RangeError, match="a stack of windows"):
+            RestrictedMeasure(lebesgue_12, np.array([1.25, 1.5]), np.array([1.5]))
+        with pytest.raises(RangeError, match="between two stacks"):
+            TransportMap(lebesgue_12, lebesgue_12)
+        stack, _ = self.windows(density(1.0, 2.0), K=2)
+        with pytest.raises(RangeError, match="between two stacks"):
+            TransportMap(stack[:-1], stack)
+        with pytest.raises(TypeError, match="by slice"):
+            stack[0]
+        with pytest.raises(TypeError, match="by slice"):
+            TransportMap(stack[:-1], stack[1:])[0]
+
 
 class TestQuadratureNodes:
     @staticmethod
     def cdf_formula(m, n):
         """Nodes and step from the cdf at both support ends, as an explicit interval."""
         lo, hi = m.support
-        u_lo, u_hi = np.asarray(m.cdf(lo)), np.asarray(m.cdf(hi))
+        u_lo, u_hi = m.cdf(lo), m.cdf(hi)
         du = (u_hi - u_lo) / n
-        return m.quantile(u_lo[..., None] + (np.arange(n) + 0.5) * du[..., None]), du
+        return m.quantile(u_lo[:, None] + (np.arange(n) + 0.5) * du[:, None]), du
 
     @pytest.mark.parametrize("n", [33, 256])
     @pytest.mark.parametrize("part", SINGLE_PARTS.values(), ids=SINGLE_PARTS.keys())
@@ -352,16 +372,15 @@ class TestQuadratureNodes:
         # On its own support a measure's cdf is 0 at the start and its total
         # mass at the end, exactly, so du = total_mass / n loses no bit.
         stack, _ = TestStackedWindows.windows(part)
-        for m in (stack, stack[0], stack[5], MeasureSpec(part)):
+        for m in (stack, stack[0:1], stack[5:6], whole(MeasureSpec(part))):
             lo, hi = m.support
-            assert (np.asarray(m.cdf(lo)) == 0.0).all()
-            assert (np.asarray(m.cdf(hi)) == m.total_mass).all()
+            assert (m.cdf(lo) == 0.0).all() and (m.cdf(hi) == m.total_mass).all()
             x, du = quadrature_nodes(m, nodes=n)
             x_ref, du_ref = self.cdf_formula(m, n)
             assert np.array_equal(du, du_ref) and np.array_equal(x, x_ref)
 
     def test_nodes_is_keyword_only(self):
         with pytest.raises(TypeError):
-            quadrature_nodes(MeasureSpec(density(1.0, 2.0)), None, 16)
+            quadrature_nodes(whole(MeasureSpec(density(1.0, 2.0))), None, 16)
         with pytest.raises(RangeError):
-            quadrature_nodes(MeasureSpec(density(1.0, 2.0)), nodes=0)
+            quadrature_nodes(whole(MeasureSpec(density(1.0, 2.0))), nodes=0)

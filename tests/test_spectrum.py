@@ -9,13 +9,11 @@ from lecplast import (
     INFINITE,
     CapacityError,
     DomainError,
-    EmptyDescriptorError,
     SchemaError,
     canonicalize,
     enumerate_points,
     parse_descriptor,
     serialize_descriptor,
-    spectral_bounds,
 )
 from conftest import atom, cantor, density, descriptor, random_descriptor, seq
 
@@ -107,28 +105,16 @@ class TestCanonicalize:
 
 
 class TestBounds:
-    def test_two_atoms(self):
-        assert spectral_bounds(descriptor(atoms=[atom(1, INFINITE), atom(2, INFINITE)])) == (1, 2)
-
-    def test_decreasing_sequence_unattained_limit(self):
-        d = descriptor(sequences=[seq(1, "dec")])
-        assert spectral_bounds(d) == (1.0, 1.5)
-
-    def test_envelope_of_components(self):
-        d = descriptor(atoms=[atom(3, 1)], continuous=[density(1, 2)])
-        assert spectral_bounds(d) == (1.0, 3.0)
-
-    def test_empty_raises(self):
-        with pytest.raises(EmptyDescriptorError):
-            spectral_bounds(descriptor())
-
     def test_enumerated_points_stay_in_envelope(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             d = random_descriptor(rng, allow_continuous=False)
             if d.is_empty:
                 continue
-            lo, hi = spectral_bounds(d)
+            # the envelope of the spectrum, unattained sequence limits included
+            values = [a.value for a in d.atoms]
+            values += [v for q in d.sequences for v in (q.limit, q.term(1))]
+            lo, hi = min(values), max(values)
             for depth in (1, 3, 17):
                 for value, _ in enumerate_points(d, depth):
                     assert lo <= value <= hi

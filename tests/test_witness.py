@@ -37,7 +37,7 @@ class TestBuildShift:
         w = _witness_for(descriptor(atoms=[atom(1, INFINITE), atom(2, INFINITE)]), 2)
         assert np.array_equal(w.lambdas, [2.0, 2.0, 2.0, 1.0, 1.0])
         assert np.array_equal(w.factors, [1.0, 1.0, math.sqrt(0.5), 1.0])
-        assert abs(w.factor(1) - SQRT_HALF) <= 1e-15
+        assert abs(w.factors[w.window] - SQRT_HALF) <= 1e-15
 
     def test_no_min_no_max_chain(self):
         d = descriptor(sequences=[seq(1, "dec"), seq(2, "inc")])
@@ -47,7 +47,7 @@ class TestBuildShift:
         assert w.lambdas[w.window + 2] == 1.125
         assert w.lambdas[w.window] == 1.5
         assert w.lambdas[w.window - 1] == 1.75
-        assert abs(w.factor(1) - SQRT_5_6) <= 1e-15
+        assert abs(w.factors[w.window] - SQRT_5_6) <= 1e-15
 
     def test_infinite_min_no_max(self):
         d = descriptor(atoms=[atom(1, INFINITE)], sequences=[seq(2, "inc")])
@@ -121,27 +121,6 @@ class TestBuildShift:
         )
         with pytest.raises(CapacityError):
             build_shift_witness(d, cert, 5)
-
-
-class TestApplyShift:
-    @pytest.fixture
-    def w(self):
-        return _witness_for(descriptor(atoms=[atom(1, INFINITE), atom(2, INFINITE)]), 2)
-
-    def test_single_column_action(self, w):
-        x = np.zeros(5)
-        x[w.window + 1] = 1.0  # e_{n_1}
-        out = w.apply(x)
-        expected = np.zeros(5)
-        expected[w.window] = math.sqrt(0.5)
-        assert np.array_equal(out, expected)
-
-    def test_top_slot_has_no_preimage(self, w):
-        x = np.zeros(5)
-        x[-1] = 1.0  # e_{n_K}
-        out = w.apply(x)
-        assert out[-2] == w.factor(w.window)
-        assert out[-1] == 0.0
 
 
 class TestPartition:
