@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .errors import (
     CapacityError,
     DomainError,
-    EmptyDescriptorError,
     PreconditionError,
     RangeError,
     SchemaError,

@@ -17,8 +17,6 @@ import json
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import __version__
 from .errors import CapacityError, DomainError, PreconditionError, RangeError, SchemaError
 from .plasticity import Rule, Verdict, classify
@@ -37,9 +35,6 @@ from .verify import (
 from .witness import build_shift_witness, build_transport_witness, witness_to_dict
 
 _COMMANDS = ("classify", "witness", "verify", "all")
-#: Check names by the index their report seed is drawn at.
-_CHECK_NAMES = ("form_preservation", "nonexpansive", "strict_contraction", "rayleigh_bounds",
-                "min_attained", "extremal_invariance", "finite_dim_plasticity")
 #: Largest count flag: float64 holds every count exactly up to here, and an
 #: array this long is addressable, so a run too large ends in MemoryError.
 _MAX_COUNT = 2**53
@@ -67,11 +62,6 @@ class RunConfig:
                 raise RangeError(f"{name} must be <= 2**53, got {value}")
         if self.seed < 0:
             raise RangeError(f"seed must be >= 0, got {self.seed}")
-
-
-def _check_seed(base: int, index: int) -> int:
-    """The seed a report stamps on the check at ``index``; no check reads it."""
-    return int(np.random.SeedSequence([base, index]).generate_state(1)[0])
 
 
 def _build_witness(d: SpectralDescriptor, verdict: Verdict, config: RunConfig):
@@ -125,10 +115,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
     exit_code = 0 if verdict.plastic else 3
     if config.command in ("verify", "all"):
         checks = _run_checks(descriptor, witness, config)
-        report["checks"] = [
-            {**c.to_dict(), "seed": _check_seed(config.seed, _CHECK_NAMES.index(c.name))}
-            for c in checks
-        ]
+        report["checks"] = [c.to_dict() for c in checks]
         if not all(c.passed for c in checks):
             exit_code = 2
     return exit_code, report
@@ -161,11 +148,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="descriptor JSON file")
     parser.add_argument("--output", dest="output_path", metavar="PATH",
                         help="report path (default stdout)")
-    parser.add_argument("--seed", type=int, default=RunConfig.seed)
+    parser.add_argument("--seed", type=int, default=RunConfig.seed,
+                        help="recorded in the report; nothing reads it")
     parser.add_argument("--window", type=int, default=RunConfig.window, help="witness window K")
     parser.add_argument("--nodes", type=int, default=RunConfig.nodes, help="quadrature nodes")
     parser.add_argument("--per-sequence", type=int, default=RunConfig.per_sequence)
-    parser.add_argument("--full", action="store_true", help="include sampled multiplier tables")
+    parser.add_argument("--full", action="store_true",
+                        help="include each transport cell's multiplier at the midpoints "
+                        "of 32 equal subintervals")
     return parser
 
 

@@ -9,10 +9,6 @@ class DomainError(ValueError):
     """A value violates a domain invariant (positivity, ratio range, ...)."""
 
 
-class EmptyDescriptorError(DomainError):
-    """The descriptor carries no spectral data at all."""
-
-
 class RangeError(ValueError):
     """An argument lies outside its admissible range."""
 

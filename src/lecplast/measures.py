@@ -310,7 +310,9 @@ def _density_quantile(part: ContinuousPart, cdf: Callable, u: np.ndarray):
         lo = np.where(below, x, lo)
         hi = np.where(below, hi, x)
         p = density(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # An overflowed step**2 makes the error term inf or nan, which
+        # counts as not converged.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             step = np.where(values == u, 0.0, (u - values) / p)
             error = np.where(step == 0.0, 0.0, np.abs(slope(x) / (2.0 * p)) * step**2)
         newton = x + step

@@ -266,8 +266,8 @@ def enumerate_points(d: SpectralDescriptor, per_sequence: int) -> list[tuple[flo
     """Finite truncation of the point spectrum, sorted ascending.
 
     Each sequence contributes its first ``per_sequence`` terms; INFINITE atom
-    multiplicities are rendered as 2*per_sequence copies, enough for the
-    bilateral shift window.  Points sharing a value merge by adding
+    multiplicities are rendered as 2*per_sequence copies, which set only the
+    dimension of the truncated space.  Points sharing a value merge by adding
     multiplicities (the atom/term overlay).
     """
     if per_sequence < 1:

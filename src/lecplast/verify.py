@@ -95,9 +95,7 @@ class TruncatedQuadraticSpace:
         object.__setattr__(self, "lambdas", lam)
 
     @classmethod
-    def from_descriptor(
-        cls, d: SpectralDescriptor, per_sequence: int = 8
-    ) -> "TruncatedQuadraticSpace":
+    def from_descriptor(cls, d: SpectralDescriptor, per_sequence: int) -> "TruncatedQuadraticSpace":
         return cls(tuple(enumerate_points(d, per_sequence)))
 
     @property

@@ -246,6 +246,17 @@ class TestVerifyCommand:
         assert capsys.readouterr().err == ""
         assert all(c["pass"] for c in json.loads(out.read_text())["checks"])
 
+    def test_far_support_newton_step_does_not_warn(self, tmp_path, capsys):
+        # Lebesgue on [1e300, 1.5e300]: the quantile's Newton steps pass 1e154,
+        # so the square in their error term overflows; that counts as "not
+        # converged" and must not reach stderr as a RuntimeWarning.
+        doc = {"continuous": [dict(_DENSITY, support=[1e300, 1.5e300])]}
+        out = tmp_path / "report.json"
+        argv = ["all", "--input", write(tmp_path, "d.json", doc), "--output", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == ""
+        assert all(c["pass"] for c in json.loads(out.read_text())["checks"])
+
     def test_nan_residual_fails_its_check(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(TransportWitness, "multiplier_squared",
                             lambda self, s: np.full(np.shape(s), np.nan))
@@ -345,20 +356,6 @@ class TestVerifyCommand:
         assert report["version"]
         assert report["descriptor"]["atoms"][0]["multiplicity"] == "inf"
 
-    @pytest.mark.parametrize("doc", [LEBESGUE, TWO_ATOMS], ids=["lebesgue", "two_atoms"])
-    def test_each_check_seed_follows_its_fixed_index(self, tmp_path, doc):
-        # The seed of check i is drawn from (--seed, i), whichever checks ran.
-        seeds = [3225285948, 3933992529, 302313366, 2967464816, 2909311008, 2768950738,
-                 196518968]
-        index = {"form_preservation": 0, "nonexpansive": 1, "strict_contraction": 2,
-                 "rayleigh_bounds": 3, "min_attained": 4, "extremal_invariance": 5,
-                 "finite_dim_plasticity": 6}
-        config = RunConfig("all", write(tmp_path, "d.json", doc), seed=9,
-                           window=2, per_sequence=2, nodes=64)
-        checks = run(config)[1]["checks"]
-        assert len(checks) == (4 if doc is LEBESGUE else 7)
-        assert [c["seed"] for c in checks] == [seeds[index[c["name"]]] for c in checks]
-
 
 class TestDeterminism:
     def test_identical_runs_identical_bytes(self, tmp_path):
@@ -373,14 +370,15 @@ class TestDeterminism:
     @pytest.mark.parametrize("doc", [LEBESGUE, CANTOR, TWO_ATOMS],
                              ids=["lebesgue", "cantor", "two_atoms"])
     def test_checks_do_not_depend_on_seed(self, tmp_path, doc):
-        # No check takes the seed: it only stamps the report and each check.
+        # No check takes the seed: only the report records it, once.
         path = write(tmp_path, "d.json", doc)
         checks = [
-            [{**c, "seed": None} for c in run(RunConfig("all", path, seed=seed, window=3,
-                                                         nodes=256, per_sequence=4))[1]["checks"]]
+            run(RunConfig("all", path, seed=seed, window=3, nodes=256,
+                          per_sequence=4))[1]["checks"]
             for seed in (0, 1)
         ]
         assert checks[0] == checks[1]
+        assert not any("seed" in c for c in checks[0])
 
     def test_output_file_written(self, tmp_path):
         out = tmp_path / "report.json"
