@@ -24,6 +24,10 @@ to ternary digits 0/2, and a density level runs a safeguarded Newton
 iteration on the closed-form cdf.  Every quantile keeps the floating-point
 invariant cdf(quantile(u)) <= u, so a level on a cdf plateau selects the
 plateau's right end.
+
+Cut at triadic points, a Cantor part's windows are each an affine copy of
+the standard Cantor measure (``CantorCells``): their maps are affine
+(``AffineMap``), their nodes one table of standard Cantor points.
 """
 
 from __future__ import annotations
@@ -119,7 +123,7 @@ class MeasureSpec:
         levels = _levels(u, self.total_mass)
         a, b = self.support
         if self.part.kind is PartKind.CANTOR:
-            x = _cantor_quantile(self.part, levels)
+            x = np.clip(a + (b - a) * _cantor_quantile(levels, self.part.mass), a, b)
             values = self.cdf(x)
         else:
             x, values = _density_quantile(self.part, self.cdf, levels)
@@ -261,27 +265,26 @@ def _levels(u, mass) -> np.ndarray:
     return np.clip(levels, 0.0, mass)
 
 
-def _cantor_quantile(part: ContinuousPart, u: np.ndarray) -> np.ndarray:
-    """Right plateau end of each Cantor level u, up to a few ulps.
+def _cantor_quantile(u: np.ndarray, mass: float) -> np.ndarray:
+    """Right plateau end in [0, 1] of level u of mass * standard Cantor, to ulps.
 
     The Cantor level y is the largest multiple of 2**-(DEFAULT_CANTOR_DEPTH+1),
     the grid that ``cantor_function`` values lie on, with fl(mass * y) <= u.  Its
-    binary digits b_i become ternary digits 2 b_i:
-    x = a + (b - a) * sum_i 2 b_i 3**-i.  The finite (greedy-floor) binary
-    expansion gives the sup convention on plateaus.
+    binary digits b_i become ternary digits 2 b_i: z = sum_i 2 b_i 3**-i, a
+    point of the set.  The finite (greedy-floor) binary expansion gives the
+    sup convention on plateaus.
     """
-    a, b = part.support
     scale = 2.0 ** (DEFAULT_CANTOR_DEPTH + 1)
-    n = np.floor(u / part.mass * scale)  # y = n / scale
-    n = np.where(part.mass * (n / scale) > u, n - 1.0, n)
+    n = np.floor(u / mass * scale)  # y = n / scale
+    n = np.where(mass * (n / scale) > u, n - 1.0, n)
     up = n + 1.0
-    n = np.where((up <= scale) & (part.mass * (up / scale) <= u), up, n)
+    n = np.where((up <= scale) & (mass * (up / scale) <= u), up, n)
     z = np.zeros_like(u)
     for _ in range(DEFAULT_CANTOR_DEPTH + 1):  # least significant digit first
         half = np.floor(0.5 * n)
         z = (z + 2.0 * (n - 2.0 * half)) / 3.0
         n = half
-    return np.clip(a + (b - a) * z, a, b)
+    return z
 
 
 def _density_quantile(part: ContinuousPart, cdf: Callable, u: np.ndarray):
@@ -376,7 +379,48 @@ class TransportMap:
         return TransportMap(self.target, self.source)
 
 
-def quadrature_nodes(m: RestrictedMeasure, *, nodes: int):
+@dataclass(frozen=True, eq=False)
+class CantorCells:
+    """C windows [lo[p], hi[p]]; window p holds total_mass[p] times the standard
+    Cantor measure carried onto [lo[p], lo[p] + width[p]], then a gap."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    width: np.ndarray
+    total_mass: np.ndarray
+
+    @property
+    def support(self) -> tuple:
+        return self.lo, self.hi
+
+    def __getitem__(self, rows: slice) -> "CantorCells":
+        return CantorCells(self.lo[rows], self.hi[rows], self.width[rows], self.total_mass[rows])
+
+    outside = RestrictedMeasure.outside
+
+
+@dataclass(frozen=True, eq=False)
+class AffineMap:
+    """Transports between two stacks of ``CantorCells``: row p is the affine
+    G(t) = source.lo + (source.width / target.width)(t - target.lo), which
+    carries the Cantor copy of target window p onto that of source window p."""
+
+    source: CantorCells
+    target: CantorCells
+
+    def __getitem__(self, rows: slice) -> "AffineMap":
+        return AffineMap(self.source[rows], self.target[rows])
+
+    def __call__(self, t):
+        s, d = self.source, self.target
+        return _per_row(s.lo, t) + _per_row(s.width / d.width, t) * (t - _per_row(d.lo, t))
+
+    @property
+    def inverse(self) -> "AffineMap":
+        return AffineMap(self.target, self.source)
+
+
+def quadrature_nodes(m: RestrictedMeasure | CantorCells, *, nodes: int):
     """Inverse-transform nodes: quantiles of the midpoint levels (i + 1/2) du.
 
     The mass step of window p is du[p] = total_mass[p] / nodes.  Returns the
@@ -385,4 +429,7 @@ def quadrature_nodes(m: RestrictedMeasure, *, nodes: int):
     if nodes < 1:
         raise RangeError(f"need at least one node, got {nodes}")
     du = m.total_mass / nodes
+    if isinstance(m, CantorCells):  # one standard table, carried into every row
+        q = _cantor_quantile((np.arange(nodes) + 0.5) / nodes, 1.0)
+        return m.lo[:, None] + m.width[:, None] * q, du
     return m.quantile((np.arange(nodes) + 0.5) * du[:, None]), du

@@ -28,10 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, PreconditionError
+from .errors import PreconditionError
 from .measures import quadrature_nodes, row_blocks
 from .spectrum import PartKind, SpectralDescriptor, enumerate_points
-from .witness import ShiftWitness, TransportWitness, fitting_window
+from .witness import ShiftWitness, TransportWitness, require_window
 
 SHIFT_TOL = 1e-12
 DENSITY_TOL = 1e-5
@@ -121,30 +121,24 @@ class _TransportTables:
     side rests on a node identity: the nodes of adjacent cells sit at the
     same relative mass levels, so G_p carries node t_i of cell p + 1 onto
     node x_i of cell p, and (Tf)(t_i) = g(x_i) f(x_i) sqrt(M_p / M_{p+1}),
-    with g^2 the published ``multiplier_squared``.  Both sides thus read the
-    same z: ``form[0, p]`` (the form of f) weighs it by x du, ``form[1, p]``
-    (the form of Tf) by t g^2 du_{p+1} M_p / M_{p+1}; ``norm_sq`` drops the
-    factor x or t.
+    with g^2 the published ``multiplier_squared``; on a Cantor part G_p is
+    affine and the identity holds to rounding.  Both sides read the same z:
+    ``form[0, p]`` (the form of f) weighs it by x du, ``form[1, p]`` (the
+    form of Tf) by t g^2 du_{p+1} M_p / M_{p+1}; ``norm_sq`` drops x or t.
 
-    The nodes of all cells come from one stacked quadrature call and g^2
-    from one stacked multiplier call; the sums run over blocks of whole rows,
-    as those calls do.  A cell whose nodes are not strictly increasing raises
-    ``CapacityError`` before anything is transported, as floating point
-    cannot hold that many distinct points in it; a cell's nodes do not
-    depend on K, so the message names the largest window that works.  No
+    Nodes and g^2 each come from one stacked call, and the sums run over
+    blocks of whole rows.  A cell whose nodes are not strictly increasing
+    raises ``CapacityError`` before anything is transported, naming the
+    largest window that works (a cell's nodes do not depend on K).  No
     per-node array and no reference to the witness outlives the build.
     """
 
     def __init__(self, w: TransportWitness, nodes: int):
         K = w.window
         x, du = quadrature_nodes(w.cells, nodes=nodes)
-        narrow = np.nonzero(~(np.diff(x, axis=1) > 0).all(axis=1))[0]
-        if narrow.size:
-            raise CapacityError(
-                f"transport cell k={narrow[0] - K} at window K={K} is too narrow for "
-                f"--nodes {nodes} distinct quadrature points; "
-                + fitting_window(K, narrow, "distinct quadrature points")
-            )
+        require_window(K, (np.diff(x, axis=1) > 0).all(axis=1),
+                       f"transport cell k={{k}} at window K={K} is too narrow for "
+                       f"--nodes {nodes} distinct quadrature points", "distinct quadrature points")
         image_du = du[1:] * (w.masses[:-1] / w.masses[1:])
         x, t, du = x[:-1], x[1:], du[:-1]  # cells with a successor, and the successors
         gsq = w.multiplier_squared(x)

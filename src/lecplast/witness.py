@@ -29,9 +29,10 @@ import numpy as np
 
 from .errors import CapacityError, PreconditionError, RangeError
 # quadrature_nodes is not called here; perfbench/tracing.py patches it in this module.
-from .measures import MeasureSpec, RestrictedMeasure, TransportMap, quadrature_nodes
+from .measures import (AffineMap, CantorCells, MeasureSpec, RestrictedMeasure, TransportMap,
+                       quadrature_nodes)
 from .plasticity import ComponentRef, Rule, ViolationCertificate
-from .spectrum import ContinuousPart, Direction, EigenSequence, SpectralDescriptor
+from .spectrum import ContinuousPart, Direction, EigenSequence, PartKind, SpectralDescriptor
 
 #: Basis label: (component kind, component index, ordinal or term index).
 BasisLabel = tuple[str, int, int]
@@ -165,32 +166,25 @@ class TransportWitness:
     """Measure-transport witness over a bilateral quantile partition.
 
     Cells Delta_k = [a_k, a_{k+1}) for k = -K..K-1 are one stack of 2K
-    windows of the measure, ``cells``, whose row p is cell k = p - K; their
-    masses come from one cdf call on the endpoints.  ``maps`` is the stack
-    of the 2K - 1 maps G_k = G_{mu_k, mu_{k+1}} : Delta_{k+1} -> Delta_k,
-    k = -K..K-2, row p again for k = p - K.  Every call runs all rows at
-    once.
+    windows of the measure, ``cells``, whose row p is cell k = p - K.
+    ``maps`` is the stack of the 2K - 1 maps
+    G_k = G_{mu_k, mu_{k+1}} : Delta_{k+1} -> Delta_k, k = -K..K-2, row p
+    again for k = p - K.  Every call runs all rows at once.  On a density
+    the cells are a ``RestrictedMeasure`` and the maps quantile transports;
+    on a Cantor part they are ``CantorCells`` and affine maps, so the
+    multiplier is continuous in each cell.
     """
 
     measure: MeasureSpec
     window: int
-    endpoints: np.ndarray
-    cells: RestrictedMeasure = field(init=False)
+    cells: RestrictedMeasure | CantorCells
+    maps: TransportMap | AffineMap
+    endpoints: np.ndarray = field(init=False)
     masses: np.ndarray = field(init=False)
-    maps: TransportMap = field(init=False)
 
     def __post_init__(self):
-        K = self.window
-        pts = np.asarray(self.endpoints, dtype=float)
-        object.__setattr__(self, "endpoints", pts)
-        if K < 1 or pts.shape != (2 * K + 1,):
-            raise PreconditionError("endpoints must cover k = -K..K")
-        if not (np.diff(pts) > 0).all():
-            raise PreconditionError("partition endpoints must increase strictly")
-        cells = RestrictedMeasure(self.measure, pts[:-1], pts[1:])
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "masses", cells.total_mass)
-        object.__setattr__(self, "maps", TransportMap(cells[:-1], cells[1:]))
+        object.__setattr__(self, "endpoints", np.append(self.cells.lo, self.cells.hi[-1]))
+        object.__setattr__(self, "masses", self.cells.total_mass)
 
     def multiplier_squared(self, s):
         """g_hat_k(s)^2 = s / G_k^{-1}(s) on the closed cells with a successor.
@@ -208,34 +202,63 @@ class TransportWitness:
         return np.sqrt(self.multiplier_squared(s))
 
 
-def fitting_window(K: int, bad: np.ndarray, what: str) -> str:
-    """Name the largest window K' < K that holds none of the ``bad`` steps.
+def require_window(K: int, ok: np.ndarray, failure: str, what: str) -> None:
+    """Raise ``CapacityError`` unless ok[p] holds at every step p of window K.
 
-    Step p (endpoints p, p + 1, which bound cell k = p - K) lies in window
-    K' iff K - K' <= p < K + K'; the windows are nested in K.
+    The message is ``failure``, its {k} the first failing cell, then the
+    largest window K' < K that holds no failing step: step p (endpoints
+    p, p + 1, which bound cell k = p - K) lies in window K' iff
+    K - K' <= p < K + K'; the windows are nested in K.
     """
-    largest = int(np.maximum(K - bad, bad - K + 1).min()) - 1
-    if largest:
-        return f"the largest window with {what} is K={largest}"
-    return f"no window has {what}"
+    bad = np.nonzero(~ok)[0]
+    if bad.size:
+        largest = int(np.maximum(K - bad, bad - K + 1).min()) - 1
+        fits = f"the largest window with {what} is K={largest}"
+        raise CapacityError(f"{failure.format(k=bad[0] - K)}; "
+                            + (fits if largest else f"no window has {what}"))
+
+
+def cantor_cells(part: ContinuousPart, K: int) -> CantorCells:
+    """The quantile partition of a Cantor part, in closed form (it is triadic).
+
+    On [a, b], a_k is an offset L 3^e from the nearer end, L = b - a:
+    a + 2 L 3^(k-1) for k <= 0, b - L 3^(-k-1) for k >= 1.  Cell k holds
+    M 2^e times the standard Cantor measure on [a_k, a_k + L 3^e], with
+    e = k - 1 for k < 0 and e = -k - 2 for k >= 0.
+    """
+    a, b = part.support
+    k = np.arange(-K, K + 1)
+    e = np.where(k <= 0, k - 1, -k - 1)
+    offset = (b - a) * 3.0**e
+    endpoints = np.where(k <= 0, a + 2.0 * offset, b - offset)
+    below = k[:-1] < 0
+    return CantorCells(endpoints[:-1], endpoints[1:], np.where(below, offset[:-1], offset[1:]),
+                       np.ldexp(part.mass, np.where(below, e[:-1], e[1:])))
 
 
 def build_transport_witness(part: ContinuousPart, K: int) -> TransportWitness:
     """Partition the part's measure and wire up per-cell transports.
 
     Raises ``CapacityError`` when floating point cannot hold 2K + 1 distinct
-    endpoints, naming the largest window that can: levels are nested in K,
-    window K' taking the middle 2K' + 1 of them.
+    endpoints, or a Cantor part's 2K cell masses as normal floats, naming the
+    largest window that can (window K' takes the middle 2K' + 1 levels).
     """
+    if K < 1:
+        raise PreconditionError(f"window must be >= 1, got {K}")
     m = MeasureSpec(part)
-    endpoints = build_partition(m, K)
-    collided = np.nonzero(~(np.diff(endpoints) > 0))[0]
-    if collided.size:
-        raise CapacityError(
-            f"partition endpoints of window K={K} collide in floating point; "
-            + fitting_window(K, collided, "distinct endpoints")
-        )
-    return TransportWitness(measure=m, window=K, endpoints=endpoints)
+    cantor = cantor_cells(part, K) if part.kind is PartKind.CANTOR else None
+    endpoints = build_partition(m, K) if cantor is None else np.append(cantor.lo, cantor.hi[-1])
+    require_window(K, np.diff(endpoints) > 0,
+                   f"partition endpoints of window K={K} collide in floating point",
+                   "distinct endpoints")
+    if cantor is None:
+        cells = RestrictedMeasure(m, endpoints[:-1], endpoints[1:])
+        return TransportWitness(m, K, cells, TransportMap(cells[:-1], cells[1:]))
+    # A subnormal mass is no longer M times an exact power of two.
+    require_window(K, cantor.total_mass >= np.finfo(float).tiny,
+                   f"cell masses of window K={K} underflow the normal float range",
+                   "cell masses in the normal float range")
+    return TransportWitness(m, K, cantor, AffineMap(cantor[:-1], cantor[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +279,8 @@ def shift_witness_to_dict(w: ShiftWitness) -> dict:
 
 
 #: Nodes per cell in the ``--full`` multiplier tables: the midpoints
-#: (2i + 1)/64 of the cell's 32 equal subintervals.  A Cantor cell's
-#: multiplier jumps at the cell's gap edges, which lie at m/(2 * 3^j) or
-#: m/(4 * 3^j) of the cell; no odd multiple of 1/64 is one, so no node sits
-#: where the last bit of an endpoint picks the side of a jump.
+#: (2i + 1)/64 of the cell's 32 equal subintervals.  Every multiplier is
+#: continuous in its cell, so a node moved by an ulp moves its value by ulps.
 MULTIPLIER_NODES = 32
 
 

@@ -93,8 +93,8 @@ class TestClassify:
         [
             (LEBESGUE, ["all", "--window", "0"]),
             (LEBESGUE, ["all", "--nodes", "8"]),
-            # at K = 40 the smallest Cantor levels (2**-41) lie below the
-            # quantile's x-resolution, so partition endpoints coincide
+            # past K = 33 the Cantor endpoints b - 3**(-k-1) (b - a) round to b,
+            # so partition endpoints coincide
             (CANTOR, ["witness", "--window", "40"]),
             # at K = 80 the chain's deepest terms round to the limits 1 and 2
             (TWO_SEQUENCES, ["verify", "--window", "80", "--nodes", "64"]),
@@ -157,8 +157,9 @@ class TestClassify:
     @pytest.mark.parametrize(
         "doc, args, largest",
         [(LEBESGUE, ["--window", "44", "--nodes", "256"], 43),
-         (CANTOR, ["--window", "20"], 19)],
-        ids=["lebesgue", "cantor"],
+         (CANTOR, ["--window", "21"], 20),
+         (CANTOR, ["--window", "25", "--nodes", "256"], 24)],
+        ids=["lebesgue", "cantor", "cantor_256"],
     )
     def test_narrow_cells_name_largest_window(self, tmp_path, capsys, doc, args, largest):
         path = write(tmp_path, "d.json", doc)
@@ -169,6 +170,21 @@ class TestClassify:
         )
         assert main(["verify", *args, "--window", str(largest), "--input", path]) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("mass, args, code", [
+        (5e-324, ["--window", "16"], 1), (1e-320, ["--window", "16"], 1),
+        (2.0**-1010, ["--window", "16"], 1), (2.0**-1010, ["--window", "11"], 3),
+        (1e-300, ["--window", "16"], 3)], ids=str)
+    def test_tiny_cantor_masses(self, tmp_path, capsys, mass, args, code):
+        # Cell masses M 2^e below the normal float range end the run with one
+        # line that names them; the endpoints do not depend on the mass.
+        path = write(tmp_path, "d.json", {"continuous": [dict(_CANTOR, mass=mass)]})
+        assert main(["all", *args, "--input", path]) == code
+        err = capsys.readouterr().err.splitlines()
+        if code == 3:
+            assert err == []
+        else:
+            assert len(err) == 1 and err[0].startswith("error: cell masses of window K=16 ")
 
 
 class TestWitnessCommand:

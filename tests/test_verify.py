@@ -385,9 +385,10 @@ class TestAgainstPerSampleLoops:
 
     def test_table_build_batches_quantile_calls(self, monkeypatch):
         # every windowed quantile goes through the base measure's quantile,
-        # once per block of whole rows of at most ROW_BLOCK levels
+        # once per block of whole rows of at most ROW_BLOCK levels (a Cantor
+        # witness calls none: see TestCantorClosedForm)
         K, nodes = 16, 256
-        w = build_transport_witness(cantor(1.0, 2.0), K)
+        w = build_transport_witness(density(1.0, 2.0, coeffs=(0.25, 1.0)), K)
         calls = []
         quantile = MeasureSpec.quantile
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -10,14 +11,18 @@ from lecplast import (
     MeasureSpec,
     PreconditionError,
     RangeError,
+    RestrictedMeasure,
     Rule,
+    TransportMap,
     ViolationCertificate,
     build_partition,
     build_shift_witness,
     build_transport_witness,
     classify,
 )
+from lecplast import measures
 from lecplast.measures import quadrature_nodes
+from lecplast.verify import check_form_preservation, check_nonexpansive, check_strict_contraction
 from lecplast.witness import MULTIPLIER_NODES, transport_witness_to_dict
 from conftest import atom, cantor, density, descriptor, seq
 
@@ -201,8 +206,8 @@ class TestTransportWitness:
     @pytest.mark.parametrize("support", [(1.0, 2.0), (0.37, 5.3)], ids=str)
     @pytest.mark.parametrize("K", [4, 16, 19])
     def test_full_tables_stable_under_one_ulp(self, support, K):
-        # A Cantor cell's multiplier jumps at triadic points; evenly spaced
-        # nodes with both ends hit them and moved by up to 0.17 per ulp.
+        # Nodes spaced evenly from both cell ends include triadic points; the
+        # affine maps keep the multiplier continuous there.
         w = build_transport_witness(cantor(*support), K)
         tables = transport_witness_to_dict(w, full=True)["multiplier_tables"]
         s = np.array([table["nodes"] for table in tables])
@@ -211,17 +216,22 @@ class TestTransportWitness:
             assert np.abs(moved - [table["multiplier"] for table in tables]).max() <= 1e-12
 
     def test_cell_masses_positive(self):
+        # The masses are M 2^e exactly; the cdf of the closed-form endpoints
+        # is Hoelder-sensitive to their last ulp, that of the generic
+        # partition's endpoints is not.
         w = build_transport_witness(cantor(1.0, 2.0, mass=0.7), 5)
         assert (w.masses > 0).all()
+        assert w.masses.sum() == pytest.approx(0.7 * (1.0 - 2.0**-5), abs=1e-15)
+        ends = build_partition(w.measure, 5)
         assert w.masses.sum() == pytest.approx(
-            w.measure.cdf(w.endpoints[-1]) - w.measure.cdf(w.endpoints[0]), abs=1e-12
+            w.measure.cdf(ends[-1]) - w.measure.cdf(ends[0]), abs=1e-12
         )
 
 
 class TestFloatHorizon:
     @pytest.mark.parametrize(
         "part, largest",
-        [(cantor(1.0, 2.0), 32), (density(1.0, 2.0), 51)],
+        [(cantor(1.0, 2.0), 33), (density(1.0, 2.0), 51)],
         ids=["cantor", "lebesgue"],
     )
     def test_collision_names_largest_window(self, part, largest):
@@ -237,3 +247,86 @@ class TestFloatHorizon:
     def test_two_ulp_support_has_no_window(self):
         with pytest.raises(CapacityError, match="no window has distinct endpoints$"):
             build_transport_witness(density(1.0, 1.0 + 2.0**-51), 1)
+
+
+#: Cantor parts of the closed-form oracle tests: a unit, a wide and a far support.
+CANTOR_PARTS = [cantor(1.0, 2.0), cantor(0.37, 5.3, mass=1.759), cantor(1e300, 1.5e300)]
+CANTOR_IDS = ["unit", "wide", "far"]
+
+
+def _exact_endpoints(part, K):
+    """The triadic partition endpoints of a Cantor part in rational arithmetic."""
+    a, b = (Fraction(v) for v in part.support)
+    return np.array([float(a + 2 * (b - a) * Fraction(3) ** (k - 1) if k <= 0
+                           else b - (b - a) / Fraction(3) ** (k + 1)) for k in range(-K, K + 1)])
+
+
+class TestCantorClosedForm:
+    @pytest.mark.parametrize("part", CANTOR_PARTS, ids=CANTOR_IDS)
+    def test_endpoints_match_exact_and_generic_partition(self, part):
+        # Each endpoint is within an ulp of its exact value.  The generic
+        # quantile is itself up to 3 ulps off it (on [0.37, 5.3] at k = -1).
+        m = MeasureSpec(part)
+        for K in range(1, 20):
+            ends = build_transport_witness(part, K).endpoints
+            assert (np.abs(ends - _exact_endpoints(part, K)) <= np.spacing(ends)).all()
+            generic = build_partition(m, K)
+            assert (np.abs(ends - generic) <= 3 * np.spacing(generic)).all()
+
+    @pytest.mark.parametrize("part", CANTOR_PARTS, ids=CANTOR_IDS)
+    def test_masses_are_exact_powers_of_two(self, part):
+        m = MeasureSpec(part)
+        for K in range(1, 20):
+            w = build_transport_witness(part, K)
+            k = np.arange(-K, K)
+            assert np.array_equal(w.masses, part.mass * 2.0 ** np.where(k < 0, k - 1, -k - 2))
+            generic = np.diff(m.cdf(build_partition(m, K)))
+            assert (np.abs(w.masses - generic) <= 1e-10 * w.masses).all()
+
+    @pytest.mark.parametrize("part", CANTOR_PARTS, ids=CANTOR_IDS)
+    @pytest.mark.parametrize("K", [1, 4, 8])
+    def test_affine_maps_match_generic_transport(self, part, K):
+        # At the standard-table nodes of an odd node count, without the
+        # middle one: its level 1/2 is a gap edge, which the generic map
+        # picks by rounding.
+        w = build_transport_witness(part, K)
+        cells = RestrictedMeasure(w.measure, w.endpoints[:-1], w.endpoints[1:])
+        generic = TransportMap(cells[:-1], cells[1:])
+        t = np.delete(quadrature_nodes(w.cells, nodes=99)[0][1:], 49, axis=1)
+        width = w.cells.width[:-1, None]
+        assert (np.abs(w.maps(t) - generic(t)) <= 1e-8 * width).all()
+        s = w.cells.lo[:-1, None] + width * np.array([0.0, 0.2, 0.9, 1.0])
+        assert np.allclose(w.maps(w.maps.inverse(s)), s, rtol=1e-15, atol=0)
+
+    def test_node_identity_holds_to_rounding(self):
+        # G_k carries node i of cell k + 1 onto node i of cell k within a few
+        # ulps, so form_preservation reads rounding (it read 1.5e-6 with
+        # nodes picked on gap edges by the generic quantile).
+        w = build_transport_witness(cantor(0.696057, 1.592525, mass=1.759262), 16)
+        x, _ = quadrature_nodes(w.cells, nodes=256)
+        assert (np.abs(w.maps(x[1:]) - x[:-1]) <= 4 * np.spacing(x[:-1])).all()
+        assert check_form_preservation(w, nodes=256).worst_residual < 1e-10
+
+    def test_witness_and_checks_call_no_cantor_cdf_or_quantile(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a Cantor cdf or quantile ran")
+
+        for owner, name in [(MeasureSpec, "cdf"), (MeasureSpec, "quantile"),
+                            (RestrictedMeasure, "cdf"), (RestrictedMeasure, "quantile"),
+                            (measures, "cantor_function")]:
+            monkeypatch.setattr(owner, name, forbidden)
+        w = build_transport_witness(cantor(1.0, 2.0, mass=0.7), 16)
+        transport_witness_to_dict(w, full=True)
+        checks = (check_form_preservation, check_nonexpansive, check_strict_contraction)
+        assert all(check(w, nodes=256).passed for check in checks)
+
+    @pytest.mark.parametrize("mass, largest", [(5e-324, 0), (1e-320, 0), (1e-305, 7),
+                                               (2.0**-1010, 11)])
+    def test_subnormal_cell_masses_name_largest_window(self, mass, largest):
+        fits = (f"the largest window with cell masses in the normal float range is K={largest}"
+                if largest else "no window has cell masses in the normal float range")
+        with pytest.raises(CapacityError, match=f"^cell masses of window K=16 underflow the "
+                                                f"normal float range; {fits}$"):
+            build_transport_witness(cantor(1.0, 2.0, mass=mass), 16)
+        if largest:
+            build_transport_witness(cantor(1.0, 2.0, mass=mass), largest)
