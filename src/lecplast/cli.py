@@ -154,14 +154,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--nodes", type=int, default=RunConfig.nodes, help="quadrature nodes")
     parser.add_argument("--per-sequence", type=int, default=RunConfig.per_sequence)
     parser.add_argument("--full", action="store_true",
-                        help="include each transport cell's multiplier at the midpoints "
-                        "of 32 equal subintervals")
+                        help="include each transport cell's multiplier at 32 equal-mass "
+                        "quadrature nodes")
     return parser
+
+
+#: Built once per process; parsing leaves a parser unchanged.
+_PARSER = build_parser()
 
 
 def main(argv=None) -> int:
     try:
-        config = RunConfig(**vars(build_parser().parse_args(argv)))
+        config = RunConfig(**vars(_PARSER.parse_args(argv)))
         exit_code, report = run(config)
     except SystemExit as exc:  # --help and --version
         return 0 if exc.code == 0 else 1

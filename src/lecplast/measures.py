@@ -9,7 +9,8 @@ deterministic inverse-transform quadrature rule on a stack.
 A ``RestrictedMeasure`` holds C windows [lo[p], hi[p]] of one base measure,
 and the leading axis of an argument runs over them: row p of a (C, n)
 argument is evaluated in window p.  A ``TransportMap`` between two stacks of
-C windows is C maps, and ``quadrature_nodes`` gives a (C, nodes) table.  A
+C windows is C maps, and ``quadrature_nodes`` gives a (C, nodes) table of
+equal-mass nodes, the one place where the program reads a transport cell.  A
 stacked evaluation runs in blocks of whole rows of at most ``ROW_BLOCK``
 levels, the size of one call at the default node count, so its working set
 does not grow with C; row p comes out bit for bit as in a one-row stack.
@@ -420,16 +421,16 @@ class AffineMap:
         return AffineMap(self.target, self.source)
 
 
-def quadrature_nodes(m: RestrictedMeasure | CantorCells, *, nodes: int):
-    """Inverse-transform nodes: quantiles of the midpoint levels (i + 1/2) du.
+def quadrature_nodes(m: RestrictedMeasure | CantorCells, *, nodes: int) -> np.ndarray:
+    """Inverse-transform nodes: the (C, nodes) table of quantiles of the mass
+    midpoints (i + 1/2) M_p / nodes in window p, each node of mass M_p / nodes.
 
-    The mass step of window p is du[p] = total_mass[p] / nodes.  Returns the
-    (C, nodes) table of nodes, row p in window p, and the (C,) array du.
+    All windows share these relative levels.  On ``CantorCells`` every node
+    is a point of its window's Cantor set.
     """
     if nodes < 1:
         raise RangeError(f"need at least one node, got {nodes}")
-    du = m.total_mass / nodes
     if isinstance(m, CantorCells):  # one standard table, carried into every row
         q = _cantor_quantile((np.arange(nodes) + 0.5) / nodes, 1.0)
-        return m.lo[:, None] + m.width[:, None] * q, du
-    return m.quantile((np.arange(nodes) + 0.5) * du[:, None]), du
+        return m.lo[:, None] + m.width[:, None] * q
+    return m.quantile((np.arange(nodes) + 0.5) * (m.total_mass[:, None] / nodes))

@@ -12,11 +12,12 @@ pairs of eigenvalues; the two operator checks, finite-dimensional
 plasticity and extremal invariance, share 2 x 2 rotation probes over the
 same angles.
 
-Shift-witness identities are exact-arithmetic paths (thresholds 1e-12);
-transport identities go through quadrature (1e-5 for densities, 1e-3 when a
-Cantor part participates).  A point-side residual is relative to the
-largest eigenvalue it involves, so its verdict does not change when A is
-scaled; a transport form residual is relative to q(x).  Residuals are
+Tolerances follow the kind of arithmetic, not the kind of part: shift and
+space identities are exact-arithmetic paths (``POINT_TOL``, 1e-12), the
+transport identities go through quadrature (``TRANSPORT_TOL``, 1e-5, on
+densities and Cantor parts alike).  A point-side residual is relative to
+the largest eigenvalue it involves, so its verdict does not change when A
+is scaled; a transport form residual is relative to q(x).  Residuals are
 reduced with np.max, np.maximum and np.minimum, which keep NaN, so a
 non-finite residual fails its check.
 """
@@ -30,14 +31,12 @@ import numpy as np
 
 from .errors import PreconditionError
 from .measures import quadrature_nodes, row_blocks
-from .spectrum import PartKind, SpectralDescriptor, enumerate_points
+from .spectrum import SpectralDescriptor, enumerate_points
 from .witness import ShiftWitness, TransportWitness, require_window
 
-SHIFT_TOL = 1e-12
-DENSITY_TOL = 1e-5
-CANTOR_TOL = 1e-3
+POINT_TOL = 1e-12
+TRANSPORT_TOL = 1e-5
 CONTRACTION_MARGIN = 1e-6
-SPACE_TOL = 1e-12
 OPERATOR_TOL = 1e-8
 #: Acceptance band for contraction candidates: ||T|| <= 1 + this.
 NORM_SLACK = 1e-10
@@ -116,15 +115,17 @@ class _TransportTables:
 
     The checks range over the cubics f(z) = sum_j c_j z^j on each cell p with
     a successor, in the coordinate z = (s - x_0) / (x_last - x_0) of the
-    cell's inverse-transform nodes x (mass step du); a quadrature sum is then
-    c^T G c with a Gram matrix G[j, l] = sum_i w_i z_i^(j + l).  The image
-    side rests on a node identity: the nodes of adjacent cells sit at the
-    same relative mass levels, so G_p carries node t_i of cell p + 1 onto
-    node x_i of cell p, and (Tf)(t_i) = g(x_i) f(x_i) sqrt(M_p / M_{p+1}),
-    with g^2 the published ``multiplier_squared``; on a Cantor part G_p is
-    affine and the identity holds to rounding.  Both sides read the same z:
-    ``form[0, p]`` (the form of f) weighs it by x du, ``form[1, p]`` (the
-    form of Tf) by t g^2 du_{p+1} M_p / M_{p+1}; ``norm_sq`` drops x or t.
+    cell's ``quadrature_nodes`` x; a quadrature sum is then c^T G c with a
+    Gram matrix G[j, l] = sum_i w_i z_i^(j + l).  The image side rests on a
+    node identity: the nodes of adjacent cells sit at the same relative mass
+    levels, so G_p carries node t_i of cell p + 1 onto node x_i of cell p,
+    and (Tf)(t_i) = g(x_i) f(x_i) sqrt(M_p / M_{p+1}), with g^2 the
+    published ``multiplier_squared``.  A node of cell p weighs M_p / nodes,
+    as does one of cell p + 1 times the M_p / M_{p+1} of T, so that common
+    factor is left out: ``form[0, p]`` (the form of f) weighs f^2 by x,
+    ``form[1, p]`` (the form of Tf) by t g^2(x), and ``norm_sq`` by 1 and
+    g^2(x).  Form preservation is thus the node identity t g^2(x) = x read
+    through the published multiplier.
 
     Nodes and g^2 each come from one stacked call, and the sums run over
     blocks of whole rows.  A cell whose nodes are not strictly increasing
@@ -135,22 +136,19 @@ class _TransportTables:
 
     def __init__(self, w: TransportWitness, nodes: int):
         K = w.window
-        x, du = quadrature_nodes(w.cells, nodes=nodes)
+        x = quadrature_nodes(w.cells, nodes=nodes)
         require_window(K, (np.diff(x, axis=1) > 0).all(axis=1),
                        f"transport cell k={{k}} at window K={K} is too narrow for "
                        f"--nodes {nodes} distinct quadrature points", "distinct quadrature points")
-        image_du = du[1:] * (w.masses[:-1] / w.masses[1:])
-        x, t, du = x[:-1], x[1:], du[:-1]  # cells with a successor, and the successors
+        x, t = x[:-1], x[1:]  # cells with a successor, and the successors
         gsq = w.multiplier_squared(x)
         moments = np.empty((2, 2, 2 * K - 1, 2 * _COEFFS - 1))  # kind, side, cell, order
         for rows in row_blocks(2 * K - 1, nodes):
-            xs, dus, image = x[rows], du[rows, None], gsq[rows] * image_du[rows, None]
+            xs, image = x[rows], gsq[rows]
             z = (xs - xs[:, :1]) / (xs[:, -1:] - xs[:, :1])
-            x_shift, du_shift = _even_shift(xs[:, -1:]), _even_shift(dus)
-            xs, ts = np.ldexp(xs, x_shift), np.ldexp(t[rows], x_shift)
-            dus, image = np.ldexp(dus, du_shift), np.ldexp(image, du_shift)
-            weights = np.stack([[xs * dus, ts * image],
-                                [np.broadcast_to(dus, xs.shape), image]])
+            shift = _even_shift(xs[:, -1:])
+            weights = np.stack([[np.ldexp(xs, shift), np.ldexp(t[rows], shift) * image],
+                                [np.ones_like(xs), image]])
             power = np.ones_like(z)
             for order in range(2 * _COEFFS - 1):
                 moments[:, :, rows, order] = (power * weights).sum(axis=-1)
@@ -162,10 +160,9 @@ class _TransportTables:
 def _even_shift(v: np.ndarray) -> np.ndarray:
     """The even exponent n with ldexp(v, n) in [1/4, 1), elementwise.
 
-    Each table row is scaled by 2**n, once for x and t and once for the
-    mass steps, so that x du stays finite on wide supports.  The scaling is
-    exact, and it multiplies both sides of a pencil and of the contraction
-    ratio alike, so it cancels.
+    Each table row scales x and t by 2**n, so that the sum of x over
+    thousands of nodes stays finite on wide supports.  The scaling is exact,
+    and it multiplies both sides of the form pencil alike, so it cancels.
     """
     return -2 * ((np.frexp(v)[1] + 1) // 2)
 
@@ -219,11 +216,10 @@ def check_form_preservation(
     """
     if isinstance(op, ShiftWitness):
         defect = np.abs(op.image_weights - op.lambdas[1:]) / op.lambdas[:-1]
-        return _report("form_preservation", defect.size, np.max(defect), SHIFT_TOL)
+        return _report("form_preservation", defect.size, np.max(defect), POINT_TOL)
 
     cells = _pencil_eigenvalues(_tables(op, nodes).form)
-    tol = CANTOR_TOL if op.measure.part.kind is PartKind.CANTOR else DENSITY_TOL
-    return _report("form_preservation", len(cells), np.max(np.abs(cells)), tol)
+    return _report("form_preservation", len(cells), np.max(np.abs(cells)), TRANSPORT_TOL)
 
 
 def check_nonexpansive(
@@ -236,11 +232,11 @@ def check_nonexpansive(
     ``norm_sq`` over the cells, the supremum over every cell's cubics.
     """
     if isinstance(op, ShiftWitness):
-        return _report("nonexpansive", op.factors.size, np.max(op.factors) - 1.0, SHIFT_TOL)
+        return _report("nonexpansive", op.factors.size, np.max(op.factors) - 1.0, POINT_TOL)
 
     cells = _pencil_eigenvalues(_tables(op, nodes).norm_sq)
     worst = np.sqrt(1.0 + np.max(cells[:, -1])) - 1.0
-    return _report("nonexpansive", len(cells), worst, DENSITY_TOL)
+    return _report("nonexpansive", len(cells), worst, TRANSPORT_TOL)
 
 
 def check_strict_contraction(
@@ -298,7 +294,7 @@ def check_rayleigh_bounds(space: TruncatedQuadraticSpace) -> VerificationReport:
     )
     lo, hi = lam.min(), lam.max()
     worst = np.maximum(np.abs(quotients.min() - lo), np.abs(quotients.max() - hi)) / hi
-    return _report("rayleigh_bounds", quotients.size, worst, SPACE_TOL)
+    return _report("rayleigh_bounds", quotients.size, worst, POINT_TOL)
 
 
 def check_min_attained(space: TruncatedQuadraticSpace) -> VerificationReport:
@@ -322,7 +318,7 @@ def check_min_attained(space: TruncatedQuadraticSpace) -> VerificationReport:
         excess = _probe_quotients(pairs) - lo
         violation = (values[1] - lo) * np.sin(PROBE_ANGLES) ** 2 - excess
         residuals = np.append(residuals, violation / pairs[:, 1:])
-    return _report("min_attained", residuals.size, np.max(residuals), SPACE_TOL)
+    return _report("min_attained", residuals.size, np.max(residuals), POINT_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, PreconditionError, RangeError
-# quadrature_nodes is not called here; perfbench/tracing.py patches it in this module.
 from .measures import (AffineMap, CantorCells, MeasureSpec, RestrictedMeasure, TransportMap,
                        quadrature_nodes)
 from .plasticity import ComponentRef, Rule, ViolationCertificate
@@ -278,8 +277,9 @@ def shift_witness_to_dict(w: ShiftWitness) -> dict:
     }
 
 
-#: Nodes per cell in the ``--full`` multiplier tables: the midpoints
-#: (2i + 1)/64 of the cell's 32 equal subintervals.  Every multiplier is
+#: Nodes per cell in the ``--full`` multiplier tables: the cell's
+#: ``quadrature_nodes``, where the checks read it, at 32 equal-mass levels.
+#: On a Cantor part every node is a point of the set.  Every multiplier is
 #: continuous in its cell, so a node moved by an ulp moves its value by ulps.
 MULTIPLIER_NODES = 32
 
@@ -294,17 +294,10 @@ def transport_witness_to_dict(w: TransportWitness, full: bool = False) -> dict:
         "masses": [float(v) for v in w.masses],
     }
     if full:
-        lo, hi = w.maps.source.support
-        step = (hi - lo) / MULTIPLIER_NODES
-        s = lo[:, None] + (np.arange(MULTIPLIER_NODES) + 0.5) * step[:, None]
-        multipliers = w.multiplier(s)
+        s = quadrature_nodes(w.cells[:-1], nodes=MULTIPLIER_NODES)
         doc["multiplier_tables"] = [
-            {
-                "cell": p - w.window,
-                "nodes": [float(v) for v in row],
-                "multiplier": [float(v) for v in mult],
-            }
-            for p, (row, mult) in enumerate(zip(s, multipliers))
+            {"cell": p - w.window, "nodes": row.tolist(), "multiplier": mult.tolist()}
+            for p, (row, mult) in enumerate(zip(s, w.multiplier(s)))
         ]
     return doc
 

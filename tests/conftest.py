@@ -124,8 +124,8 @@ def integrate(m, integrand, nodes: int = 1024) -> float:
 
     Deterministic for fixed node count; exact for constant integrands.
     """
-    x, du = quadrature_nodes(whole(m), nodes=nodes)
-    return float(np.sum(np.asarray(integrand(x[0]), dtype=float)) * du[0])
+    x = quadrature_nodes(whole(m), nodes=nodes)[0]
+    return float(np.sum(np.asarray(integrand(x), dtype=float)) * (m.total_mass / nodes))
 
 
 def cantor_oracle(x, depth=22):

@@ -106,7 +106,7 @@ def test_criterion_3_closed_form_transport_oracle():
     # Cells k = -10..10 are rows p = k + K of the stacked multiplier calls.
     rows = np.arange(-10, 11) + K
     ak, ak1, ak2 = (a[rows + shift, None] for shift in range(3))
-    nodes, _ = quadrature_nodes(w.cells[:-1], nodes=100)
+    nodes = quadrature_nodes(w.cells[:-1], nodes=100)
     oracle = nodes[rows] * (ak1 - ak) / (nodes[rows] * (ak2 - ak1) + ak1**2 - ak * ak2)
     worst = np.abs(w.multiplier_squared(nodes)[rows] - oracle).max()
     ends = w.multiplier_squared(np.stack([a[:-2], a[1:-1]], axis=1))[rows]
@@ -124,9 +124,10 @@ def _hk_isometry_worst(w, nodes, funcs, rng):
     worst = 0.0
     for p in range(2 * w.window - 1):
         rows = slice(p, p + 1)
-        s_nodes, du_s = (v[0] for v in quadrature_nodes(w.cells[rows], nodes=nodes))
-        t_nodes, du_t = quadrature_nodes(w.cells[p + 1:p + 2], nodes=nodes)
-        pulled, du_t = w.maps[rows](t_nodes)[0], du_t[0]
+        s_nodes = quadrature_nodes(w.cells[rows], nodes=nodes)[0]
+        t_nodes = quadrature_nodes(w.cells[p + 1:p + 2], nodes=nodes)
+        pulled = w.maps[rows](t_nodes)[0]
+        du_s, du_t = w.masses[p] / nodes, w.masses[p + 1] / nodes
         ratio = w.masses[p] / w.masses[p + 1]
         lo, span = w.endpoints[p], w.endpoints[p + 1] - w.endpoints[p]
         for _ in range(funcs):

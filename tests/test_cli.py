@@ -300,6 +300,21 @@ class TestVerifyCommand:
         failed = [c["name"] for c in json.loads(out.read_text())["checks"] if not c["pass"]]
         assert "nonexpansive" in failed and "strict_contraction" in failed
 
+    @pytest.mark.parametrize("doc", [LEBESGUE, CANTOR], ids=["lebesgue", "cantor"])
+    def test_scaled_multiplier_fails(self, tmp_path, capsys, monkeypatch, doc):
+        # g^2 off by a factor 1 + 1e-4 breaks q(Tf) = q(f) by 1e-4 on every
+        # cell, ten times the transport tolerance on either part kind; on the
+        # narrow cells, where g^2 is near 1, it also expands.
+        multiplier_squared = TransportWitness.multiplier_squared
+        monkeypatch.setattr(TransportWitness, "multiplier_squared",
+                            lambda self, s: (1.0 + 1e-4) * multiplier_squared(self, s))
+        out = tmp_path / "report.json"
+        argv = ["all", "--input", write(tmp_path, "d.json", doc), "--output", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == ""
+        failed = [c["name"] for c in json.loads(out.read_text())["checks"] if not c["pass"]]
+        assert failed == ["form_preservation", "nonexpansive"]
+
     def test_transport_table_built_once(self, tmp_path, monkeypatch):
         builds = []
         init = verify._TransportTables.__init__

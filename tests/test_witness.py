@@ -159,7 +159,7 @@ class TestTransportWitness:
         # row p of the (2K - 1, n) argument lies in cell k = p - K
         w = build_transport_witness(density(1.0, 2.0), 4)
         a = w.endpoints
-        nodes, _ = quadrature_nodes(w.cells[:-1], nodes=50)
+        nodes = quadrature_nodes(w.cells[:-1], nodes=50)
         ak, ak1, ak2 = a[:-2, None], a[1:-1, None], a[2:, None]
         expected = nodes * (ak1 - ak) / (nodes * (ak2 - ak1) + ak1**2 - ak * ak2)
         assert np.abs(w.multiplier_squared(nodes) - expected).max() <= 1e-9
@@ -180,7 +180,7 @@ class TestTransportWitness:
     def test_multiplier_strictly_contractive_at_nodes(self):
         for part in (density(1.0, 2.0, coeffs=(0.0, 1.0)), cantor(1.0, 2.0)):
             w = build_transport_witness(part, 3)
-            nodes, _ = quadrature_nodes(w.cells[:-1], nodes=64)
+            nodes = quadrature_nodes(w.cells[:-1], nodes=64)
             values = w.multiplier_squared(nodes)
             assert (values > 0).all() and (values < 1).all()
 
@@ -195,19 +195,19 @@ class TestTransportWitness:
         "part", [density(1.0, 2.0, coeffs=(0.0, 1.0)), cantor(1.0, 2.0)], ids=["density", "cantor"]
     )
     def test_full_tables_equal_per_cell_multipliers(self, part):
+        # The tables sit on the checks' nodes, one rule for both.
         w = build_transport_witness(part, 4)
         tables = transport_witness_to_dict(w, full=True)["multiplier_tables"]
         assert [table["cell"] for table in tables] == list(range(-4, 3))
-        lo, hi = (end[:, None] for end in w.cells[:-1].support)
-        s = lo + (np.arange(MULTIPLIER_NODES) + 0.5) * ((hi - lo) / MULTIPLIER_NODES)
+        s = quadrature_nodes(w.cells[:-1], nodes=MULTIPLIER_NODES)
         assert [table["nodes"] for table in tables] == s.tolist()
         assert [table["multiplier"] for table in tables] == w.multiplier(s).tolist()
 
     @pytest.mark.parametrize("support", [(1.0, 2.0), (0.37, 5.3)], ids=str)
     @pytest.mark.parametrize("K", [4, 16, 19])
     def test_full_tables_stable_under_one_ulp(self, support, K):
-        # Nodes spaced evenly from both cell ends include triadic points; the
-        # affine maps keep the multiplier continuous there.
+        # The affine maps keep the multiplier continuous at and around every
+        # node, triadic points of the set included.
         w = build_transport_witness(cantor(*support), K)
         tables = transport_witness_to_dict(w, full=True)["multiplier_tables"]
         s = np.array([table["nodes"] for table in tables])
@@ -261,6 +261,15 @@ def _exact_endpoints(part, K):
                            else b - (b - a) / Fraction(3) ** (k + 1)) for k in range(-K, K + 1)])
 
 
+def _distance_to_cantor_set(z: Fraction, depth: int = 40) -> Fraction:
+    """Distance from z to the level-``depth`` interval ends of the standard
+    Cantor set, which lie in the set: at most 3**-depth / 2 above the
+    distance to the set.  From z <= 1/2 the nearest point is in [0, 1/3]."""
+    for _ in range(depth):
+        z = 3 * z if z <= Fraction(1, 2) else 3 * z - 2
+    return min(abs(z), abs(z - 1)) / Fraction(3) ** depth
+
+
 class TestCantorClosedForm:
     @pytest.mark.parametrize("part", CANTOR_PARTS, ids=CANTOR_IDS)
     def test_endpoints_match_exact_and_generic_partition(self, part):
@@ -292,7 +301,7 @@ class TestCantorClosedForm:
         w = build_transport_witness(part, K)
         cells = RestrictedMeasure(w.measure, w.endpoints[:-1], w.endpoints[1:])
         generic = TransportMap(cells[:-1], cells[1:])
-        t = np.delete(quadrature_nodes(w.cells, nodes=99)[0][1:], 49, axis=1)
+        t = np.delete(quadrature_nodes(w.cells, nodes=99)[1:], 49, axis=1)
         width = w.cells.width[:-1, None]
         assert (np.abs(w.maps(t) - generic(t)) <= 1e-8 * width).all()
         s = w.cells.lo[:-1, None] + width * np.array([0.0, 0.2, 0.9, 1.0])
@@ -303,9 +312,22 @@ class TestCantorClosedForm:
         # ulps, so form_preservation reads rounding (it read 1.5e-6 with
         # nodes picked on gap edges by the generic quantile).
         w = build_transport_witness(cantor(0.696057, 1.592525, mass=1.759262), 16)
-        x, _ = quadrature_nodes(w.cells, nodes=256)
+        x = quadrature_nodes(w.cells, nodes=256)
         assert (np.abs(w.maps(x[1:]) - x[:-1]) <= 4 * np.spacing(x[:-1])).all()
         assert check_form_preservation(w, nodes=256).worst_residual < 1e-10
+
+    @pytest.mark.parametrize("part", CANTOR_PARTS, ids=CANTOR_IDS)
+    @pytest.mark.parametrize("K", [1, 19])
+    def test_full_table_nodes_lie_in_the_cantor_set(self, part, K):
+        # Each cell's nodes are points of its Cantor copy to rounding, so the
+        # table shows the multiplier where the witness acts.
+        w = build_transport_witness(part, K)
+        tables = transport_witness_to_dict(w, full=True)["multiplier_tables"]
+        cells = w.cells[:-1]
+        for table, lo, width in zip(tables, cells.lo, cells.width):
+            for s in table["nodes"]:
+                z = (Fraction(s) - Fraction(lo)) / Fraction(width)
+                assert _distance_to_cantor_set(z) * Fraction(width) <= 4 * np.spacing(s)
 
     def test_witness_and_checks_call_no_cantor_cdf_or_quantile(self, monkeypatch):
         def forbidden(*args, **kwargs):
