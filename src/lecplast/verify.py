@@ -1,25 +1,25 @@
 """Numerical verification of witness and spectral-bound properties.
 
-Every check is deterministic given (inputs, node counts) and draws
-nothing.  Each reads a supremum over its whole test space.  The
-shift checks read the witness's per-slot coefficients.  The transport
-checks range over the cubics on each cell: both read per-cell Gram
-matrices built once per witness through the published multiplier, and
-report the extreme eigenvalue of each cell's pencil.  The Rayleigh-quotient
-checks read the eigenbasis and the probes
-cos theta e_lam + sin theta e_mu, theta in ``PROBE_ANGLES``, of extremal
-pairs of eigenvalues; the two operator checks, finite-dimensional
-plasticity and extremal invariance, share 2 x 2 rotation probes over the
-same angles.
+Every check is deterministic given (inputs, node counts) and draws nothing.
+Each reads a supremum over its whole test space.  The shift checks read the
+witness's per-slot coefficients.  The transport checks range over every
+function of each cell's quadrature nodes, so each reads per-node values of
+the published multiplier, once per witness: form preservation reads the node
+identity t g^2(x) = x (it does not test the pushforward apart from the
+nodes), non-expansion g^2 <= 1 at every node.  The Rayleigh-quotient checks
+read the eigenbasis and the probes cos theta e_lam + sin theta e_mu, theta
+in ``PROBE_ANGLES``, of extremal pairs of eigenvalues; the two operator
+checks, finite-dimensional plasticity and extremal invariance, share 2 x 2
+rotation probes over the same angles.
 
 Tolerances follow the kind of arithmetic, not the kind of part: shift and
 space identities are exact-arithmetic paths (``POINT_TOL``, 1e-12), the
 transport identities go through quadrature (``TRANSPORT_TOL``, 1e-5, on
 densities and Cantor parts alike).  A point-side residual is relative to
 the largest eigenvalue it involves, so its verdict does not change when A
-is scaled; a transport form residual is relative to q(x).  Residuals are
-reduced with np.max, np.maximum and np.minimum, which keep NaN, so a
-non-finite residual fails its check.
+is scaled; a transport form residual is relative to x at its node.
+Residuals are reduced with np.max, np.maximum and np.minimum, which keep
+NaN, so a non-finite residual fails its check.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError
-from .measures import quadrature_nodes, row_blocks
+from .measures import quadrature_nodes
 from .spectrum import SpectralDescriptor, enumerate_points
 from .witness import ShiftWitness, TransportWitness, require_window
 
@@ -106,30 +106,22 @@ class TruncatedQuadraticSpace:
 # Witness checks
 # ---------------------------------------------------------------------------
 
-#: Coefficients of the cubics f(z) = sum_j c_j z^j on a transport cell.
-_COEFFS = 4
-
-
 class _TransportTables:
-    """Per-cell Gram matrices shared by the transport checks.
+    """Per-cell suprema over the nodes, shared by the transport checks.
 
-    The checks range over the cubics f(z) = sum_j c_j z^j on each cell p with
-    a successor, in the coordinate z = (s - x_0) / (x_last - x_0) of the
-    cell's ``quadrature_nodes`` x; a quadrature sum is then c^T G c with a
-    Gram matrix G[j, l] = sum_i w_i z_i^(j + l).  The image side rests on a
-    node identity: the nodes of adjacent cells sit at the same relative mass
+    The checks range over every function f of the ``quadrature_nodes`` x of
+    each cell p with a successor.  Adjacent cells share their relative mass
     levels, so G_p carries node t_i of cell p + 1 onto node x_i of cell p,
-    and (Tf)(t_i) = g(x_i) f(x_i) sqrt(M_p / M_{p+1}), with g^2 the
-    published ``multiplier_squared``.  A node of cell p weighs M_p / nodes,
-    as does one of cell p + 1 times the M_p / M_{p+1} of T, so that common
-    factor is left out: ``form[0, p]`` (the form of f) weighs f^2 by x,
-    ``form[1, p]`` (the form of Tf) by t g^2(x), and ``norm_sq`` by 1 and
-    g^2(x).  Form preservation is thus the node identity t g^2(x) = x read
-    through the published multiplier.
+    and (Tf)(t_i) = g(x_i) f(x_i) sqrt(M_p / M_{p+1}), with g^2 the published
+    ``multiplier_squared``.  Every node weighs M_p / nodes on both sides, so
+    q(f) weighs f(x_i)^2 by x_i and q(Tf) by t_i g^2(x_i), and ||f||^2 and
+    ||Tf||^2 by 1 and g^2(x_i).  Over the functions of a cell each ratio is
+    extreme at one node: ``form[p]`` = max_i |t_i g^2(x_i) / x_i - 1|, the
+    defect of the node identity t g^2(x) = x, and ``gain[p]`` =
+    max_i g^2(x_i); ``mean[p]``, the mean of g^2, is the cell indicator's.
 
-    Nodes and g^2 each come from one stacked call, and the sums run over
-    blocks of whole rows.  A cell whose nodes are not strictly increasing
-    raises ``CapacityError`` before anything is transported, naming the
+    Nodes and g^2 each come from one stacked call.  A cell whose nodes are
+    not strictly increasing raises ``CapacityError`` first, naming the
     largest window that works (a cell's nodes do not depend on K).  No
     per-node array and no reference to the witness outlives the build.
     """
@@ -142,29 +134,12 @@ class _TransportTables:
                        f"--nodes {nodes} distinct quadrature points", "distinct quadrature points")
         x, t = x[:-1], x[1:]  # cells with a successor, and the successors
         gsq = w.multiplier_squared(x)
-        moments = np.empty((2, 2, 2 * K - 1, 2 * _COEFFS - 1))  # kind, side, cell, order
-        for rows in row_blocks(2 * K - 1, nodes):
-            xs, image = x[rows], gsq[rows]
-            z = (xs - xs[:, :1]) / (xs[:, -1:] - xs[:, :1])
-            shift = _even_shift(xs[:, -1:])
-            weights = np.stack([[np.ldexp(xs, shift), np.ldexp(t[rows], shift) * image],
-                                [np.ones_like(xs), image]])
-            power = np.ones_like(z)
-            for order in range(2 * _COEFFS - 1):
-                moments[:, :, rows, order] = (power * weights).sum(axis=-1)
-                power = power * z
-        j = np.arange(_COEFFS)
-        self.form, self.norm_sq = moments[..., j[:, None] + j]  # Hankel: G[j, l] = m[j + l]
-
-
-def _even_shift(v: np.ndarray) -> np.ndarray:
-    """The even exponent n with ldexp(v, n) in [1/4, 1), elementwise.
-
-    Each table row scales x and t by 2**n, so that the sum of x over
-    thousands of nodes stays finite on wide supports.  The scaling is exact,
-    and it multiplies both sides of the form pencil alike, so it cancels.
-    """
-    return -2 * ((np.frexp(v)[1] + 1) // 2)
+        self.gain = np.max(gsq, axis=1)
+        self.mean = np.mean(gsq, axis=1)
+        gsq *= t  # in place from here on, so that no second per-node array is made
+        gsq /= x
+        gsq -= 1.0
+        self.form = np.max(np.abs(gsq, out=gsq), axis=1)
 
 
 #: Tables by witness, then by node count; an entry goes when its witness does.
@@ -183,24 +158,6 @@ def _tables(w: TransportWitness, nodes: int) -> _TransportTables:
     return by_nodes[nodes]
 
 
-def _pencil_eigenvalues(gram: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the pencil (image - source, source) per cell, ascending.
-
-    ``gram`` stacks each cell's source and image Gram matrices; the extreme
-    eigenvalues are those of c^T (image - source) c / c^T source c over the
-    cell's cubics c.  Whitening through the source's eigenbasis keeps a zero
-    difference exactly 0.  A cell with a non-finite matrix, or with a source
-    that is not positive definite, gets NaN.
-    """
-    source, diff = gram[0], gram[1] - gram[0]
-    valid = (np.isfinite(source) & np.isfinite(diff)).all(axis=(1, 2))
-    scale, basis = np.linalg.eigh(np.where(valid[:, None, None], source, np.eye(_COEFFS)))
-    valid &= scale[:, 0] > 0
-    whiten = basis / np.sqrt(np.where(valid[:, None], scale, 1.0))[:, None, :]
-    whitened = np.swapaxes(whiten, 1, 2) @ np.where(valid[:, None, None], diff, 0.0) @ whiten
-    return np.where(valid[:, None], np.linalg.eigvalsh(whitened), np.nan)
-
-
 def check_form_preservation(
     op: ShiftWitness | TransportWitness, nodes: int = 4096
 ) -> VerificationReport:
@@ -210,16 +167,16 @@ def check_form_preservation(
     largest per-slot defect |image_weights_k - lambda_{n_k}| over the slots
     k = -K+1..K (slot -K maps outside the window), each relative to
     lambda_{n_{k-1}}, the larger eigenvalue of the slot.  On a transport it
-    is the largest |q(Tf) - q(f)| / q(f) over the cubics f of each cell
-    (``_TransportTables``), one pencil eigenvalue per cell; a piecewise
-    cubic's ratio is at most the largest cell's.
+    is the largest |q(Tf) - q(f)| / q(f) over the functions f of the nodes,
+    which is the largest defect |t g^2(x) / x - 1| of the node identity
+    t g^2(x) = x at one node (``_TransportTables``).
     """
     if isinstance(op, ShiftWitness):
         defect = np.abs(op.image_weights - op.lambdas[1:]) / op.lambdas[:-1]
         return _report("form_preservation", defect.size, np.max(defect), POINT_TOL)
 
-    cells = _pencil_eigenvalues(_tables(op, nodes).form)
-    return _report("form_preservation", len(cells), np.max(np.abs(cells)), TRANSPORT_TOL)
+    form = _tables(op, nodes).form
+    return _report("form_preservation", form.size, np.max(form), TRANSPORT_TOL)
 
 
 def check_nonexpansive(
@@ -227,16 +184,15 @@ def check_nonexpansive(
 ) -> VerificationReport:
     """sup (||Tx|| - ||x||)/||x||, at most 0 for a non-expansive T.
 
-    A shift's supremum is its largest factor minus 1.  A transport's is
-    sqrt(1 + lambda) - 1 for the largest pencil eigenvalue lambda of
-    ``norm_sq`` over the cells, the supremum over every cell's cubics.
+    A shift's supremum is its largest factor minus 1.  A transport's is the
+    largest multiplier g at a node minus 1, the supremum over every function
+    of the nodes.
     """
     if isinstance(op, ShiftWitness):
         return _report("nonexpansive", op.factors.size, np.max(op.factors) - 1.0, POINT_TOL)
 
-    cells = _pencil_eigenvalues(_tables(op, nodes).norm_sq)
-    worst = np.sqrt(1.0 + np.max(cells[:, -1])) - 1.0
-    return _report("nonexpansive", len(cells), worst, TRANSPORT_TOL)
+    gain = _tables(op, nodes).gain
+    return _report("nonexpansive", gain.size, np.sqrt(np.max(gain)) - 1.0, TRANSPORT_TOL)
 
 
 def check_strict_contraction(
@@ -252,10 +208,9 @@ def check_strict_contraction(
         factor = op.factors[op.window]  # ||T e_{n_1}||; the junction is the strict drop
     else:
         # Indicator of cell k = 0, or at K = 1 (where k = 0 has no successor)
-        # of the last cell with one: the (0, 0) entries of its Gram matrices.
-        norm_sq = _tables(op, nodes).norm_sq
-        p = min(op.window, norm_sq.shape[1] - 1)
-        factor = np.sqrt(norm_sq[1, p, 0, 0] / norm_sq[0, p, 0, 0])
+        # of the last cell with one: ||Tx||^2 is the mean of g^2 on its nodes.
+        mean = _tables(op, nodes).mean
+        factor = np.sqrt(mean[min(op.window, mean.size - 1)])
     return _report("strict_contraction", 1, factor, 1.0 - CONTRACTION_MARGIN)
 
 

@@ -238,13 +238,16 @@ def cantor_cells(part: ContinuousPart, K: int) -> CantorCells:
 def build_transport_witness(part: ContinuousPart, K: int) -> TransportWitness:
     """Partition the part's measure and wire up per-cell transports.
 
-    Raises ``CapacityError`` when floating point cannot hold 2K + 1 distinct
-    endpoints, or a Cantor part's 2K cell masses as normal floats, naming the
-    largest window that can (window K' takes the middle 2K' + 1 levels).
+    Raises ``CapacityError`` when a density's mass is not a normal float, or
+    when floating point cannot hold 2K + 1 distinct endpoints, or a Cantor
+    part's 2K cell masses as normal floats, naming the largest window that
+    can (window K' takes the middle 2K' + 1 levels).
     """
     if K < 1:
         raise PreconditionError(f"window must be >= 1, got {K}")
     m = MeasureSpec(part)
+    if part.kind is PartKind.DENSITY and m.total_mass < np.finfo(float).tiny:
+        raise CapacityError(f"the density's mass {m.total_mass:g} is below the normal float range")
     cantor = cantor_cells(part, K) if part.kind is PartKind.CANTOR else None
     endpoints = build_partition(m, K) if cantor is None else np.append(cantor.lo, cantor.hi[-1])
     require_window(K, np.diff(endpoints) > 0,

@@ -186,6 +186,23 @@ class TestClassify:
         else:
             assert len(err) == 1 and err[0].startswith("error: cell masses of window K=16 ")
 
+    @pytest.mark.parametrize("command", ["all", "witness"])
+    @pytest.mark.parametrize("coeffs, code", [
+        ([1e-320], 1), ([0, 0, 1e-309], 1), ([np.finfo(float).tiny], 3), ([1e-300], 3)],
+        ids=["1e-320", "t2_1e-309", "tiny", "1e-300"])
+    def test_tiny_density_masses(self, tmp_path, capsys, coeffs, code, command):
+        # A density mass below the normal float range (1e-320 and 7/3 1e-309
+        # here) ends the run with one line that names it, before any quantile
+        # divides by the density; from 2.2250738585072014e-308 up it runs.
+        path = write(tmp_path, "d.json", {"continuous": [dict(_DENSITY, coeffs=coeffs)]})
+        assert main([command, "--input", path]) == code
+        err = capsys.readouterr().err.splitlines()
+        if code == 3:
+            assert err == []
+        else:
+            assert len(err) == 1 and err[0].startswith("error: the density's mass ")
+            assert err[0].endswith(" is below the normal float range")
+
 
 class TestWitnessCommand:
     def test_shift_witness_embedded(self, tmp_path):

@@ -14,6 +14,7 @@ from lecplast import (
     PreconditionError,
     ShiftWitness,
     Rule,
+    TransportWitness,
     TruncatedQuadraticSpace,
     build_transport_witness,
     build_shift_witness,
@@ -282,8 +283,8 @@ def per_node_transport_residuals(w, samples, seed, nodes):
 
     Each sample draws a cubic per cell with a successor, in the coordinate
     of the cell's nodes, and evaluates it at those nodes and at the pulled
-    nodes G_p(t) of the successor, with g^2 = G_p(t) / t; no sum goes
-    through a Gram matrix or ``multiplier_squared``.  Returns the worst
+    nodes G_p(t) of the successor, with g^2 = G_p(t) / t; no value goes
+    through the check tables or ``multiplier_squared``.  Returns the worst
     form_preservation and nonexpansive residuals over the samples.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
@@ -335,8 +336,8 @@ TRANSPORT_PARTS = {
 class TestAgainstPerSampleLoops:
     @pytest.mark.parametrize("K", [1, 3, 16])
     @pytest.mark.parametrize("part", list(TRANSPORT_PARTS), ids=str)
-    def test_transport_gram_forms_match_per_node_loop(self, part, K):
-        # The exact per-cell suprema bound every sampled residual.
+    def test_transport_suprema_bound_node_loop(self, part, K):
+        # The per-node suprema over all functions bound every sampled cubic.
         w = build_transport_witness(TRANSPORT_PARTS[part], K)
         reports = [check(w, nodes=1024)
                    for check in (check_form_preservation, check_nonexpansive)]
@@ -414,40 +415,69 @@ class TestAgainstPerSampleLoops:
 class TestTransportSuprema:
     @pytest.mark.parametrize("K", [1, 3, 16])
     @pytest.mark.parametrize("part", list(TRANSPORT_PARTS), ids=str)
-    def test_cell_eigenvalues_match_independent_solve(self, part, K):
-        tables = verify._TransportTables(build_transport_witness(TRANSPORT_PARTS[part], K), 1024)
-        for gram in (tables.form, tables.norm_sq):
-            cells = verify._pencil_eigenvalues(gram)
-            reference = np.linalg.eigvals(np.linalg.solve(gram[0], gram[1] - gram[0]))
-            reference = np.sort(reference.real, axis=1)
-            # A cell with a zero difference gets exactly 0 on both sides.
-            bound = 1e-9 * np.abs(reference).max(axis=1, keepdims=True)
-            assert (np.abs(cells - reference) <= bound).all()
+    def test_cell_suprema_match_one_row_stacks(self, part, K):
+        # Each cell on its own: one-row stacks of nodes and maps, g^2 formed
+        # from the inverse map, reduced in a Python loop over the cells.
+        nodes = 1024
+        w = build_transport_witness(TRANSPORT_PARTS[part], K)
+        tables = verify._TransportTables(w, nodes)
+        assert tables.form.shape == tables.gain.shape == tables.mean.shape == (2 * K - 1,)
+        eps = np.finfo(float).eps
+        for p in range(2 * K - 1):
+            x, t = (quadrature_nodes(w.cells[q:q + 1], nodes=nodes)[0] for q in (p, p + 1))
+            gsq = x / w.maps[p:p + 1].inverse(x[None])[0]
+            assert abs(tables.form[p] - max(abs(t * gsq / x - 1.0))) <= 4 * eps
+            assert tables.gain[p] == pytest.approx(max(gsq), rel=4 * eps, abs=0)
+            assert tables.mean[p] == pytest.approx(math.fsum(gsq) / nodes, rel=4 * eps, abs=0)
 
     @pytest.mark.parametrize("part", ["degree1", "cantor"])
     def test_nonexpansive_between_constant_and_multiplier(self, part):
-        # Constant f on a cell gives a lower bound; the largest published
-        # multiplier at the nodes bounds every quadrature ratio from above.
+        # Constant f on a cell gives a lower bound; the supremum over every
+        # function of the nodes is the largest published multiplier there.
         K, nodes = 8, 512
         w = build_transport_witness(TRANSPORT_PARTS[part], K)
         growth = check_nonexpansive(w, nodes=nodes).worst_residual
-        norm_sq = verify._TransportTables(w, nodes).norm_sq
-        constant = np.sqrt(norm_sq[1, :, 0, 0] / norm_sq[0, :, 0, 0]) - 1.0
+        constant = np.sqrt(verify._TransportTables(w, nodes).mean) - 1.0
         top = np.max(w.multiplier(quadrature_nodes(w.cells[:-1], nodes=nodes))) - 1.0
-        assert constant.max() - 1e-12 <= growth <= top + 1e-12
-        assert growth < 0
+        assert constant.max() <= growth == top < 0
 
-    @pytest.mark.parametrize("entry", [-1.0, 0.0, math.nan, math.inf])
-    def test_invalid_source_gram_fails_without_warning(self, entry):
-        # pytest turns RuntimeWarning into an error, so a warning fails too.
+    @pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf])
+    def test_invalid_multiplier_fails_without_warning(self, monkeypatch, value):
+        # One node of cell k = -1 gets a g^2 that is negative, zero or not
+        # finite; pytest turns a RuntimeWarning into an error, so a warning
+        # fails too.
+        multiplier_squared = TransportWitness.multiplier_squared
+
+        def one_bad_node(self, s):
+            gsq = multiplier_squared(self, s)
+            gsq[self.window - 1, 100] = value
+            return gsq
+
+        monkeypatch.setattr(TransportWitness, "multiplier_squared", one_bad_node)
         w = build_transport_witness(density(1.0, 2.0), 3)
-        assert check_form_preservation(w, nodes=256).passed
-        tables = verify._tables(w, 256)
-        for gram in (tables.form, tables.norm_sq):
-            gram[0, 2] *= entry  # cell k = -1: negative or zero definite, or not finite
-        for check in (check_form_preservation, check_nonexpansive):
-            report = check(w, nodes=256)
-            assert not report.passed and math.isnan(report.worst_residual)
+        form, growth = (check(w, nodes=256) for check in (check_form_preservation,
+                                                         check_nonexpansive))
+        assert not form.passed
+        assert growth.passed == math.isfinite(value)
+
+    @pytest.mark.parametrize("part", [density(1.0, 2.0), cantor(1.0, 2.0)],
+                             ids=["lebesgue", "cantor"])
+    def test_one_node_spike_fails_form_preservation(self, monkeypatch, part):
+        # g^2 times 1 + 1e-3 at the middle node of cell k = 0 alone breaks
+        # t g^2(x) = x there by 1e-3, and the check must report that node's
+        # defect in full, not its share of a cell average.
+        K, nodes = 16, 4096
+        multiplier_squared = TransportWitness.multiplier_squared
+
+        def spiked(self, s):
+            gsq = multiplier_squared(self, s)
+            gsq[self.window, nodes // 2] *= 1.0 + 1e-3
+            return gsq
+
+        monkeypatch.setattr(TransportWitness, "multiplier_squared", spiked)
+        report = check_form_preservation(build_transport_witness(part, K), nodes=nodes)
+        assert not report.passed
+        assert report.worst_residual == pytest.approx(1e-3, rel=1e-9)
 
     def test_transport_checks_draw_nothing(self, monkeypatch):
         def no_generator(*args, **kwargs):
