@@ -16,9 +16,12 @@ levels, the size of one call at the default node count, so its working set
 does not grow with C; row p comes out bit for bit as in a one-row stack.
 
 A polynomial density is integrated in closed form, in s = t - a from the
-support start a (``ContinuousPart.antiderivative``).  A Cantor part
-evaluates the classic ternary-digit algorithm for the Cantor function,
-affinely rescaled to its support and mass.
+support start a (``ContinuousPart.antiderivative``).  The coefficients of
+that cdf, of the density and of its slope, and the guess grid of the
+inverse, are set up once per ``MeasureSpec``; the polynomials are evaluated
+by Horner's rule in numpy ``polyval``'s order, bit for bit as numpy's
+``Polynomial``.  A Cantor part evaluates the classic ternary-digit algorithm
+for the Cantor function, affinely rescaled to its support and mass.
 
 Each part kind is inverted directly: a Cantor level maps its binary digits
 to ternary digits 0/2, and a density level runs a safeguarded Newton
@@ -103,6 +106,11 @@ class MeasureSpec:
     def __post_init__(self):
         object.__setattr__(self, "support", self.part.support)
         object.__setattr__(self, "total_mass", self.part.total_mass)
+        if self.part.kind is PartKind.DENSITY:  # set up once for every quantile
+            part, grid = self.part, np.linspace(*self.support, _GUESS_GRID)
+            p = Polynomial(part.coeffs)
+            object.__setattr__(self, "_coeffs", (part.antiderivative.coef, p.coef, p.deriv().coef))
+            object.__setattr__(self, "_guess", (self.cdf(grid), grid))
 
     def cdf(self, t):
         """mu([0, t]); 0 below the support, total_mass above it."""
@@ -110,7 +118,7 @@ class MeasureSpec:
         a, b = self.support
         clamped = np.clip(np.asarray(t, dtype=float), a, b)
         if part.kind is PartKind.DENSITY:
-            out = part.antiderivative(clamped - a)
+            out = _horner(self._coeffs[0], clamped - a)
         else:
             out = part.mass * cantor_function((clamped - a) / (b - a))
         return float(out) if np.ndim(out) == 0 else out
@@ -127,7 +135,7 @@ class MeasureSpec:
             x = np.clip(a + (b - a) * _cantor_quantile(levels, self.part.mass), a, b)
             values = self.cdf(x)
         else:
-            x, values = _density_quantile(self.part, self.cdf, levels)
+            x, values = _density_quantile(self, levels)
         x = _step_left(self.cdf, x, values, levels, a)
         x[levels >= self.total_mass] = b
         return float(x[0]) if np.ndim(u) == 0 else x
@@ -288,8 +296,18 @@ def _cantor_quantile(u: np.ndarray, mass: float) -> np.ndarray:
     return z
 
 
-def _density_quantile(part: ContinuousPart, cdf: Callable, u: np.ndarray):
-    """Safeguarded Newton solve of cdf(x) = u on the support.
+def _horner(coeffs: np.ndarray, x):
+    """sum_i coeffs[i] x**i, in numpy ``polyval``'s order of operations."""
+    out = x * 0.0
+    out += coeffs[-1]
+    for c in coeffs[-2::-1]:
+        out *= x
+        out += c
+    return out
+
+
+def _density_quantile(m: MeasureSpec, u: np.ndarray):
+    """Safeguarded Newton solve of m.cdf(x) = u on the support of a density.
 
     Starts from the inverse of the cdf interpolated on a coarse grid and
     keeps a bracket [lo, hi] with cdf(lo) <= u < cdf(hi).  A Newton step
@@ -297,36 +315,42 @@ def _density_quantile(part: ContinuousPart, cdf: Callable, u: np.ndarray):
     replaced by a bisection of the bracket.  A level is done after a Newton
     step whose quadratic error term |p'/2p| * step**2 is below one ulp, or
     once its bracket is within four ulps.  Returns the last iterate with its
-    cdf values.
+    cdf values.  The measure holds the guess grid and p, p', set up once;
+    the bracket and the iterate are updated in place.
     """
-    a, b = part.support
-    density = Polynomial(part.coeffs)
-    slope = density.deriv()
-    grid = np.linspace(a, b, _GUESS_GRID)
-    x = np.interp(u, cdf(grid), grid)
-    values = cdf(x)
+    a, b = m.support
+    _, density, slope = m._coeffs
+    grid_cdf, grid = m._guess
+    x = np.interp(u, grid_cdf, grid)
+    values = m.cdf(x)
     lo = np.full_like(u, a)
     hi = np.full_like(u, b)
     moved = np.full_like(u, b - a)
     done = np.zeros(u.shape, dtype=bool)
     for _ in range(_NEWTON_CAP):
         below = values <= u
-        lo = np.where(below, x, lo)
-        hi = np.where(below, hi, x)
-        p = density(x)
+        np.copyto(lo, x, where=below)
+        np.copyto(hi, x, where=~below)
+        p = _horner(density, x)
         # An overflowed step**2 makes the error term inf or nan, which
         # counts as not converged.
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            step = np.where(values == u, 0.0, (u - values) / p)
-            error = np.where(step == 0.0, 0.0, np.abs(slope(x) / (2.0 * p)) * step**2)
+            step = (u - values) / p
+            np.copyto(step, 0.0, where=values == u)
+            error = np.abs(_horner(slope, x) / (2.0 * p)) * step**2
+        np.copyto(error, 0.0, where=step == 0.0)
+        spacing = np.spacing(x)
         newton = x + step
         fast = (lo <= newton) & (newton <= hi) & (np.abs(step) <= 0.5 * moved)
-        tight = hi - lo <= 4.0 * np.spacing(x)
-        nxt = np.select([done, fast, tight], [x, newton, lo], 0.5 * lo + 0.5 * hi)
-        done |= (fast & (error <= np.spacing(x))) | tight
+        tight = hi - lo <= 4.0 * spacing
+        nxt = 0.5 * lo + 0.5 * hi
+        np.copyto(nxt, lo, where=tight)  # lowest priority first: tight, fast, done
+        np.copyto(nxt, newton, where=fast)
+        np.copyto(nxt, x, where=done)
+        done |= (fast & (error <= spacing)) | tight
         moved = np.abs(nxt - x)
         x = nxt
-        values = cdf(x)
+        values = m.cdf(x)
         if done.all():
             break
     return x, values
@@ -335,14 +359,18 @@ def _density_quantile(part: ContinuousPart, cdf: Callable, u: np.ndarray):
 def _step_left(cdf: Callable, x: np.ndarray, values, u: np.ndarray, floor: float):
     """Walk x left in doubling ulp steps until cdf(x) <= u.
 
-    ``values`` is cdf(x); the walk stops at ``floor``, where cdf is 0.
+    ``values`` is cdf(x); the walk stops at ``floor``, where cdf is 0.  Only
+    the levels that overshoot are walked.
     """
-    step = np.spacing(x)
-    over = values > u
-    while over.any():
-        x[over] = np.maximum(x[over] - step[over], floor)
-        step[over] *= 2.0
-        over[over] = cdf(x[over]) > u[over]
+    x = np.ascontiguousarray(x)  # so that its flat view writes through
+    flat, levels = x.reshape(-1), u.reshape(-1)
+    i = np.flatnonzero(values > u)
+    step = np.spacing(flat[i])
+    while i.size:
+        flat[i] = np.maximum(flat[i] - step, floor)
+        step *= 2.0
+        over = cdf(flat[i]) > levels[i]
+        i, step = i[over], step[over]
     return x
 
 

@@ -239,9 +239,9 @@ def build_transport_witness(part: ContinuousPart, K: int) -> TransportWitness:
     """Partition the part's measure and wire up per-cell transports.
 
     Raises ``CapacityError`` when a density's mass is not a normal float, or
-    when floating point cannot hold 2K + 1 distinct endpoints, or a Cantor
-    part's 2K cell masses as normal floats, naming the largest window that
-    can (window K' takes the middle 2K' + 1 levels).
+    when floating point cannot hold 2K + 1 distinct endpoints, or the 2K
+    cell masses as normal floats, naming the largest window that can
+    (window K' takes the middle 2K' + 1 levels).
     """
     if K < 1:
         raise PreconditionError(f"window must be >= 1, got {K}")
@@ -255,12 +255,15 @@ def build_transport_witness(part: ContinuousPart, K: int) -> TransportWitness:
                    "distinct endpoints")
     if cantor is None:
         cells = RestrictedMeasure(m, endpoints[:-1], endpoints[1:])
-        return TransportWitness(m, K, cells, TransportMap(cells[:-1], cells[1:]))
-    # A subnormal mass is no longer M times an exact power of two.
-    require_window(K, cantor.total_mass >= np.finfo(float).tiny,
+        maps = TransportMap(cells[:-1], cells[1:])
+    else:
+        cells, maps = cantor, AffineMap(cantor[:-1], cantor[1:])
+    # A subnormal cell mass has lost digits: on a Cantor part it is no longer
+    # M times an exact power of two.
+    require_window(K, cells.total_mass >= np.finfo(float).tiny,
                    f"cell masses of window K={K} underflow the normal float range",
                    "cell masses in the normal float range")
-    return TransportWitness(m, K, cantor, AffineMap(cantor[:-1], cantor[1:]))
+    return TransportWitness(m, K, cells, maps)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from lecplast import (
     INFINITE,
@@ -16,7 +17,7 @@ from lecplast import (
     TransportMap,
     canonicalize,
 )
-from lecplast.measures import quadrature_nodes
+from lecplast.measures import _GUESS_GRID, _NEWTON_CAP, quadrature_nodes
 
 
 def atom(value, mult=1):
@@ -146,3 +147,109 @@ def cantor_oracle(x, depth=22):
     out[mid] = 0.5
     out[right] = 0.5 + 0.5 * cantor_oracle(3.0 * x[right] - 2.0, depth - 1)
     return out
+
+
+# Reference density quantiles: the solve as it stood before its arrays were
+# updated in place, kept verbatim as an oracle.  The library must give the
+# same bits on every input (see tests/test_measures.py::TestDensityQuantileBits).
+
+
+def _density_quantile(part, cdf, u):
+    """Safeguarded Newton solve of cdf(x) = u on the support.
+
+    Starts from the inverse of the cdf interpolated on a coarse grid and
+    keeps a bracket [lo, hi] with cdf(lo) <= u < cdf(hi).  A Newton step
+    that leaves the bracket, or fails to halve the previous move, is
+    replaced by a bisection of the bracket.  A level is done after a Newton
+    step whose quadratic error term |p'/2p| * step**2 is below one ulp, or
+    once its bracket is within four ulps.  Returns the last iterate with its
+    cdf values.
+    """
+    a, b = part.support
+    density = Polynomial(part.coeffs)
+    slope = density.deriv()
+    grid = np.linspace(a, b, _GUESS_GRID)
+    x = np.interp(u, cdf(grid), grid)
+    values = cdf(x)
+    lo = np.full_like(u, a)
+    hi = np.full_like(u, b)
+    moved = np.full_like(u, b - a)
+    done = np.zeros(u.shape, dtype=bool)
+    for _ in range(_NEWTON_CAP):
+        below = values <= u
+        lo = np.where(below, x, lo)
+        hi = np.where(below, hi, x)
+        p = density(x)
+        # An overflowed step**2 makes the error term inf or nan, which
+        # counts as not converged.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            step = np.where(values == u, 0.0, (u - values) / p)
+            error = np.where(step == 0.0, 0.0, np.abs(slope(x) / (2.0 * p)) * step**2)
+        newton = x + step
+        fast = (lo <= newton) & (newton <= hi) & (np.abs(step) <= 0.5 * moved)
+        tight = hi - lo <= 4.0 * np.spacing(x)
+        nxt = np.select([done, fast, tight], [x, newton, lo], 0.5 * lo + 0.5 * hi)
+        done |= (fast & (error <= np.spacing(x))) | tight
+        moved = np.abs(nxt - x)
+        x = nxt
+        values = cdf(x)
+        if done.all():
+            break
+    return x, values
+
+
+def _step_left(cdf, x, values, u, floor):
+    """Walk x left in doubling ulp steps until cdf(x) <= u.
+
+    ``values`` is cdf(x); the walk stops at ``floor``, where cdf is 0.
+    """
+    step = np.spacing(x)
+    over = values > u
+    while over.any():
+        x[over] = np.maximum(x[over] - step[over], floor)
+        step[over] *= 2.0
+        over[over] = cdf(x[over]) > u[over]
+    return x
+
+
+def reference_cdf(part, t):
+    """The density's cdf through numpy's ``Polynomial``, clamped to the support."""
+    a, b = part.support
+    return part.antiderivative(np.clip(np.asarray(t, dtype=float), a, b) - a)
+
+
+def reference_quantile(part, u):
+    """``MeasureSpec.quantile`` of a density on levels already in [0, total_mass]."""
+    levels = np.array(u, dtype=float)
+    x, values = _density_quantile(part, lambda t: reference_cdf(part, t), levels)
+    x = _step_left(lambda t: reference_cdf(part, t), x, values, levels, part.support[0])
+    x[levels >= part.total_mass] = part.support[1]
+    return x
+
+
+def reference_window_quantile(part, lo, hi, u):
+    """``RestrictedMeasure.quantile`` on windows [lo[p], hi[p]] of a density;
+    row p of the (C, n) levels ``u`` lies in [0, mass of window p]."""
+    offset, upper = reference_cdf(part, np.stack([lo, hi]))
+    mass, offset = (upper - offset)[:, None], offset[:, None]
+    levels = np.clip(u, 0.0, mass)
+    c = offset + levels
+    while (over := c - offset > levels).any():
+        c[over] = np.nextafter(c[over], -np.inf)
+    while (fits := np.nextafter(c, np.inf) - offset <= levels).any():
+        c[fits] = np.nextafter(c[fits], np.inf)
+    x = np.clip(reference_quantile(part, np.clip(c, 0.0, part.total_mass)), lo[:, None], hi[:, None])
+    np.copyto(x, hi[:, None], where=levels >= mass)
+    return x
+
+
+def reference_transport(part, source, target, t):
+    """``TransportMap(source, target)(t)`` between two stacks of windows of a
+    density, each stack given as its (lo, hi) arrays."""
+    (s_lo, s_hi), (d_lo, d_hi) = source, target
+    s_off, s_up = reference_cdf(part, np.stack([s_lo, s_hi]))
+    d_off, d_up = reference_cdf(part, np.stack([d_lo, d_hi]))
+    s_mass, d_mass = (s_up - s_off)[:, None], (d_up - d_off)[:, None]
+    cdf = reference_cdf(part, np.clip(t, d_lo[:, None], d_hi[:, None])) - d_off[:, None]
+    level = (s_mass / d_mass) * cdf
+    return reference_window_quantile(part, s_lo, s_hi, np.clip(level, 0.0, s_mass))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -34,6 +35,10 @@ BAD_RATIO = {
 _SEQ, _DENSITY, _CANTOR = (
     TWO_SEQUENCES["sequences"][0], LEBESGUE["continuous"][0], CANTOR["continuous"][0]
 )
+# Patterns of the one error line of a density too light for a witness.
+_LIGHT_DENSITY = r"error: the density's mass \S+ is below the normal float range"
+_LIGHT_CELLS = r"error: cell masses of window K=16 underflow the normal float range; "
+_NORMAL_CELLS = " cell masses in the normal float range"
 WITH_NUMBER = {
     "atom_value": lambda v: {"atoms": [{"value": v, "multiplicity": "inf"}]},
     "sequence_limit": lambda v: {"sequences": [dict(_SEQ, limit=v)]},
@@ -187,21 +192,26 @@ class TestClassify:
             assert len(err) == 1 and err[0].startswith("error: cell masses of window K=16 ")
 
     @pytest.mark.parametrize("command", ["all", "witness"])
-    @pytest.mark.parametrize("coeffs, code", [
-        ([1e-320], 1), ([0, 0, 1e-309], 1), ([np.finfo(float).tiny], 3), ([1e-300], 3)],
-        ids=["1e-320", "t2_1e-309", "tiny", "1e-300"])
-    def test_tiny_density_masses(self, tmp_path, capsys, coeffs, code, command):
+    @pytest.mark.parametrize("coeffs, args, error", [
+        ([1e-320], [], _LIGHT_DENSITY), ([0, 0, 1e-309], [], _LIGHT_DENSITY),
+        ([np.finfo(float).tiny], [], _LIGHT_CELLS + "no window has" + _NORMAL_CELLS),
+        ([0, 0, np.finfo(float).tiny], [], _LIGHT_CELLS + "no window has" + _NORMAL_CELLS),
+        ([1e-303], [], _LIGHT_CELLS + "the largest window with" + _NORMAL_CELLS + " is K=14"),
+        ([1e-303], ["--window", "14"], None), ([1e-300], [], None)],
+        ids=["1e-320", "t2_1e-309", "tiny", "t2_tiny", "1e-303", "1e-303_K14", "1e-300"])
+    def test_tiny_density_masses(self, tmp_path, capsys, coeffs, args, error, command):
         # A density mass below the normal float range (1e-320 and 7/3 1e-309
         # here) ends the run with one line that names it, before any quantile
-        # divides by the density; from 2.2250738585072014e-308 up it runs.
+        # divides by the density.  From 2.2250738585072014e-308 up the
+        # partition runs, and cell masses below that range end the run with
+        # one line that names the largest window whose cells are normal.
         path = write(tmp_path, "d.json", {"continuous": [dict(_DENSITY, coeffs=coeffs)]})
-        assert main([command, "--input", path]) == code
+        assert main([command, *args, "--input", path]) == (1 if error else 3)
         err = capsys.readouterr().err.splitlines()
-        if code == 3:
+        if error is None:
             assert err == []
         else:
-            assert len(err) == 1 and err[0].startswith("error: the density's mass ")
-            assert err[0].endswith(" is below the normal float range")
+            assert len(err) == 1 and re.fullmatch(error, err[0])
 
 
 class TestWitnessCommand:

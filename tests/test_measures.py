@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lecplast import (
+    CapacityError,
     DomainError,
     MeasureSpec,
     RangeError,
@@ -21,6 +22,10 @@ from conftest import (
     density,
     integrate,
     pushforward_check,
+    reference_cdf,
+    reference_quantile,
+    reference_transport,
+    reference_window_quantile,
     row_map,
     whole,
 )
@@ -206,6 +211,70 @@ class TestClosedFormQuantile:
         calls.clear()
         cell.quantile(cell.total_mass[:, None] * (np.arange(256) + 0.5) / 256)
         assert 1 <= len(calls) <= 8
+
+
+@st.composite
+def _drawn_density(draw):
+    """A density part: on [a, a(1 + w)], a in 10^[-300, 300] and w in
+    10^[-15, 3], the polynomial sum_i r_i (t/b)**i of degree 0-3 (a term
+    whose coefficient overflows is left out); or, on [a, 2a] at a power of
+    two a, 2(t - a) or (t - a)**2 scaled by a power of two, which vanish at
+    the support start."""
+    if draw(st.booleans()):
+        a = 10.0 ** draw(st.floats(-300.0, 300.0))
+        b = a * (1.0 + 10.0 ** draw(st.floats(-15.0, 3.0)))
+        r = draw(st.lists(st.floats(0.0, 2.0), max_size=3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = [ri * np.float64(1.0 / b) ** i for i, ri in enumerate(r, 1)]
+        coeffs = [draw(st.floats(0.25, 2.0))] + [float(c) if np.isfinite(c) else 0.0 for c in terms]
+    else:
+        e = draw(st.integers(-500, 500))
+        a = b = 2.0**e
+        b *= 2.0
+        coeffs = (-2.0, 2.0**(1 - e)) if draw(st.booleans()) else (1.0, -2.0**(1 - e), 2.0**(-2 * e))
+    return density(a, b, coeffs)
+
+
+class TestDensityQuantileBits:
+    """Density quantiles give the bits of the reference solve in conftest,
+    through ``MeasureSpec.quantile``, ``RestrictedMeasure.quantile`` and
+    ``TransportMap`` on the cells of a witness."""
+
+    # The first two inputs tell an error term computed as (e * step) * step
+    # from the reference's e * step**2.
+    @example(part=density(9.0786e184, 9.0786e184 * (1 + 3.2e-6)), K=1, nodes=1024)
+    @example(part=density(1e300, 1.5e300), K=16, nodes=256)
+    @example(part=ZERO_AT_START["linear_zero_at_a"], K=16, nodes=4096)
+    @example(part=ZERO_AT_START["square_zero_at_a"], K=16, nodes=4096)
+    @given(part=_drawn_density(), K=st.sampled_from([1, 4, 16]),
+           nodes=st.sampled_from([256, 1024]))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_same_bits_as_reference(self, part, K, nodes):
+        m = MeasureSpec(part)
+        total = m.total_mass
+        rng = np.random.default_rng(nodes)
+        levels = np.concatenate([
+            [0.0, total, np.nextafter(0.0, 1.0), np.nextafter(total, 0.0)],
+            [-np.nextafter(0.0, 1.0), np.nextafter(total, np.inf)],  # clipped to [0, total]
+            total * rng.random(58),
+        ])
+        same = lambda x, y: x.tobytes() == y.tobytes()
+        assert same(m.quantile(levels), reference_quantile(part, np.clip(levels, 0.0, total)))
+        try:
+            w = build_transport_witness(part, K)
+        except CapacityError:
+            return  # too narrow for window K, or too light for a witness
+        lo, hi = w.endpoints[:-1], w.endpoints[1:]
+        assert same(w.endpoints, reference_quantile(part, total * partition_levels(K)))
+        mass = np.subtract(*reference_cdf(part, np.stack([hi, lo])))
+        assert same(w.cells.total_mass, mass)
+        x = quadrature_nodes(w.cells, nodes=nodes)
+        u = (np.arange(nodes) + 0.5) * (mass[:, None] / nodes)
+        assert same(x, reference_window_quantile(part, lo, hi, u))
+        assert same(w.cells.quantile(u[:, ::-1]), reference_window_quantile(part, lo, hi, u[:, ::-1]))
+        cells, succ = (lo[:-1], hi[:-1]), (lo[1:], hi[1:])
+        assert same(w.maps(x[1:]), reference_transport(part, cells, succ, x[1:]))
+        assert same(w.maps.inverse(x[:-1]), reference_transport(part, succ, cells, x[:-1]))
 
 
 class TestTransportMap:
