@@ -129,7 +129,11 @@ class MeasureSpec:
         Inverted in closed form; cdf(quantile(u)) <= u holds exactly in
         floating point.
         """
-        levels = _levels(u, self.total_mass)
+        x = self._solve(_levels(u, self.total_mass))
+        return float(x[0]) if np.ndim(u) == 0 else x
+
+    def _solve(self, levels: np.ndarray) -> np.ndarray:
+        """The quantile of levels already within [0, total_mass], as a new array."""
         a, b = self.support
         if self.part.kind is PartKind.CANTOR:
             x = np.clip(a + (b - a) * _cantor_quantile(levels, self.part.mass), a, b)
@@ -138,7 +142,7 @@ class MeasureSpec:
             x, values = _density_quantile(self, levels)
         x = _step_left(self.cdf, x, values, levels, a)
         x[levels >= self.total_mass] = b
-        return float(x[0]) if np.ndim(u) == 0 else x
+        return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,8 +224,8 @@ class RestrictedMeasure:
             c[over] = np.nextafter(c[over], -np.inf)
         while (fits := np.nextafter(c, np.inf) - offset <= levels).any():
             c[fits] = np.nextafter(c[fits], np.inf)
-        hi = _per_row(self.hi, levels)
-        x = np.clip(self.base.quantile(c), _per_row(self.lo, levels), hi)
+        lo, hi = _per_row(self.lo, levels), _per_row(self.hi, levels)
+        x = np.clip(self.base._solve(np.clip(c, 0.0, self.base.total_mass)), lo, hi)
         np.copyto(x, hi, where=levels >= mass)
         return x
 

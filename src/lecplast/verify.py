@@ -1,16 +1,17 @@
 """Numerical verification of witness and spectral-bound properties.
 
 Every check is deterministic given (inputs, node counts) and draws nothing.
-Each reads a supremum over its whole test space.  The shift checks read the
-witness's per-slot coefficients.  The transport checks range over every
-function of each cell's quadrature nodes, so each reads per-node values of
-the published multiplier, once per witness: form preservation reads the node
-identity t g^2(x) = x (it does not test the pushforward apart from the
-nodes), non-expansion g^2 <= 1 at every node.  The Rayleigh-quotient checks
-read the eigenbasis and the probes cos theta e_lam + sin theta e_mu, theta
-in ``PROBE_ANGLES``, of extremal pairs of eigenvalues; the two operator
-checks, finite-dimensional plasticity and extremal invariance, share 2 x 2
-rotation probes over the same angles.
+Each reads a supremum over its whole test space.  The three witness checks
+each reduce one table of values read only from the published witness: a
+shift's lambdas and factors f_k per slot, a transport's multiplier g at every
+quadrature node of each cell (built once per witness).  Form preservation
+reads lambda_{n_{k-1}} f_k^2 = lambda_{n_k} and the node identity
+t g^2(x) = x (it does not test the pushforward apart from the nodes),
+non-expansion f_k <= 1 and g <= 1.  The Rayleigh-quotient checks read the
+eigenbasis and the probes cos theta e_lam + sin theta e_mu, theta in
+``PROBE_ANGLES``, of extremal pairs of eigenvalues; the two operator checks,
+finite-dimensional plasticity and extremal invariance, share 2 x 2 rotation
+probes over the same angles.
 
 Tolerances follow the kind of arithmetic, not the kind of part: shift and
 space identities are exact-arithmetic paths (``POINT_TOL``, 1e-12), the
@@ -106,6 +107,24 @@ class TruncatedQuadraticSpace:
 # Witness checks
 # ---------------------------------------------------------------------------
 
+class _ShiftTable:
+    """Per-slot suprema of a shift, read off its published lambdas and factors.
+
+    T e_{n_k} = f_k e_{n_{k-1}} on the slots k = -K+1..K (slot -K leaves the
+    window).  Both forms are diagonal, so each ratio is extreme at one slot:
+    ``form`` = |lambda_{n_{k-1}} f_k^2 - lambda_{n_k}| / lambda_{n_{k-1}} and
+    ``gain`` = f_k; ``contraction`` = f_1 = ||T e_{n_1}|| at the strict drop.
+    """
+
+    tol = POINT_TOL
+
+    def __init__(self, w: ShiftWitness):
+        lam, f = w.lambdas, w.factors
+        self.form = np.abs(lam[:-1] * f**2 - lam[1:]) / lam[:-1]
+        self.gain = f
+        self.contraction = f[w.window]
+
+
 class _TransportTables:
     """Per-cell suprema over the nodes, shared by the transport checks.
 
@@ -117,14 +136,17 @@ class _TransportTables:
     q(f) weighs f(x_i)^2 by x_i and q(Tf) by t_i g^2(x_i), and ||f||^2 and
     ||Tf||^2 by 1 and g^2(x_i).  Over the functions of a cell each ratio is
     extreme at one node: ``form[p]`` = max_i |t_i g^2(x_i) / x_i - 1|, the
-    defect of the node identity t g^2(x) = x, and ``gain[p]`` =
-    max_i g^2(x_i); ``mean[p]``, the mean of g^2, is the cell indicator's.
+    defect of the node identity t g^2(x) = x, and ``gain[p]`` = max_i g(x_i).
+    ``contraction`` = ||Tx||, the root mean of g^2 on the nodes, for x the
+    indicator of cell k = 0 (at K = 1, of the last cell with a successor).
 
     Nodes and g^2 each come from one stacked call.  A cell whose nodes are
     not strictly increasing raises ``CapacityError`` first, naming the
     largest window that works (a cell's nodes do not depend on K).  No
     per-node array and no reference to the witness outlives the build.
     """
+
+    tol = TRANSPORT_TOL
 
     def __init__(self, w: TransportWitness, nodes: int):
         K = w.window
@@ -134,24 +156,23 @@ class _TransportTables:
                        f"--nodes {nodes} distinct quadrature points", "distinct quadrature points")
         x, t = x[:-1], x[1:]  # cells with a successor, and the successors
         gsq = w.multiplier_squared(x)
-        self.gain = np.max(gsq, axis=1)
-        self.mean = np.mean(gsq, axis=1)
+        self.gain = np.sqrt(np.max(gsq, axis=1))
+        self.contraction = np.sqrt(np.mean(gsq[min(K, len(gsq) - 1)]))
         gsq *= t  # in place from here on, so that no second per-node array is made
         gsq /= x
         gsq -= 1.0
         self.form = np.max(np.abs(gsq, out=gsq), axis=1)
 
 
-#: Tables by witness, then by node count; an entry goes when its witness does.
+#: Transport tables by witness, then by node count; an entry goes with its witness.
 _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _tables(w: TransportWitness, nodes: int) -> _TransportTables:
-    """The witness's table at ``nodes`` nodes per cell, built on first use.
-
-    Tables live as long as their witness, so all transport checks on one
-    witness share a single build.
-    """
+def _table(w: ShiftWitness | TransportWitness, nodes: int) -> _ShiftTable | _TransportTables:
+    """The witness's table: a shift's built afresh (2K + 1 multiplies), a
+    transport's at ``nodes`` nodes per cell built once, shared by its checks."""
+    if isinstance(w, ShiftWitness):
+        return _ShiftTable(w)
     by_nodes = _TABLES.setdefault(w, {})
     if nodes not in by_nodes:
         by_nodes[nodes] = _TransportTables(w, nodes)
@@ -161,38 +182,19 @@ def _tables(w: TransportWitness, nodes: int) -> _TransportTables:
 def check_form_preservation(
     op: ShiftWitness | TransportWitness, nodes: int = 4096
 ) -> VerificationReport:
-    """|q(Tx) - q(x)| over inputs supported inside the window.
-
-    On a shift both forms are diagonal, so the supremum over unit x is the
-    largest per-slot defect |image_weights_k - lambda_{n_k}| over the slots
-    k = -K+1..K (slot -K maps outside the window), each relative to
-    lambda_{n_{k-1}}, the larger eigenvalue of the slot.  On a transport it
-    is the largest |q(Tf) - q(f)| / q(f) over the functions f of the nodes,
-    which is the largest defect |t g^2(x) / x - 1| of the node identity
-    t g^2(x) = x at one node (``_TransportTables``).
-    """
-    if isinstance(op, ShiftWitness):
-        defect = np.abs(op.image_weights - op.lambdas[1:]) / op.lambdas[:-1]
-        return _report("form_preservation", defect.size, np.max(defect), POINT_TOL)
-
-    form = _tables(op, nodes).form
-    return _report("form_preservation", form.size, np.max(form), TRANSPORT_TOL)
+    """sup |q(Tx) - q(x)| / q(x) over inputs supported inside the window: the
+    largest ``form`` defect, per slot of a shift or per node of a transport."""
+    table = _table(op, nodes)
+    return _report("form_preservation", table.form.size, np.max(table.form), table.tol)
 
 
 def check_nonexpansive(
     op: ShiftWitness | TransportWitness, nodes: int = 4096
 ) -> VerificationReport:
-    """sup (||Tx|| - ||x||)/||x||, at most 0 for a non-expansive T.
-
-    A shift's supremum is its largest factor minus 1.  A transport's is the
-    largest multiplier g at a node minus 1, the supremum over every function
-    of the nodes.
-    """
-    if isinstance(op, ShiftWitness):
-        return _report("nonexpansive", op.factors.size, np.max(op.factors) - 1.0, POINT_TOL)
-
-    gain = _tables(op, nodes).gain
-    return _report("nonexpansive", gain.size, np.sqrt(np.max(gain)) - 1.0, TRANSPORT_TOL)
+    """sup (||Tx|| - ||x||)/||x||, at most 0 for a non-expansive T: the
+    largest ``gain`` (a factor, or a multiplier g at a node) minus 1."""
+    table = _table(op, nodes)
+    return _report("nonexpansive", table.gain.size, np.max(table.gain) - 1.0, table.tol)
 
 
 def check_strict_contraction(
@@ -200,17 +202,11 @@ def check_strict_contraction(
 ) -> VerificationReport:
     """Exhibit a unit direction with ||Tx|| <= 1 - delta, delta >= 1e-6.
 
-    The report's residual is the exhibited contraction factor ||Tx||; the
-    threshold 1 - 1e-6 encodes the required margin, so a witness with no
-    contracting direction (a witness bug) yields a failing report.
+    The residual is the table's ``contraction`` ||Tx||; the threshold 1 - 1e-6
+    encodes the margin, so a witness with no contracting direction (a witness
+    bug) yields a failing report.
     """
-    if isinstance(op, ShiftWitness):
-        factor = op.factors[op.window]  # ||T e_{n_1}||; the junction is the strict drop
-    else:
-        # Indicator of cell k = 0, or at K = 1 (where k = 0 has no successor)
-        # of the last cell with one: ||Tx||^2 is the mean of g^2 on its nodes.
-        mean = _tables(op, nodes).mean
-        factor = np.sqrt(mean[min(op.window, mean.size - 1)])
+    factor = _table(op, nodes).contraction
     return _report("strict_contraction", 1, factor, 1.0 - CONTRACTION_MARGIN)
 
 

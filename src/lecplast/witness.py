@@ -39,7 +39,11 @@ BasisLabel = tuple[str, int, int]
 
 @dataclass(frozen=True, eq=False)
 class ShiftWitness:
-    """Weighted bilateral shift on the eigenvector chain e_{n_k}, |k| <= K."""
+    """Weighted bilateral shift on the eigenvector chain e_{n_k}, |k| <= K.
+
+    T e_{n_k} = f_k e_{n_{k-1}}; a report publishes the lambda chain and the
+    factors f_k, and the witness checks read only those.
+    """
 
     window: int
     lambdas: np.ndarray  # position k + window holds lambda_{n_k}
@@ -48,9 +52,6 @@ class ShiftWitness:
     R: float
     rule: Rule
     factors: np.ndarray = field(init=False)  # sqrt(lambda_{n_k}/lambda_{n_{k-1}}) at k + K - 1
-    #: Weight of x_k^2 in the image form, lambda_{n_{k-1}} * (lambda_{n_k}/lambda_{n_{k-1}}),
-    #: at position k + window - 1.
-    image_weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
         K = self.window
@@ -70,9 +71,7 @@ class ShiftWitness:
             self.basis_labels
         ) != len(lam):
             raise PreconditionError("basis labels must be distinct, one per chain slot")
-        ratios = lam[1:] / lam[:-1]
-        object.__setattr__(self, "factors", np.sqrt(ratios))
-        object.__setattr__(self, "image_weights", lam[:-1] * ratios)
+        object.__setattr__(self, "factors", np.sqrt(lam[1:] / lam[:-1]))
 
 
 def _first_geometric_index(seq: EigenSequence, threshold: float) -> int:

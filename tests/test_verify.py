@@ -389,19 +389,19 @@ class TestAgainstPerSampleLoops:
                 assert report.passed == (worst <= report.threshold)
 
     def test_table_build_batches_quantile_calls(self, monkeypatch):
-        # every windowed quantile goes through the base measure's quantile,
+        # every windowed quantile goes through the base measure's solve,
         # once per block of whole rows of at most ROW_BLOCK levels (a Cantor
         # witness calls none: see TestCantorClosedForm)
         K, nodes = 16, 256
         w = build_transport_witness(density(1.0, 2.0, coeffs=(0.25, 1.0)), K)
         calls = []
-        quantile = MeasureSpec.quantile
+        solve = MeasureSpec._solve
 
-        def counting_quantile(self, u):
-            calls.append(np.size(u))
-            return quantile(self, u)
+        def counting_solve(self, levels):
+            calls.append(np.size(levels))
+            return solve(self, levels)
 
-        monkeypatch.setattr(MeasureSpec, "quantile", counting_quantile)
+        monkeypatch.setattr(MeasureSpec, "_solve", counting_solve)
         verify._TransportTables(w, nodes)
         blocks = lambda rows: math.ceil(rows * nodes / ROW_BLOCK)
         assert len(calls) <= blocks(2 * K) + blocks(2 * K - 1)
@@ -443,14 +443,16 @@ class TestTransportSuprema:
         nodes = 1024
         w = build_transport_witness(TRANSPORT_PARTS[part], K)
         tables = verify._TransportTables(w, nodes)
-        assert tables.form.shape == tables.gain.shape == tables.mean.shape == (2 * K - 1,)
+        assert tables.form.shape == tables.gain.shape == (2 * K - 1,)
         eps = np.finfo(float).eps
         for p in range(2 * K - 1):
             x, t = (quadrature_nodes(w.cells[q:q + 1], nodes=nodes)[0] for q in (p, p + 1))
             gsq = x / w.maps[p:p + 1].inverse(x[None])[0]
             assert abs(tables.form[p] - max(abs(t * gsq / x - 1.0))) <= 4 * eps
-            assert tables.gain[p] == pytest.approx(max(gsq), rel=4 * eps, abs=0)
-            assert tables.mean[p] == pytest.approx(math.fsum(gsq) / nodes, rel=4 * eps, abs=0)
+            assert tables.gain[p] == pytest.approx(math.sqrt(max(gsq)), rel=4 * eps, abs=0)
+            if p == min(K, 2 * K - 2):  # the indicator of cell k = 0, or the last one at K = 1
+                assert tables.contraction == pytest.approx(math.sqrt(math.fsum(gsq) / nodes),
+                                                           rel=4 * eps, abs=0)
 
     @pytest.mark.parametrize("part", ["degree1", "cantor"])
     def test_nonexpansive_between_constant_and_multiplier(self, part):
@@ -459,9 +461,9 @@ class TestTransportSuprema:
         K, nodes = 8, 512
         w = build_transport_witness(TRANSPORT_PARTS[part], K)
         growth = check_nonexpansive(w, nodes=nodes).worst_residual
-        constant = np.sqrt(verify._TransportTables(w, nodes).mean) - 1.0
-        top = np.max(w.multiplier(quadrature_nodes(w.cells[:-1], nodes=nodes))) - 1.0
-        assert constant.max() <= growth == top < 0
+        g = w.multiplier(quadrature_nodes(w.cells[:-1], nodes=nodes))
+        constant = np.sqrt(np.mean(g**2, axis=1)) - 1.0
+        assert constant.max() <= growth == np.max(g) - 1.0 < 0
 
     @pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf])
     def test_invalid_multiplier_fails_without_warning(self, monkeypatch, value):
@@ -559,17 +561,34 @@ class TestExactPointChecks:
     def test_perturbed_image_eigenvalue_fails_form_preservation(self):
         w = shift_no_min_no_max()
         assert check_form_preservation(w).passed
-        weights = w.image_weights.copy()
-        weights[w.window] *= 1.0 + 1e-9  # slot k = 1 weighed by a perturbed lambda_{n_0}
-        object.__setattr__(w, "image_weights", weights)
+        factors = w.factors.copy()
+        factors[w.window] *= math.sqrt(1.0 + 1e-9)  # slot k = 1 weighs (1 + 1e-9) lambda_{n_1}
+        object.__setattr__(w, "factors", factors)
         x = np.zeros(w.lambdas.size)
         x[w.window + 1] = 1.0
-        q, image_q = np.sum(w.lambdas * x * x), np.sum(w.image_weights * x[1:] * x[1:])
+        image_weights = w.lambdas[:-1] * factors**2
+        q, image_q = np.sum(w.lambdas * x * x), np.sum(image_weights * x[1:] * x[1:])
         assert abs(image_q - q) > 1e-10
         report = check_form_preservation(w)
         assert not report.passed
         assert report.worst_residual == pytest.approx(1e-9 * w.lambdas[w.window + 1]
                                                       / w.lambdas[w.window], rel=1e-6)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda w, f: w.lambdas[1:] / w.lambdas[:-1],  # the ratios, without the square root
+        lambda w, f: np.where(np.arange(f.size) == w.window, 0.5 * f, f),  # junction halved
+        lambda w, f: f * (1.0 - 1e-9),
+    ], ids=["no_sqrt", "one_halved", "scaled"])
+    @pytest.mark.parametrize("make", [shift_no_min_no_max, shift_two_atoms],
+                             ids=["two_sequences", "two_atoms"])
+    def test_mutated_factors_fail_form_preservation(self, mutate, make):
+        # Every mutant is still non-expansive, so only the form check can see it:
+        # lambda_{n_{k-1}} f_k^2 = lambda_{n_k} must hold for the published factors.
+        w = make()
+        assert check_form_preservation(w).passed
+        object.__setattr__(w, "factors", mutate(w, w.factors))
+        assert check_nonexpansive(w).passed
+        assert not check_form_preservation(w).passed
 
     def test_factor_above_one_fails_nonexpansive(self):
         w = shift_two_atoms()
