@@ -9,7 +9,7 @@ reads lambda_{n_{k-1}} f_k^2 = lambda_{n_k} and the node identity
 t g^2(x) = x (it does not test the pushforward apart from the nodes),
 non-expansion f_k <= 1 and g <= 1.  The Rayleigh-quotient checks read the
 eigenbasis and the probes cos theta e_lam + sin theta e_mu, theta in
-``PROBE_ANGLES``, of extremal pairs of eigenvalues; the two operator checks,
+``PROBE_ANGLES``, of the space's extremal pairs; the two operator checks,
 finite-dimensional plasticity and extremal invariance, share 2 x 2 rotation
 probes over the same angles.
 
@@ -25,6 +25,7 @@ NaN, so a non-finite residual fails its check.
 
 from __future__ import annotations
 
+import numbers
 import weakref
 from dataclasses import dataclass, field
 
@@ -78,29 +79,37 @@ def _report(name, samples, worst, threshold) -> VerificationReport:
 class TruncatedQuadraticSpace:
     """Diagonal model of <x, Ax> on a finite eigenvalue truncation.
 
-    Holds the quadratic form q(x) = <x, Ax> and the index groups Ker(A - t).
+    The form is diagonal, so the space is its distinct eigenvalues ``values``
+    (ascending) and the exact integer ``dimension``; its checks probe ``pairs``,
+    (min, mu) for every larger mu, then (max, mu) for every smaller mu.
     """
 
     points: tuple[tuple[float, int], ...]
-    lambdas: np.ndarray = field(init=False)
+    values: np.ndarray = field(init=False)
+    dimension: int = field(init=False)
+    pairs: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        pts = tuple((float(v), int(m)) for v, m in self.points)
+        pts = tuple((float(v), m) for v, m in self.points)
         if not pts:
             raise PreconditionError("the truncation is empty")
-        if any(not 0 < v < np.inf or m < 1 for v, m in pts):
-            raise PreconditionError("eigenvalues must be finite and > 0, multiplicity >= 1")
+        if any(not 0 < v < np.inf or m < 1
+               or not (isinstance(m, numbers.Integral) or float(m).is_integer()) for v, m in pts):
+            raise PreconditionError(
+                "eigenvalues must be finite and > 0, multiplicities whole numbers >= 1")
+        pts = tuple((v, int(m)) for v, m in pts)
+        values = np.unique([v for v, _ in pts])
+        n = values.size - 1
+        ends = np.concatenate([np.full(n, values[0]), np.full(n, values[-1])])
+        others = np.concatenate([values[1:], values[:-1]])
         object.__setattr__(self, "points", pts)
-        lam = np.repeat([v for v, _ in pts], [m for _, m in pts]).astype(float)
-        object.__setattr__(self, "lambdas", lam)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "dimension", sum(m for _, m in pts))
+        object.__setattr__(self, "pairs", np.stack([ends, others], axis=1))
 
     @classmethod
     def from_descriptor(cls, d: SpectralDescriptor, per_sequence: int) -> "TruncatedQuadraticSpace":
         return cls(tuple(enumerate_points(d, per_sequence)))
-
-    @property
-    def dimension(self) -> int:
-        return self.lambdas.size
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +223,6 @@ def check_strict_contraction(
 # Spectral-bound checks (Rayleigh quotients, minimizers)
 # ---------------------------------------------------------------------------
 
-def _extremal_pairs(values: np.ndarray, ends) -> np.ndarray:
-    """(lam, mu) for each lam in ``ends`` and every other distinct value mu."""
-    return np.array([(lam, mu) for lam in ends for mu in values if mu != lam]).reshape(-1, 2)
-
-
 def _probe_quotients(pairs: np.ndarray) -> np.ndarray:
     """Quotients lam cos^2 theta + mu sin^2 theta of cos theta e_lam + sin theta e_mu.
 
@@ -238,12 +242,8 @@ def check_rayleigh_bounds(space: TruncatedQuadraticSpace) -> VerificationReport:
     value.  Its residual is the distance of the smallest and the largest
     quotient from min lambda and max lambda, relative to max lambda.
     """
-    lam = space.lambdas
-    values = np.unique(lam)
-    quotients = np.concatenate(
-        [values, _probe_quotients(_extremal_pairs(values, values[[0, -1]])).ravel()]
-    )
-    lo, hi = lam.min(), lam.max()
+    quotients = np.concatenate([space.values, _probe_quotients(space.pairs).ravel()])
+    lo, hi = space.values[[0, -1]]
     worst = np.maximum(np.abs(quotients.min() - lo), np.abs(quotients.max() - hi)) / hi
     return _report("rayleigh_bounds", quotients.size, worst, POINT_TOL)
 
@@ -261,11 +261,10 @@ def check_min_attained(space: TruncatedQuadraticSpace) -> VerificationReport:
     """
     if space.dimension < 2:
         raise PreconditionError("need dimension >= 2")
-    lo = space.lambdas.min()
-    values = np.unique(space.lambdas)
+    values, lo = space.values, space.values[0]
     residuals = np.abs(values[:1] - lo) / lo  # (a)
     if values.size > 1:
-        pairs = _extremal_pairs(values, values[:1])
+        pairs = space.pairs[: values.size - 1]  # the min's block
         excess = _probe_quotients(pairs) - lo
         violation = (values[1] - lo) * np.sin(PROBE_ANGLES) ** 2 - excess
         residuals = np.append(residuals, violation / pairs[:, 1:])
@@ -300,7 +299,7 @@ def _rotation_probes(pairs):
     cos, sin = np.cos(PROBE_ANGLES), np.sin(PROBE_ANGLES)
     rotations = np.stack([cos, -sin, sin, cos], axis=-1).reshape(-1, 2, 2)
     t = plasticity_map(pairs, rotations).reshape(-1, 2, 2)
-    lam, mu = np.repeat(pairs[:, 0], PROBE_ANGLES.size, axis=0).T
+    lam, mu = np.broadcast_to(pairs, (len(pairs), PROBE_ANGLES.size, 2)).reshape(-1, 2).T
     return t, np.linalg.svd(t, compute_uv=False), lam, mu
 
 
@@ -353,8 +352,7 @@ def check_extremal_invariance(space: TruncatedQuadraticSpace) -> VerificationRep
     """
     if space.dimension < 2:
         raise PreconditionError("need dimension >= 2")
-    values = np.unique(space.lambdas)
-    t, singular, lam, mu = _rotation_probes(_extremal_pairs(values, values[[0, -1]]))
+    t, singular, lam, mu = _rotation_probes(space.pairs)
     sigma = singular[:, 0]
     leak = np.maximum(np.abs(t[:, 0, 1]), np.abs(t[:, 1, 0]))
     gap = np.abs(mu - lam) / np.maximum(lam, mu)

@@ -382,6 +382,23 @@ class TestVerifyCommand:
         assert len(checks) == 7
         assert [c["name"] for c in checks if not c["pass"]] == []
 
+    @pytest.mark.parametrize("doc, args, code", [
+        ({"atoms": [{"value": 1.0, "multiplicity": 2**53}]}, [], 0),
+        ({"sequences": [dict(TWO_SEQUENCES["sequences"][0], multiplicity=2**53 + 1),
+                        TWO_SEQUENCES["sequences"][1]]}, [], 3),
+        (TWO_ATOMS, ["--per-sequence", str(2**53)], 3),
+    ], ids=["plastic_atom", "sequence_term", "two_infinite_atoms"])
+    def test_multiplicities_past_the_address_space(self, tmp_path, capsys, doc, args, code):
+        # The space checks read the distinct eigenvalues and an exact integer
+        # dimension, so no array is sized by a multiplicity.
+        out = tmp_path / "report.json"
+        argv = ["all", "--input", write(tmp_path, "d.json", doc), "--output", str(out), *args]
+        assert main(argv) == code
+        assert capsys.readouterr().err == ""
+        checks = json.loads(out.read_text())["checks"]
+        assert "rayleigh_bounds" in [c["name"] for c in checks]
+        assert [c["name"] for c in checks if not c["pass"]] == []
+
     def test_plastic_descriptor_runs_space_checks(self, tmp_path):
         config = RunConfig(
             "all", write(tmp_path, "d.json", SINGLE_ATOM), per_sequence=4, nodes=64

@@ -68,6 +68,11 @@ def svd_spy(monkeypatch):
     return calls
 
 
+def dense_lambdas(space):
+    """The dense diagonal of the space's form: each value repeated by its multiplicity."""
+    return np.repeat([v for v, _ in space.points], [m for _, m in space.points]).astype(float)
+
+
 def unblocked_rayleigh_bounds(space, samples, seed):
     """Reference: the sampled rayleigh_bounds on one (samples + n) x n matrix.
 
@@ -77,7 +82,7 @@ def unblocked_rayleigh_bounds(space, samples, seed):
     the bounds beyond 5% of the spectral width.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    lam = space.lambdas
+    lam = dense_lambdas(space)
     vectors = rng.normal(size=(samples, lam.size))
     vectors = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
     vectors = np.vstack([vectors, np.eye(lam.size)])
@@ -109,7 +114,7 @@ def per_sample_space_residuals(space, samples, seed):
     max lambda.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    values, group_of = np.unique(space.lambdas, return_inverse=True)
+    values, group_of = np.unique(dense_lambdas(space), return_inverse=True)
     values = [Fraction(v) for v in values]
     lo, hi = values[0], values[-1]
     gap = values[1] - lo if len(values) > 1 else Fraction(0)
@@ -611,6 +616,31 @@ class TestExactPointChecks:
         with pytest.raises(PreconditionError, match="finite and > 0"):
             TruncatedQuadraticSpace(points)
 
+    @pytest.mark.parametrize(
+        "points",
+        [((1.0, 1.5), (2.0, 1)), ((1.0, math.inf),), ((1.0, 2), (2.0, math.nan))],
+        ids=["fraction", "inf", "nan"],
+    )
+    def test_multiplicity_not_a_whole_number_is_refused(self, points):
+        # int() would truncate 1.5 to 1, and raises bare errors on inf and NaN.
+        with pytest.raises(PreconditionError, match="whole numbers >= 1"):
+            TruncatedQuadraticSpace(points)
+
+    def test_whole_multiplicities_of_any_type(self):
+        space = TruncatedQuadraticSpace(((1.0, np.int64(2)), (2.0, 3.0), (3.0, 2**60)))
+        assert space.points == ((1.0, 2), (2.0, 3), (3.0, 2**60))
+        assert space.dimension == 5 + 2**60 and type(space.dimension) is int
+
+    def test_space_checks_ignore_multiplicities(self):
+        # Multiplicities 2**40 times larger hold over 2**50 eigenvalues in all,
+        # more than any dense array could; the checks read the distinct values.
+        points = ((1.0, 1000), (1.25, 7), (1.5, 3), (2.0, 24))
+        space = TruncatedQuadraticSpace(points)
+        scaled = TruncatedQuadraticSpace(tuple((v, m * 2**40) for v, m in points))
+        assert scaled.dimension == 1034 * 2**40
+        for check in (check_rayleigh_bounds, check_min_attained, check_extremal_invariance):
+            assert check(scaled) == check(space) and check(space).passed
+
     def test_eigenvalue_order_does_not_matter(self):
         # The space takes values in any order; the checks read min and max.
         ordered = TruncatedQuadraticSpace(((1.0, 2), (1.5, 1), (2.0, 3)))
@@ -633,7 +663,7 @@ class TestRayleigh:
     def test_eigenvector_attains_bound(self):
         space = TruncatedQuadraticSpace(((1.0, 1), (2.0, 1)))
         x = np.array([[1.0, 0.0], [math.sqrt(0.5), math.sqrt(0.5)]])
-        q = np.sum(space.lambdas * x * x, axis=1)
+        q = np.sum(dense_lambdas(space) * x * x, axis=1)
         assert q[0] == 1.0 and q[1] == pytest.approx(1.5, abs=1e-15)
 
     def test_no_escape_on_random_spectra(self):
@@ -671,13 +701,13 @@ class TestMinAttained:
     def test_inside_group_attains(self):
         space = TruncatedQuadraticSpace(((1.0, 2), (2.0, 1)))
         x = np.array([0.6, 0.8, 0.0])
-        assert np.sum(space.lambdas * x * x) == pytest.approx(1.0, abs=1e-15)
+        assert np.sum(dense_lambdas(space) * x * x) == pytest.approx(1.0, abs=1e-15)
 
     def test_two_point_equality(self):
         space = TruncatedQuadraticSpace(((1.0, 1), (2.0, 1)))
         x = np.array([math.sqrt(0.5), math.sqrt(0.5)])
         # quotient = min + gap * outside mass, with equality here
-        assert np.sum(space.lambdas * x * x) == pytest.approx(1.0 + 1.0 * 0.5, abs=1e-15)
+        assert np.sum(dense_lambdas(space) * x * x) == pytest.approx(1.0 + 1.0 * 0.5, abs=1e-15)
 
     def test_property_over_random_spectra(self):
         rng = np.random.default_rng(47)
