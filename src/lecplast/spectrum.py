@@ -9,6 +9,7 @@ keeps the induced quadratic form bounded above and below away from zero.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
@@ -21,6 +22,12 @@ from .errors import CapacityError, DomainError, RangeError, SchemaError
 
 #: Multiplicity token for an infinite-dimensional eigenspace.
 INFINITE = math.inf
+
+
+def is_multiplicity(m) -> bool:
+    """Whether m is a whole number >= 1: an integer of any size, or a real such as 2.0."""
+    return isinstance(m, numbers.Real) and m >= 1 and (
+        isinstance(m, numbers.Integral) or float(m).is_integer())
 
 
 class Direction(str, Enum):
@@ -43,16 +50,9 @@ class EigenAtom:
     def __post_init__(self):
         if not self.value > 0:
             raise DomainError(f"atom value must be positive, got {self.value}")
-        if self.multiplicity != INFINITE:
-            if (
-                not math.isfinite(self.multiplicity)
-                or self.multiplicity != int(self.multiplicity)
-                or self.multiplicity < 1
-            ):
-                raise DomainError(
-                    f"multiplicity must be a positive integer or INFINITE, "
-                    f"got {self.multiplicity}"
-                )
+        if self.multiplicity != INFINITE and not is_multiplicity(self.multiplicity):
+            raise DomainError(f"multiplicity must be a positive integer or INFINITE, "
+                              f"got {self.multiplicity}")
 
     @property
     def is_infinite(self) -> bool:
@@ -82,44 +82,55 @@ class EigenSequence:
             raise DomainError(f"sequence offset must be positive, got {self.offset}")
         if not 0 < self.ratio < 1:
             raise DomainError(f"sequence ratio must lie in (0, 1), got {self.ratio}")
-        if (
-            not math.isfinite(self.multiplicity)
-            or self.multiplicity != int(self.multiplicity)
-            or self.multiplicity < 1
-        ):
-            raise DomainError(
-                f"per-term multiplicity must be a positive integer, "
-                f"got {self.multiplicity}"
-            )
+        if not is_multiplicity(self.multiplicity):
+            raise DomainError(f"per-term multiplicity must be a positive integer, "
+                              f"got {self.multiplicity}")
         if self.direction is Direction.INCREASING and not self.term(1) > 0:
             raise DomainError(
                 "increasing sequence has a nonpositive first term "
                 f"(limit {self.limit}, offset {self.offset}, ratio {self.ratio})"
             )
 
+    def step(self, j):
+        """offset * ratio**j, the distance of term j from the limit; j may be an array."""
+        return self.offset * self.ratio**j
+
+    def _term_at(self, step):
+        return self.limit - step if self.direction is Direction.INCREASING else self.limit + step
+
     def term(self, j: int) -> float:
         if j < 1:
             raise RangeError(f"sequence terms are indexed from 1, got {j}")
-        step = self.offset * self.ratio**j
-        if self.direction is Direction.INCREASING:
-            return self.limit - step
-        return self.limit + step
+        return self._term_at(self.step(j))
 
     def terms(self, count: int, first: int = 1) -> np.ndarray:
         """Terms first..first+count-1; CapacityError if one rounds to the
         limit or to its neighbour, as it is then not a distinct eigenvalue."""
-        j = np.arange(first, first + count)
-        step = self.offset * self.ratio**j
-        if self.direction is Direction.INCREASING:
-            values = self.limit - step
-        else:
-            values = self.limit + step
+        values = self._term_at(self.step(np.arange(first, first + count)))
         if (values == self.limit).any() or (np.diff(values) == 0).any():
             raise CapacityError(
                 f"terms {first}..{first + count - 1} of the sequence with limit "
                 f"{self.limit} and ratio {self.ratio} are not distinct floats"
             )
         return values
+
+    def first_index_below(self, gap: float) -> int:
+        """Smallest j >= 1 with step(j) < gap, from (log gap - log offset) / log ratio;
+        CapacityError where ratio**j there is not a normal float, as the step has
+        then lost digits (or is 0, so that every j compares below gap)."""
+        if not gap > 0:
+            raise CapacityError("sequence cannot reach the requested side")
+        logs = math.log(gap) - math.log(self.offset)
+        estimate = max(1, math.floor(logs / math.log(self.ratio)))
+        if not self.ratio**estimate >= sys.float_info.min:
+            raise CapacityError(f"the sequence with limit {self.limit} comes within {gap:g} of it "
+                                "only where ratio**j is not a normal float")
+        j = max(1, estimate - 2)
+        while not self.step(j) < gap:
+            j += 1
+        while j > 1 and self.step(j - 1) < gap:
+            j -= 1
+        return j
 
 
 def _nonnegative_on(coeffs: np.ndarray, a: float, b: float) -> bool:
@@ -238,18 +249,23 @@ class SpectralDescriptor:
 def canonicalize(d: SpectralDescriptor) -> SpectralDescriptor:
     """Merge duplicate atoms, then sort every component list.
 
-    Atom multiplicities at equal values add; INFINITE absorbs.  Collisions of
+    Atom multiplicities at equal values add (a DomainError where the sum is
+    too long to print); INFINITE absorbs.  Collisions of
     an atom with a sequence term are left in place: enumerate_points merges
     them by value (the overlay), terms are never deleted.  Idempotent.
     """
     merged: dict[float, float] = {}
     for atom in d.atoms:
         prior = merged.get(atom.value, 0)
-        merged[atom.value] = (
-            INFINITE
-            if INFINITE in (prior, atom.multiplicity)
-            else prior + atom.multiplicity
+        merged[atom.value] = total = (
+            INFINITE if INFINITE in (prior, atom.multiplicity) else prior + atom.multiplicity
         )
+        if prior:  # a report prints the sum; str() refuses one past the digit limit
+            try:
+                str(total)
+            except ValueError:
+                raise DomainError(f"the atoms at {atom.value} add up to a multiplicity with "
+                                  "more digits than a report can print") from None
     atoms = tuple(EigenAtom(v, m) for v, m in sorted(merged.items()))
     return SpectralDescriptor(
         atoms=atoms,

@@ -25,7 +25,6 @@ NaN, so a non-finite residual fails its check.
 
 from __future__ import annotations
 
-import numbers
 import weakref
 from dataclasses import dataclass, field
 
@@ -33,7 +32,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .measures import quadrature_nodes
-from .spectrum import SpectralDescriptor, enumerate_points
+from .spectrum import SpectralDescriptor, enumerate_points, is_multiplicity
 from .witness import ShiftWitness, TransportWitness, require_window
 
 POINT_TOL = 1e-12
@@ -93,8 +92,7 @@ class TruncatedQuadraticSpace:
         pts = tuple((float(v), m) for v, m in self.points)
         if not pts:
             raise PreconditionError("the truncation is empty")
-        if any(not 0 < v < np.inf or m < 1
-               or not (isinstance(m, numbers.Integral) or float(m).is_integer()) for v, m in pts):
+        if any(not (0 < v < np.inf and is_multiplicity(m)) for v, m in pts):
             raise PreconditionError(
                 "eigenvalues must be finite and > 0, multiplicities whole numbers >= 1")
         pts = tuple((v, int(m)) for v, m in pts)

@@ -22,7 +22,6 @@ in-window preimage, so bijectivity probes must restrict supports accordingly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +30,7 @@ from .errors import CapacityError, PreconditionError, RangeError
 from .measures import (AffineMap, CantorCells, MeasureSpec, RestrictedMeasure, TransportMap,
                        quadrature_nodes)
 from .plasticity import ComponentRef, Rule, ViolationCertificate
-from .spectrum import ContinuousPart, Direction, EigenSequence, PartKind, SpectralDescriptor
+from .spectrum import ContinuousPart, Direction, PartKind, SpectralDescriptor
 
 #: Basis label: (component kind, component index, ordinal or term index).
 BasisLabel = tuple[str, int, int]
@@ -74,19 +73,6 @@ class ShiftWitness:
         object.__setattr__(self, "factors", np.sqrt(lam[1:] / lam[:-1]))
 
 
-def _first_geometric_index(seq: EigenSequence, threshold: float) -> int:
-    """Smallest j >= 1 with offset * ratio**j < threshold."""
-    if not threshold > 0:
-        raise CapacityError("sequence cannot reach the requested side")
-    estimate = max(1, math.floor(math.log(threshold / seq.offset) / math.log(seq.ratio)))
-    j = max(1, estimate - 2)
-    while not seq.offset * seq.ratio**j < threshold:
-        j += 1
-    while j > 1 and seq.offset * seq.ratio ** (j - 1) < threshold:
-        j -= 1
-    return j
-
-
 def _component_chain(
     d: SpectralDescriptor, ref: ComponentRef, count: int, bound: float
 ) -> tuple[np.ndarray, list[BasisLabel]]:
@@ -106,7 +92,7 @@ def _component_chain(
         return np.full(count, atom.value), [("atom", index, o) for o in range(count)]
     seq = d.sequences[index]
     gap = seq.limit - bound if seq.direction is Direction.INCREASING else bound - seq.limit
-    first = _first_geometric_index(seq, gap)
+    first = seq.first_index_below(gap)
     labels = [("sequence", index, j) for j in range(first, first + count)]
     return seq.terms(count, first=first), labels
 

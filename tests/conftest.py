@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
 from lecplast import (
@@ -34,6 +35,33 @@ def density(a, b, coeffs=(1.0,)):
 
 def cantor(a, b, mass=1.0):
     return ContinuousPart("cantor", (a, b), mass=mass)
+
+
+@st.composite
+def drawn_support(draw):
+    """[a, a(1 + w)] with a in 10^[-300, 300] and w in 10^[-15, 3]."""
+    a = 10.0 ** draw(st.floats(-300.0, 300.0))
+    return a, a * (1.0 + 10.0 ** draw(st.floats(-15.0, 3.0)))
+
+
+@st.composite
+def drawn_density(draw):
+    """A density part: on a drawn support [a, b], the polynomial
+    sum_i r_i (t/b)**i of degree 0-3 (a term whose coefficient overflows is
+    left out); or, on [a, 2a] at a power of two a, 2(t - a) or (t - a)**2
+    scaled by a power of two, which vanish at the support start."""
+    if draw(st.booleans()):
+        a, b = draw(drawn_support())
+        r = draw(st.lists(st.floats(0.0, 2.0), max_size=3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = [ri * np.float64(1.0 / b) ** i for i, ri in enumerate(r, 1)]
+        coeffs = [draw(st.floats(0.25, 2.0))] + [float(c) if np.isfinite(c) else 0.0 for c in terms]
+    else:
+        e = draw(st.integers(-500, 500))
+        a = b = 2.0**e
+        b *= 2.0
+        coeffs = (-2.0, 2.0**(1 - e)) if draw(st.booleans()) else (1.0, -2.0**(1 - e), 2.0**(-2 * e))
+    return density(a, b, coeffs)
 
 
 def descriptor(atoms=(), sequences=(), continuous=()):
@@ -147,6 +175,19 @@ def cantor_oracle(x, depth=22):
     out[mid] = 0.5
     out[right] = 0.5 + 0.5 * cantor_oracle(3.0 * x[right] - 2.0, depth - 1)
     return out
+
+
+def reference_first_index(seq, threshold):
+    """Smallest j >= 1 with offset * ratio**j < threshold: the search as it
+    stood in the shift witness before it moved onto the sequence, kept
+    verbatim as an oracle.  Its estimate divides threshold by offset."""
+    estimate = max(1, math.floor(math.log(threshold / seq.offset) / math.log(seq.ratio)))
+    j = max(1, estimate - 2)
+    while not seq.offset * seq.ratio**j < threshold:
+        j += 1
+    while j > 1 and seq.offset * seq.ratio ** (j - 1) < threshold:
+        j -= 1
+    return j
 
 
 # Reference density quantiles: the solve as it stood before its arrays were

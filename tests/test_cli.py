@@ -1,12 +1,19 @@
+import contextlib
+import io
 import json
 import re
+import sys
+import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lecplast import RangeError, TransportWitness, verify
 from lecplast import __version__
 from lecplast.cli import RunConfig, build_parser, main, run
+from conftest import drawn_density, drawn_support
 
 TWO_ATOMS = {
     "atoms": [
@@ -48,6 +55,36 @@ WITH_NUMBER = {
     "cantor_mass": lambda v: {"continuous": [dict(_CANTOR, mass=v)]},
 }
 NON_FINITE = [(field, value) for field in WITH_NUMBER for value in ("inf", "nan")]
+
+
+def _seq_doc(limit, direction, offset=0.5, ratio=0.5, multiplicity=1):
+    return {"limit": limit, "direction": direction, "offset": offset, "ratio": ratio,
+            "multiplicity": multiplicity}
+
+
+#: A multiplicity past the float range: 1 followed by 400 zeros.
+M = 10**400
+#: Point-spectrum inputs at the edges of the float range.  A multiplicity
+#: past it must stay an integer.  Near each sequence's first term past a
+#: bound, gap / offset underflows to 0 or overflows, so only a search in log
+#: space can take its log; ratio**j underflows to 0, so every step compares
+#: below the gap; or ratio**j is subnormal, so the steps have lost digits.
+POINT_ARITHMETIC = {
+    "huge_atom": {"atoms": [{"value": 1.0, "multiplicity": M}]},
+    "huge_term": {"sequences": [_seq_doc(1, "dec", multiplicity=M), _seq_doc(2, "inc")]},
+    "merge_past_digit_limit": {"atoms": [{"value": 1.0, "multiplicity": 9 * 10**4299}] * 2},
+    "gap_over_offset_underflows": {"sequences": [
+        _seq_doc(1e-10, "dec", offset=1e308), _seq_doc(1.0000000000000002e-10, "inc", offset=1e-30)]},
+    "gap_over_offset_overflows": {"sequences": [
+        _seq_doc(1, "dec"), _seq_doc(1e200, "inc", offset=1e-130)]},
+    "steps_underflow": {"sequences": [
+        _seq_doc(1e-150, "dec", offset=1e200, ratio=0.9999998),
+        _seq_doc(1e-129, "inc", offset=1e-149)]},
+    # the terms near the bound 1.5 are offset * ratio**j with ratio**j subnormal:
+    # j = 1992 and 1993 lie 0.68 and 1.51 ulps from their exact values
+    "subnormal_band": {"sequences": [_seq_doc(1, "dec", offset=1.7e308, ratio=0.7),
+                                     _seq_doc(2, "inc")]},
+}
 
 
 def write(tmp_path, name, doc):
@@ -387,10 +424,14 @@ class TestVerifyCommand:
         ({"sequences": [dict(TWO_SEQUENCES["sequences"][0], multiplicity=2**53 + 1),
                         TWO_SEQUENCES["sequences"][1]]}, [], 3),
         (TWO_ATOMS, ["--per-sequence", str(2**53)], 3),
-    ], ids=["plastic_atom", "sequence_term", "two_infinite_atoms"])
+        (POINT_ARITHMETIC["huge_atom"], [], 0),
+        (POINT_ARITHMETIC["huge_term"], [], 3),
+    ], ids=["plastic_atom", "sequence_term", "two_infinite_atoms", "plastic_atom_past_floats",
+            "sequence_term_past_floats"])
     def test_multiplicities_past_the_address_space(self, tmp_path, capsys, doc, args, code):
         # The space checks read the distinct eigenvalues and an exact integer
-        # dimension, so no array is sized by a multiplicity.
+        # dimension, so no array is sized by a multiplicity, and no multiplicity
+        # is converted to a float.
         out = tmp_path / "report.json"
         argv = ["all", "--input", write(tmp_path, "d.json", doc), "--output", str(out), *args]
         assert main(argv) == code
@@ -430,6 +471,92 @@ class TestVerifyCommand:
         assert report["seed"] == 9
         assert report["version"]
         assert report["descriptor"]["atoms"][0]["multiplicity"] == "inf"
+
+
+class TestPointSpectrumArithmetic:
+    @pytest.mark.parametrize("name, args, line", [
+        # the sum of two 4,300-digit multiplicities has more digits than json
+        # prints, and the line does not print it either
+        ("merge_past_digit_limit", ["classify"],
+         "the atoms at 1.0 add up to a multiplicity with more digits than a report can print"),
+        ("gap_over_offset_underflows", ["witness"], "the sequence with limit 1e-10 comes "),
+        ("gap_over_offset_overflows", ["witness"], "terms 1..17 of the sequence with limit "),
+        ("steps_underflow", ["witness", "--window", "1"], "the sequence with limit 1e-150 "),
+        ("subnormal_band", ["witness", "--window", "2"],
+         "the sequence with limit 1.0 comes within 0.5 of it only where ratio**j is not a "
+         "normal float"),
+    ], ids=["merge_past_digit_limit", "gap_over_offset_underflows", "gap_over_offset_overflows",
+            "steps_underflow", "subnormal_band"])
+    def test_exits_1_with_one_line(self, tmp_path, capsys, name, args, line):
+        if name == "merge_past_digit_limit" and not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("the interpreter prints integers of any length")
+        path = write(tmp_path, "d.json", POINT_ARITHMETIC[name])
+        start = time.perf_counter()
+        assert main([*args, "--input", path]) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {line}")
+
+
+_MAGNITUDE = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+_COUNT = st.one_of(st.integers(1, 3), st.integers(0, 400).map(lambda e: 10**e),
+                   st.integers(1, M))
+# Ratios from 1e-300 up to 1 - 2**-52, the second float below 1.
+_RATIO = st.one_of(st.floats(-300.0, 0.0).map(lambda e: min(10.0**e, 1.0 - 2.0**-52)),
+                   st.floats(1.0, 52.0).map(lambda e: 1.0 - 2.0**-e))
+_ATOM = st.fixed_dictionaries({"value": _MAGNITUDE,
+                               "multiplicity": st.one_of(st.just("inf"), _COUNT)})
+_SEQUENCE = st.fixed_dictionaries({
+    "limit": _MAGNITUDE, "direction": st.sampled_from(["inc", "dec"]), "offset": _MAGNITUDE,
+    "ratio": _RATIO, "multiplicity": _COUNT})
+_PART = st.one_of(
+    drawn_density().map(lambda part: {"kind": "density", "support": list(part.support),
+                                      "coeffs": list(part.coeffs)}),
+    st.tuples(drawn_support(), st.floats(-50.0, 50.0)).map(
+        lambda p: {"kind": "cantor", "support": list(p[0]), "mass": 10.0 ** p[1]}),
+)
+
+
+@st.composite
+def _contract_descriptor(draw):
+    """0-3 atoms, 0-3 sequences and 0-1 continuous part, each list left out when empty."""
+    doc = {"atoms": draw(st.lists(_ATOM, max_size=3)),
+           "sequences": draw(st.lists(_SEQUENCE, max_size=3)),
+           "continuous": draw(st.lists(_PART, max_size=1))}
+    return {key: value for key, value in doc.items() if value}
+
+
+class TestContract:
+    """classify and witness end in exit 0 or 3 with empty stderr, or in exit 1
+    with one ``error:`` line, and no exception leaves ``main``."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("contract") / "d.json"
+
+    @example(doc=POINT_ARITHMETIC["huge_atom"], K=16, full=False)
+    @example(doc=POINT_ARITHMETIC["huge_term"], K=16, full=False)
+    @example(doc=POINT_ARITHMETIC["merge_past_digit_limit"], K=16, full=False)
+    @example(doc=POINT_ARITHMETIC["gap_over_offset_underflows"], K=16, full=False)
+    @example(doc=POINT_ARITHMETIC["gap_over_offset_overflows"], K=16, full=False)
+    @example(doc=POINT_ARITHMETIC["steps_underflow"], K=1, full=False)
+    @example(doc=POINT_ARITHMETIC["subnormal_band"], K=2, full=True)
+    @given(doc=_contract_descriptor(), K=st.integers(1, 24),
+           full=st.sampled_from([False, False, True]))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_classify_and_witness(self, path, doc, K, full):
+        path.write_text(json.dumps(doc))
+        for command in ("classify", "witness"):
+            argv = [command, "--input", str(path), "--window", str(K), *["--full"] * full]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            if code in (0, 3):
+                assert err.getvalue() == ""
+            else:
+                assert code == 1
+                lines = err.getvalue().split("\n")
+                assert len(lines) == 2 and lines[0].startswith("error: ") and lines[1] == ""
 
 
 class TestDeterminism:

@@ -20,6 +20,7 @@ from conftest import (
     cantor,
     cantor_oracle,
     density,
+    drawn_density,
     integrate,
     pushforward_check,
     reference_cdf,
@@ -213,28 +214,6 @@ class TestClosedFormQuantile:
         assert 1 <= len(calls) <= 8
 
 
-@st.composite
-def _drawn_density(draw):
-    """A density part: on [a, a(1 + w)], a in 10^[-300, 300] and w in
-    10^[-15, 3], the polynomial sum_i r_i (t/b)**i of degree 0-3 (a term
-    whose coefficient overflows is left out); or, on [a, 2a] at a power of
-    two a, 2(t - a) or (t - a)**2 scaled by a power of two, which vanish at
-    the support start."""
-    if draw(st.booleans()):
-        a = 10.0 ** draw(st.floats(-300.0, 300.0))
-        b = a * (1.0 + 10.0 ** draw(st.floats(-15.0, 3.0)))
-        r = draw(st.lists(st.floats(0.0, 2.0), max_size=3))
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = [ri * np.float64(1.0 / b) ** i for i, ri in enumerate(r, 1)]
-        coeffs = [draw(st.floats(0.25, 2.0))] + [float(c) if np.isfinite(c) else 0.0 for c in terms]
-    else:
-        e = draw(st.integers(-500, 500))
-        a = b = 2.0**e
-        b *= 2.0
-        coeffs = (-2.0, 2.0**(1 - e)) if draw(st.booleans()) else (1.0, -2.0**(1 - e), 2.0**(-2 * e))
-    return density(a, b, coeffs)
-
-
 class TestDensityQuantileBits:
     """Density quantiles give the bits of the reference solve in conftest,
     through ``MeasureSpec.quantile``, ``RestrictedMeasure.quantile`` and
@@ -246,7 +225,7 @@ class TestDensityQuantileBits:
     @example(part=density(1e300, 1.5e300), K=16, nodes=256)
     @example(part=ZERO_AT_START["linear_zero_at_a"], K=16, nodes=4096)
     @example(part=ZERO_AT_START["square_zero_at_a"], K=16, nodes=4096)
-    @given(part=_drawn_density(), K=st.sampled_from([1, 4, 16]),
+    @given(part=drawn_density(), K=st.sampled_from([1, 4, 16]),
            nodes=st.sampled_from([256, 1024]))
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_same_bits_as_reference(self, part, K, nodes):

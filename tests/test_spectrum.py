@@ -2,20 +2,28 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lecplast import (
     INFINITE,
     CapacityError,
     DomainError,
+    PreconditionError,
     SchemaError,
+    TruncatedQuadraticSpace,
     canonicalize,
     enumerate_points,
     parse_descriptor,
     serialize_descriptor,
 )
-from conftest import atom, cantor, density, descriptor, random_descriptor, seq
+from lecplast.spectrum import is_multiplicity
+from conftest import (atom, cantor, density, descriptor, random_descriptor,
+                      reference_first_index, seq)
+
+#: Whole numbers >= 1 of every type a multiplicity may have, and values that are not.
+WHOLE = [1, 3, 2**53 + 1, 10**400, 2.0, np.float64(3.0), np.int64(2)]
+NOT_WHOLE = [math.inf, math.nan, 1.5, 0, 0.0, -1, np.float64(0.5)]
 
 
 class TestParse:
@@ -104,6 +112,39 @@ class TestCanonicalize:
             assert canonicalize(d) == d
 
 
+class TestMultiplicityRule:
+    """One rule decides a multiplicity for atoms, sequence terms and the
+    truncated space; each keeps its own exception and message."""
+
+    @pytest.mark.parametrize("m", WHOLE, ids=repr)
+    def test_whole_numbers_of_any_size_and_type(self, m):
+        assert is_multiplicity(m)
+        assert atom(1.0, m).multiplicity == m
+        assert seq(1.0, "dec", mult=m).multiplicity == m
+        assert TruncatedQuadraticSpace(((1.0, m),)).dimension == int(m)
+
+    @pytest.mark.parametrize("m", NOT_WHOLE, ids=repr)
+    def test_other_values_are_refused(self, m):
+        assert not is_multiplicity(m)
+        if m != INFINITE:  # the atom's token for an infinite eigenspace
+            with pytest.raises(DomainError, match="^multiplicity must be a positive integer "
+                                                  "or INFINITE, got "):
+                atom(1.0, m)
+        with pytest.raises(DomainError, match="^per-term multiplicity must be a positive "
+                                              "integer, got "):
+            seq(1.0, "dec", mult=m)
+        with pytest.raises(PreconditionError, match="whole numbers >= 1"):
+            TruncatedQuadraticSpace(((1.0, m),))
+
+    def test_parsed_multiplicities_past_the_float_range(self):
+        doc = {"atoms": [{"value": 1, "multiplicity": 10**400}],
+               "sequences": [{"limit": 2, "direction": "inc", "offset": 1, "ratio": 0.5,
+                              "multiplicity": 10**400 + 1}]}
+        d = parse_descriptor(doc)
+        assert d.atoms[0].multiplicity == 10**400
+        assert serialize_descriptor(d) == doc
+
+
 class TestBounds:
     def test_enumerated_points_stay_in_envelope(self):
         rng = np.random.default_rng(11)
@@ -165,6 +206,41 @@ class TestSequenceTerms:
     def test_terms_that_are_not_distinct_floats_raise(self, s, count):
         with pytest.raises(CapacityError):
             s.terms(count)
+
+    @pytest.mark.parametrize("s", [seq(1, "dec"), seq(2, "inc", offset=0.3, ratio=0.9),
+                                   seq(1e-300, "dec", offset=1e300, ratio=1e-3)],
+                             ids=["halves", "increasing", "far_from_limit"])
+    def test_term_and_terms_share_one_step(self, s):
+        values = s.terms(40, first=3)
+        j = np.arange(3, 43)
+        assert values.tobytes() == np.array([s.term(int(k)) for k in j]).tobytes()
+        assert s.step(j).tobytes() == (s.offset * s.ratio**j).tobytes()
+
+    # In the first two inputs gap / offset underflows to 0 and overflows to inf.
+    @example(offset=1e308, ratio=0.5, drop=338.0)
+    @example(offset=1e-130, ratio=0.5, drop=-330.0)
+    @given(offset=st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+           ratio=st.one_of(st.floats(-300.0, -1e-3).map(lambda e: 10.0**e),
+                           st.floats(1.0, 52.0).map(lambda e: 1.0 - 2.0**-e)),
+           drop=st.floats(-10.0, 620.0))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_first_index_matches_reference_search(self, offset, ratio, drop):
+        # gap = offset / 10**drop within the normal floats: below them, steps
+        # near gap are subnormal and stay equal over many j, so both walks crawl
+        gap = 10.0 ** min(max(math.log10(offset) - drop, -307.0), 308.0)
+        s = seq(1.0, "dec", offset=offset, ratio=ratio)
+        try:
+            j = s.first_index_below(gap)
+        except CapacityError as exc:
+            assert str(exc).endswith(" only where ratio**j is not a normal float")
+            return
+        assert s.step(j) < gap and (j == 1 or not s.step(j - 1) < gap)
+        if 0.0 < gap / offset < math.inf:  # the reference's domain
+            assert j == reference_first_index(s, gap)
+
+    def test_first_index_needs_a_positive_gap(self):
+        with pytest.raises(CapacityError, match="^sequence cannot reach the requested side$"):
+            seq(1.0, "dec").first_index_below(0.0)
 
     def test_enumerate_refuses_merged_terms(self):
         d = descriptor(sequences=[seq(1, "dec"), seq(2, "inc")])
