@@ -169,9 +169,11 @@ def main(argv=None) -> int:
         exit_code, report = run(config)
     except SystemExit as exc:  # --help and --version
         return 0 if exc.code == 0 else 1
+    except MemoryError as exc:  # the interpreter raises one with no text
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
     except (
         OSError,
-        MemoryError,
         SchemaError,
         DomainError,
         RangeError,

@@ -117,7 +117,11 @@ class EigenSequence:
     def first_index_below(self, gap: float) -> int:
         """Smallest j >= 1 with step(j) < gap, from (log gap - log offset) / log ratio;
         CapacityError where ratio**j there is not a normal float, as the step has
-        then lost digits (or is 0, so that every j compares below gap)."""
+        then lost digits (or is 0, so that every j compares below gap).
+
+        step(j) < gap holds from one j on, so a gallop away from the estimate
+        brackets that j and a bisection finds it, in O(log) steps even where
+        subnormal steps keep one value over many j."""
         if not gap > 0:
             raise CapacityError("sequence cannot reach the requested side")
         logs = math.log(gap) - math.log(self.offset)
@@ -125,12 +129,15 @@ class EigenSequence:
         if not self.ratio**estimate >= sys.float_info.min:
             raise CapacityError(f"the sequence with limit {self.limit} comes within {gap:g} of it "
                                 "only where ratio**j is not a normal float")
-        j = max(1, estimate - 2)
-        while not self.step(j) < gap:
-            j += 1
-        while j > 1 and self.step(j - 1) < gap:
-            j -= 1
-        return j
+        lo, hi, stride = max(0, estimate - 3), max(1, estimate - 2), 1
+        while not self.step(hi) < gap:  # from here on, step(hi) < gap
+            lo, hi, stride = hi, hi + stride, 2 * stride
+        while lo > 0 and self.step(lo) < gap:  # from here on, lo = 0 or step(lo) >= gap
+            lo, hi, stride = max(0, lo - stride), lo, 2 * stride
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if self.step(mid) < gap else (mid, hi)
+        return hi
 
 
 def _nonnegative_on(coeffs: np.ndarray, a: float, b: float) -> bool:

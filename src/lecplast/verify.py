@@ -10,8 +10,8 @@ t g^2(x) = x (it does not test the pushforward apart from the nodes),
 non-expansion f_k <= 1 and g <= 1.  The Rayleigh-quotient checks read the
 eigenbasis and the probes cos theta e_lam + sin theta e_mu, theta in
 ``PROBE_ANGLES``, of the space's extremal pairs; the two operator checks,
-finite-dimensional plasticity and extremal invariance, share 2 x 2 rotation
-probes over the same angles.
+finite-dimensional plasticity and extremal invariance, read the closed-form
+singular values of 2 x 2 rotation probes over the same angles.
 
 Tolerances follow the kind of arithmetic, not the kind of part: shift and
 space identities are exact-arithmetic paths (``POINT_TOL``, 1e-12), the
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError
-from .measures import quadrature_nodes
+from .measures import quadrature_nodes, row_blocks
 from .spectrum import SpectralDescriptor, enumerate_points, is_multiplicity
 from .witness import ShiftWitness, TransportWitness, require_window
 
@@ -286,73 +286,79 @@ def plasticity_map(lambdas, u: np.ndarray) -> np.ndarray:
 FINITE_DIM_SPECTRUM = (0.5, 1.0, 1.5, 2.0, 2.5)
 
 
-def _rotation_probes(pairs):
-    """Rotate each (lam, mu) pair's span by every theta in ``PROBE_ANGLES``.
-
-    Returns the (P, 2, 2) probes T = plasticity_map((lam, mu), R_theta),
-    pair-major, their singular values (descending, from one batched SVD)
-    and the lam and mu of each probe.
-    """
-    pairs = np.asarray(pairs, dtype=float).reshape(-1, 1, 2)
+def _rotations() -> np.ndarray:
+    """R_theta for every theta in ``PROBE_ANGLES``, shape (angles, 2, 2)."""
     cos, sin = np.cos(PROBE_ANGLES), np.sin(PROBE_ANGLES)
-    rotations = np.stack([cos, -sin, sin, cos], axis=-1).reshape(-1, 2, 2)
-    t = plasticity_map(pairs, rotations).reshape(-1, 2, 2)
-    lam, mu = np.broadcast_to(pairs, (len(pairs), PROBE_ANGLES.size, 2)).reshape(-1, 2).T
-    return t, np.linalg.svd(t, compute_uv=False), lam, mu
+    return np.stack([cos, -sin, sin, cos], axis=-1).reshape(-1, 2, 2)
+
+
+def _singular_values(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma_1, sigma_2) of each 2 x 2 t[..., :, :] in closed form (Blinn, IEEE CG&A 1996)."""
+    a, b, c, d = t[..., 0, 0], t[..., 0, 1], t[..., 1, 0], t[..., 1, 1]
+    sigma = (np.hypot(a + d, b - c) + np.hypot(a - d, b + c)) / 2
+    return sigma, np.abs(a * d - b * c) / sigma
+
+
+def _scaled_probes(pairs: np.ndarray) -> np.ndarray:
+    """plasticity_map((lam, mu), R_theta) / kappa, kappa = sqrt(max / min), per pair
+    and theta: (sqrt(min) / sqrt(lam_i)) R_ij (sqrt(lam_j) / sqrt(max)), no factor above 1."""
+    root = np.sqrt(pairs).T  # pairs innermost, so that each product runs along them
+    left, right = root.min(axis=0) / root, root / root.max(axis=0)
+    return np.moveaxis(left[:, None] * _rotations()[..., None] * right[None, :], -1, 0)
 
 
 def check_finite_dim_plasticity() -> VerificationReport:
     """Finite-dimensional shadow of ball plasticity for form-preserving maps.
 
     Every pair lam <= mu of ``FINITE_DIM_SPECTRUM``, equal pairs included, is
-    rotated through ``_rotation_probes``.  On each probe
+    rotated by every theta in ``PROBE_ANGLES``.  On each probe
     T = A^{-1/2} R_theta A^{1/2} with A = diag(lam, mu): (a) the quadratic
     form is preserved, T^T A T = A; (b) ||T|| >= 1 (det T = 1 forces a
     singular value >= 1), so no form-preserving map is a strict contraction;
-    (c) a T with ||T|| <= 1 + NORM_SLACK has every singular value within
+    (c) a T with ||T|| <= 1 + NORM_SLACK has both singular values within
     tolerance of 1, i.e. is an isometry; (d) lam = mu gives ||T|| = 1.  The
     small angles put probes of unequal pairs into (c).
     """
-    values = FINITE_DIM_SPECTRUM
-    t, singular, lam, mu = _rotation_probes(
-        [(lam, mu) for i, lam in enumerate(values) for mu in values[i:]]
-    )
-    a = np.stack([lam, mu], axis=-1)[:, :, None] * np.eye(2)
-    norm = singular[:, 0]
+    pairs = np.take(FINITE_DIM_SPECTRUM, np.transpose(np.triu_indices(len(FINITE_DIM_SPECTRUM))))
+    t = plasticity_map(pairs[:, None, :], _rotations())  # (pairs, angles, 2, 2)
+    norm, least = _singular_values(t)
+    a = pairs[:, None, :, None] * np.eye(2)
     residuals = [
-        np.abs(np.swapaxes(t, 1, 2) @ a @ t - a).max(axis=(1, 2)),
+        np.abs(np.swapaxes(t, -1, -2) @ a @ t - a).max(axis=(-2, -1)),
         1.0 - norm,
-        np.where(norm <= 1.0 + NORM_SLACK, np.abs(singular - 1.0).max(axis=1), 0.0),
-        np.where(lam == mu, np.abs(norm - 1.0), 0.0),
+        np.where(norm <= 1.0 + NORM_SLACK, np.abs([norm - 1.0, least - 1.0]).max(axis=0), 0.0),
+        np.where(pairs[:, :1] == pairs[:, 1:], np.abs(norm - 1.0), 0.0),
     ]
-    return _report("finite_dim_plasticity", len(t), np.max(residuals), OPERATOR_TOL)
+    return _report("finite_dim_plasticity", norm.size, np.max(residuals), OPERATOR_TOL)
 
 
 def check_extremal_invariance(space: TruncatedQuadraticSpace) -> VerificationReport:
     """Form-preserving maps leave an extremal eigenspace only by expanding.
 
     Each extremal value lam (min and max) is paired with every other distinct
-    value mu, and ``_rotation_probes`` rotates each pair's span by every
-    theta in ``PROBE_ANGLES``.  With P the projector onto lam, the leak
+    value mu, and each pair's span is rotated by every theta in
+    ``PROBE_ANGLES``.  With P the projector onto lam, the leak
     ||TP - PT|| = max(|T_01|, |T_10|) of a probe T and its norm
     sigma = ||T|| satisfy exactly (det T = 1, so sigma >= 1)
 
         sigma - 1/sigma = leak * |mu - lam| / max(lam, mu).
 
-    So a T with ||T|| <= 1 + NORM_SLACK leaks at most about
-    2 NORM_SLACK max(lam, mu) / |mu - lam|: an accepted contraction leaves
-    each extremal eigenspace invariant up to a bound set by the spectral gap
-    (a Davis-Kahan sin-theta bound), and close values may mix freely.
+    So a T with ||T|| <= 1 + NORM_SLACK leaks at most about 2 NORM_SLACK max(lam, mu) /
+    |mu - lam|: an accepted contraction leaves each extremal eigenspace invariant up to a
+    bound set by the spectral gap (a Davis-Kahan sin-theta bound); close values mix freely.
 
-    The residual is the largest defect of the identity relative to sigma,
-    since an SVD returns sigma to relative accuracy.  A space with one
-    distinct value has no probe.
+    It reads ``_scaled_probes`` T / kappa (1/sigma becomes kappa^-2 / (sigma / kappa))
+    in blocks of whole pairs; the defect relative to sigma, its residual, is the same
+    in both scalings.  A space with one distinct value has no probe.
     """
     if space.dimension < 2:
         raise PreconditionError("need dimension >= 2")
-    t, singular, lam, mu = _rotation_probes(space.pairs)
-    sigma = singular[:, 0]
-    leak = np.maximum(np.abs(t[:, 0, 1]), np.abs(t[:, 1, 0]))
-    gap = np.abs(mu - lam) / np.maximum(lam, mu)
-    defect = np.abs(sigma - 1.0 / sigma - leak * gap) / sigma
-    return _report("extremal_invariance", len(t), np.max(defect, initial=0.0), OPERATOR_TOL)
+    worst = 0.0
+    for rows in row_blocks(len(space.pairs), PROBE_ANGLES.size):
+        lo, hi = np.sort(space.pairs[rows], axis=1).T[..., None]
+        t = _scaled_probes(space.pairs[rows])
+        sigma, leak = _singular_values(t)[0], np.abs(t[..., [0, 1], [1, 0]]).max(axis=-1)
+        defect = np.abs(sigma - lo / hi / sigma - leak * ((hi - lo) / hi)) / sigma
+        worst = np.maximum(worst, np.max(defect))
+    samples = len(space.pairs) * PROBE_ANGLES.size
+    return _report("extremal_invariance", samples, worst, OPERATOR_TOL)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import re
+import subprocess
 import sys
 import time
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lecplast import RangeError, TransportWitness, verify
+from lecplast import RangeError, TransportWitness, cli, verify
 from lecplast import __version__
 from lecplast.cli import RunConfig, build_parser, main, run
 from conftest import drawn_density, drawn_support
@@ -84,6 +85,11 @@ POINT_ARITHMETIC = {
     # j = 1992 and 1993 lie 0.68 and 1.51 ulps from their exact values
     "subnormal_band": {"sequences": [_seq_doc(1, "dec", offset=1.7e308, ratio=0.7),
                                      _seq_doc(2, "inc")]},
+    # the gap to the atom is 1.66e-316: the steps near it are subnormal and
+    # keep one value over up to ~1e8 consecutive j
+    "subnormal_gap": {"sequences": [_seq_doc(1e-300, "dec", offset=1e-250,
+                                             ratio=0.9999999999999998)],
+                      "atoms": [{"value": 1.0000000000000004e-300, "multiplicity": "inf"}]},
 }
 
 
@@ -129,6 +135,16 @@ class TestClassify:
             assert main(argv) == 1
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_bare_memory_error_exits_1(self, tmp_path, capsys, monkeypatch):
+        # The interpreter raises MemoryError with no text; the line still says
+        # what went wrong.
+        def out_of_memory(config):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "run", out_of_memory)
+        assert main(["all", "--input", write(tmp_path, "d.json", TWO_ATOMS)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: out of memory"]
 
     @pytest.mark.parametrize(
         "doc, args",
@@ -419,6 +435,21 @@ class TestVerifyCommand:
         assert len(checks) == 7
         assert [c["name"] for c in checks if not c["pass"]] == []
 
+    def test_spectrum_across_the_float_range(self, tmp_path):
+        # max / min = 3.4e631: the extremal probes are divided by
+        # kappa = sqrt(max / min), so none of their entries overflows.
+        doc = {"atoms": [{"value": 5e-324, "multiplicity": 1},
+                         {"value": 1.7e308, "multiplicity": 2}]}
+        out = tmp_path / "report.json"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "lecplast", "all",
+             "--input", write(tmp_path, "d.json", doc), "--output", str(out)],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        checks = json.loads(out.read_text())["checks"]
+        assert len(checks) == 4 and all(c["pass"] for c in checks)
+
     @pytest.mark.parametrize("doc, args, code", [
         ({"atoms": [{"value": 1.0, "multiplicity": 2**53}]}, [], 0),
         ({"sequences": [dict(TWO_SEQUENCES["sequences"][0], multiplicity=2**53 + 1),
@@ -485,8 +516,9 @@ class TestPointSpectrumArithmetic:
         ("subnormal_band", ["witness", "--window", "2"],
          "the sequence with limit 1.0 comes within 0.5 of it only where ratio**j is not a "
          "normal float"),
+        ("subnormal_gap", ["witness", "--window", "1"], "forward chain must stay below (r + R)/2"),
     ], ids=["merge_past_digit_limit", "gap_over_offset_underflows", "gap_over_offset_overflows",
-            "steps_underflow", "subnormal_band"])
+            "steps_underflow", "subnormal_band", "subnormal_gap"])
     def test_exits_1_with_one_line(self, tmp_path, capsys, name, args, line):
         if name == "merge_past_digit_limit" and not hasattr(sys, "get_int_max_str_digits"):
             pytest.skip("the interpreter prints integers of any length")

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -216,18 +217,20 @@ class TestSequenceTerms:
         assert values.tobytes() == np.array([s.term(int(k)) for k in j]).tobytes()
         assert s.step(j).tobytes() == (s.offset * s.ratio**j).tobytes()
 
-    # In the first two inputs gap / offset underflows to 0 and overflows to inf.
+    # In the first two inputs gap / offset underflows to 0 and overflows to inf;
+    # in the third the gap is 1.66e-316 and the ratio 1 - 2.2e-16.
     @example(offset=1e308, ratio=0.5, drop=338.0)
     @example(offset=1e-130, ratio=0.5, drop=-330.0)
+    @example(offset=1e-250, ratio=0.9999999999999998, drop=65.78)
     @given(offset=st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
            ratio=st.one_of(st.floats(-300.0, -1e-3).map(lambda e: 10.0**e),
-                           st.floats(1.0, 52.0).map(lambda e: 1.0 - 2.0**-e)),
+                           st.floats(1.0, 52.0).map(lambda e: 1.0 - 2.0**-e),
+                           st.integers(1, 9).map(lambda k: 1.0 - k * 2.0**-53)),
            drop=st.floats(-10.0, 620.0))
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_first_index_matches_reference_search(self, offset, ratio, drop):
-        # gap = offset / 10**drop within the normal floats: below them, steps
-        # near gap are subnormal and stay equal over many j, so both walks crawl
-        gap = 10.0 ** min(max(math.log10(offset) - drop, -307.0), 308.0)
+        # gap = offset / 10**drop, down into the subnormal floats
+        gap = 10.0 ** min(max(math.log10(offset) - drop, -323.0), 308.0)
         s = seq(1.0, "dec", offset=offset, ratio=ratio)
         try:
             j = s.first_index_below(gap)
@@ -235,7 +238,11 @@ class TestSequenceTerms:
             assert str(exc).endswith(" only where ratio**j is not a normal float")
             return
         assert s.step(j) < gap and (j == 1 or not s.step(j - 1) < gap)
-        if 0.0 < gap / offset < math.inf:  # the reference's domain
+        # The reference walks one j per step: where steps near gap are
+        # subnormal, or the ratio lies within 1e-15 of 1, one step value
+        # holds over up to ~1e8 consecutive j and the walk crawls.
+        crawls = gap < sys.float_info.min or ratio > 1.0 - 1e-15
+        if 0.0 < gap / offset < math.inf and not crawls:  # the reference's domain
             assert j == reference_first_index(s, gap)
 
     def test_first_index_needs_a_positive_gap(self):

@@ -35,7 +35,7 @@ from lecplast.verify import (
     PROBE_ANGLES,
     plasticity_map,
 )
-from lecplast.measures import ROW_BLOCK, quadrature_nodes
+from lecplast.measures import ROW_BLOCK, quadrature_nodes, row_blocks
 from conftest import atom, cantor, density, descriptor, seq
 
 mpmath.mp.dps = 40
@@ -54,17 +54,17 @@ def shift_no_min_no_max(K=8):
 
 
 @pytest.fixture
-def svd_spy(monkeypatch):
-    """(input, singular values) of every np.linalg.svd call."""
+def singular_values_spy(monkeypatch):
+    """(probes, (sigma_1, sigma_2)) of every call of the operator checks' closed form."""
     calls = []
-    svd = np.linalg.svd
+    singular_values = verify._singular_values
 
-    def recording_svd(a, *args, **kwargs):
-        result = svd(a, *args, **kwargs)
-        calls.append((np.copy(a), result))
+    def recording(t):
+        result = singular_values(t)
+        calls.append((np.copy(t), result))
         return result
 
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(verify, "_singular_values", recording)
     return calls
 
 
@@ -752,10 +752,10 @@ class TestFiniteDimPlasticity:
         assert report.passed and report.worst_residual <= 1e-8
         assert report.samples == pairs * PROBE_ANGLES.size
 
-    def test_palette_reaches_isometry_branches(self, svd_spy):
+    def test_palette_reaches_isometry_branches(self, singular_values_spy):
         assert check_finite_dim_plasticity().passed
-        [(_, singular)] = svd_spy
-        sigma = singular[:, 0].reshape(-1, PROBE_ANGLES.size)
+        [(_, (sigma, _))] = singular_values_spy
+        assert sigma.shape[1:] == PROBE_ANGLES.shape
         values = FINITE_DIM_SPECTRUM
         equal = np.array([lam == mu for i, lam in enumerate(values) for mu in values[i:]])
         # (c): every unequal pair has accepted probes, which must be isometries
@@ -797,43 +797,55 @@ class TestExtremalInvariance:
         ],
         ids=["one_group", "two_groups", "three_groups", "unsorted", "near_degenerate", "dim_257"],
     )
-    def test_matches_mpmath_oracle(self, points, svd_spy):
+    def test_matches_mpmath_oracle(self, points, singular_values_spy):
         space = TruncatedQuadraticSpace(points)
         report = check_extremal_invariance(space)
         values = sorted({v for v, _ in points})
         pairs = [(lam, mu) for lam in (values[0], values[-1]) for mu in values if mu != lam]
         assert report.passed and report.worst_residual <= 1e-14
         assert report.samples == len(pairs) * PROBE_ANGLES.size
-        sigma = svd_spy[0][1][:, 0]
+        # the probes are divided by kappa = sqrt(max / min); blocks of pairs in order
+        calls = [s for _, s in singular_values_spy]
+        sigma, least = (np.concatenate([np.empty(0), *(s[i].ravel() for s in calls)])
+                        for i in (0, 1))
         probes = [(lam, mu, theta) for lam, mu in pairs for theta in PROBE_ANGLES]
-        for (lam, mu, theta), computed in zip(probes, sigma, strict=True):
+        for (lam, mu, theta), computed, computed_least in zip(probes, sigma, least, strict=True):
             lam, mu, theta = mpmath.mpf(lam), mpmath.mpf(mu), mpmath.mpf(float(theta))
             c, s = mpmath.cos(theta), mpmath.sin(theta)
             t = mpmath.matrix([[c, -s * mpmath.sqrt(mu / lam)], [s * mpmath.sqrt(lam / mu), c]])
-            exact = max(mpmath.svd_r(t, compute_uv=False))
+            exact_least, exact = sorted(mpmath.svd_r(t, compute_uv=False))
             leak = max(abs(t[0, 1]), abs(t[1, 0]))
             identity = exact - 1 / exact - leak * abs(mu - lam) / max(lam, mu)
             assert abs(identity) <= mpmath.mpf(10) ** -30
-            assert abs(computed - exact) <= 1e-15 * exact
+            kappa = mpmath.sqrt(max(lam, mu) / min(lam, mu))
+            assert abs(computed - exact / kappa) <= 1e-15 * exact / kappa
+            assert abs(computed_least - exact_least / kappa) <= 1e-15 * exact_least / kappa
 
     @pytest.mark.parametrize(
-        "check",
+        "check, builder",
         [
-            partial(check_extremal_invariance, TruncatedQuadraticSpace(((1.0, 3), (2.0, 4)))),
-            check_finite_dim_plasticity,
+            (partial(check_extremal_invariance, TruncatedQuadraticSpace(((1.0, 3), (2.0, 4)))),
+             "_scaled_probes"),
+            (check_finite_dim_plasticity, "plasticity_map"),
         ],
         ids=["extremal_invariance", "finite_dim_plasticity"],
     )
-    def test_form_breaking_map_fails(self, monkeypatch, check):
+    def test_form_breaking_map_fails(self, monkeypatch, check, builder):
         def unbalanced(lambdas, u):
             lam = np.asarray(lambdas, dtype=float)
             return (lam[..., :, None] ** -0.5) * u * (lam[..., None, :] ** -0.5)
 
-        monkeypatch.setattr(verify, "plasticity_map", unbalanced)
+        def unbalanced_scaled(pairs):
+            # the same map, divided by kappa = sqrt(max / min) as the extremal probes are
+            kappa = np.sqrt(pairs.max(axis=1) / pairs.min(axis=1))[:, None, None, None]
+            return unbalanced(pairs[:, None, :], verify._rotations()) / kappa
+
+        mutants = {"plasticity_map": unbalanced, "_scaled_probes": unbalanced_scaled}
+        monkeypatch.setattr(verify, builder, mutants[builder])
         report = check()
         assert not report.passed and report.worst_residual >= 0.5
 
-    def test_probes_are_deterministic_two_by_two(self, monkeypatch, svd_spy):
+    def test_probes_are_deterministic_two_by_two(self, monkeypatch, singular_values_spy):
         qr_shapes = []
         qr = np.linalg.qr
 
@@ -844,7 +856,11 @@ class TestExtremalInvariance:
         def no_generator(*args, **kwargs):
             raise AssertionError("an operator check drew a random number")
 
+        def no_svd(*args, **kwargs):
+            raise AssertionError("an operator check called np.linalg.svd")
+
         monkeypatch.setattr(np.linalg, "qr", recording_qr)
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
         monkeypatch.setattr(np.random, "Generator", no_generator)
         space = TruncatedQuadraticSpace(((1.0, 3), (1.5, 1), (2.0, 4)))
         samples = []
@@ -854,9 +870,13 @@ class TestExtremalInvariance:
             assert a == b and a["pass"]
             samples += [a["samples"]] * 2
         assert qr_shapes == []
-        assert [np.shape(t) for t, _ in svd_spy] == [(n, 2, 2) for n in samples]
-        # Four separated extremal pairs: each has accepted and rejected probes.
-        sigma = svd_spy[0][1][:, 0].reshape(4, PROBE_ANGLES.size)
+        shapes = [np.shape(t) for t, _ in singular_values_spy]
+        assert shapes == [(n // PROBE_ANGLES.size, PROBE_ANGLES.size, 2, 2) for n in samples]
+        # Four separated extremal pairs: each has accepted and rejected probes,
+        # read on the probes unscaled (times kappa = sqrt(max / min) of each pair).
+        kappa = np.sqrt(space.pairs.max(axis=1) / space.pairs.min(axis=1))[:, None]
+        sigma = singular_values_spy[0][1][0] * kappa
+        assert sigma.shape == (4, PROBE_ANGLES.size)
         assert ((sigma <= 1.0 + NORM_SLACK).any(axis=1)).all()
         assert ((sigma > 1.0 + NORM_SLACK).any(axis=1)).all()
 
@@ -864,6 +884,35 @@ class TestExtremalInvariance:
         space = TruncatedQuadraticSpace(((1.0, 2), (1.5, 3), (2.0, 1)))
         report = check_extremal_invariance(space)
         assert report.passed and report.worst_residual <= 1e-9
+
+    def test_every_block_is_read(self, monkeypatch):
+        # 400 distinct values give 798 pairs, three blocks of whole pairs; a
+        # probe doubled only on the last pair, in the last block, must fail.
+        space = TruncatedQuadraticSpace(tuple((1.0 + k / 400, 1) for k in range(400)))
+        assert len(row_blocks(len(space.pairs), PROBE_ANGLES.size)) == 3
+        scaled_probes = verify._scaled_probes
+
+        def doubled_on_last_pair(pairs):
+            t = scaled_probes(pairs)
+            t[(pairs == space.pairs[-1]).all(axis=1)] *= 2.0
+            return t
+
+        assert check_extremal_invariance(space).passed
+        monkeypatch.setattr(verify, "_scaled_probes", doubled_on_last_pair)
+        assert check_extremal_invariance(space).worst_residual >= 0.5
+
+    def test_memory_does_not_grow_with_the_space(self):
+        # The probes of 2 x 19,999 pairs go in blocks of whole pairs, at most
+        # ROW_BLOCK probes each, so the check holds one block at a time.
+        space = TruncatedQuadraticSpace(tuple((1.0 + k / 20_000, 1) for k in range(20_000)))
+        tracemalloc.start()
+        try:
+            report = check_extremal_invariance(space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed and report.samples == 2 * 19_999 * PROBE_ANGLES.size
+        assert peak < 4e6
 
 
 class TestDeterminism:
