@@ -25,7 +25,6 @@ from .spectrum import (
     PartKind,
     SpectralDescriptor,
     canonicalize,
-    enumerate_points,
     parse_descriptor,
     serialize_descriptor,
 )

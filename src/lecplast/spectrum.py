@@ -104,13 +104,16 @@ class EigenSequence:
         return self._term_at(self.step(j))
 
     def terms(self, count: int, first: int = 1) -> np.ndarray:
-        """Terms first..first+count-1; CapacityError if one rounds to the
-        limit or to its neighbour, as it is then not a distinct eigenvalue."""
-        values = self._term_at(self.step(np.arange(first, first + count)))
-        if (values == self.limit).any() or (np.diff(values) == 0).any():
+        """Terms first..first+count-1; CapacityError if one is past the float
+        range, or rounds to the limit or to its neighbour, as it is then not a
+        distinct eigenvalue."""
+        with np.errstate(over="ignore"):  # a term past the float range is read from its inf
+            values = self._term_at(self.step(np.arange(first, first + count)))
+        if (not np.isfinite(values).all() or (values == self.limit).any()
+                or (np.diff(values) == 0).any()):
             raise CapacityError(
                 f"terms {first}..{first + count - 1} of the sequence with limit "
-                f"{self.limit} and ratio {self.ratio} are not distinct floats"
+                f"{self.limit} and ratio {self.ratio} are not distinct finite floats"
             )
         return values
 
@@ -258,7 +261,7 @@ def canonicalize(d: SpectralDescriptor) -> SpectralDescriptor:
 
     Atom multiplicities at equal values add (a DomainError where the sum is
     too long to print); INFINITE absorbs.  Collisions of
-    an atom with a sequence term are left in place: enumerate_points merges
+    an atom with a sequence term are left in place: the truncated space merges
     them by value (the overlay), terms are never deleted.  Idempotent.
     """
     merged: dict[float, float] = {}
@@ -283,27 +286,6 @@ def canonicalize(d: SpectralDescriptor) -> SpectralDescriptor:
 
 def _part_key(part: ContinuousPart):
     return (part.support, part.kind.value, part.coeffs or (), part.mass or 0.0)
-
-
-def enumerate_points(d: SpectralDescriptor, per_sequence: int) -> list[tuple[float, int]]:
-    """Finite truncation of the point spectrum, sorted ascending.
-
-    Each sequence contributes its first ``per_sequence`` terms; INFINITE atom
-    multiplicities are rendered as 2*per_sequence copies, which set only the
-    dimension of the truncated space.  Points sharing a value merge by adding
-    multiplicities (the atom/term overlay).
-    """
-    if per_sequence < 1:
-        raise DomainError(f"per_sequence must be positive, got {per_sequence}")
-    counts: dict[float, int] = {}
-    for atom in d.atoms:
-        mult = 2 * per_sequence if atom.is_infinite else int(atom.multiplicity)
-        counts[atom.value] = counts.get(atom.value, 0) + mult
-    for seq in d.sequences:
-        for value in seq.terms(per_sequence):
-            value = float(value)
-            counts[value] = counts.get(value, 0) + seq.multiplicity
-    return sorted(counts.items())
 
 
 # ---------------------------------------------------------------------------

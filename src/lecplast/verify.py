@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import DomainError, PreconditionError
 from .measures import quadrature_nodes, row_blocks
-from .spectrum import SpectralDescriptor, enumerate_points, is_multiplicity
+from .spectrum import SpectralDescriptor, is_multiplicity
 from .witness import ShiftWitness, TransportWitness, require_window
 
 POINT_TOL = 1e-12
@@ -79,35 +79,42 @@ class TruncatedQuadraticSpace:
     """Diagonal model of <x, Ax> on a finite eigenvalue truncation.
 
     The form is diagonal, so the space is its distinct eigenvalues ``values``
-    (ascending) and the exact integer ``dimension``; its checks probe ``pairs``,
+    (ascending; the constructor takes any, and merges equal ones) and the exact
+    integer ``dimension``, at least their count; its checks probe ``pairs``,
     (min, mu) for every larger mu, then (max, mu) for every smaller mu.
     """
 
-    points: tuple[tuple[float, int], ...]
-    values: np.ndarray = field(init=False)
-    dimension: int = field(init=False)
+    values: np.ndarray
+    dimension: int
     pairs: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        pts = tuple((float(v), m) for v, m in self.points)
-        if not pts:
-            raise PreconditionError("the truncation is empty")
-        if any(not (0 < v < np.inf and is_multiplicity(m)) for v, m in pts):
-            raise PreconditionError(
-                "eigenvalues must be finite and > 0, multiplicities whole numbers >= 1")
-        pts = tuple((v, int(m)) for v, m in pts)
-        values = np.unique([v for v, _ in pts])
+        values = np.unique(np.asarray(self.values, dtype=float))  # NaN sorts last
+        if not (values.size and 0 < values[0] and values[-1] < np.inf):
+            raise PreconditionError("the truncation needs eigenvalues, each finite and > 0")
+        if not (is_multiplicity(self.dimension) and self.dimension >= values.size):
+            raise PreconditionError(f"the dimension must be a whole number >= {values.size}, "
+                                    f"the count of distinct eigenvalues, got {self.dimension}")
         n = values.size - 1
         ends = np.concatenate([np.full(n, values[0]), np.full(n, values[-1])])
         others = np.concatenate([values[1:], values[:-1]])
-        object.__setattr__(self, "points", pts)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "dimension", sum(m for _, m in pts))
+        object.__setattr__(self, "dimension", int(self.dimension))
         object.__setattr__(self, "pairs", np.stack([ends, others], axis=1))
 
     @classmethod
     def from_descriptor(cls, d: SpectralDescriptor, per_sequence: int) -> "TruncatedQuadraticSpace":
-        return cls(tuple(enumerate_points(d, per_sequence)))
+        """Every atom and each sequence's first ``per_sequence`` terms; an INFINITE
+        atom counts 2 * per_sequence dimensions.  A value that an atom and a
+        term share (the overlay) is one value whose multiplicities add."""
+        if per_sequence < 1:
+            raise DomainError(f"per_sequence must be positive, got {per_sequence}")
+        values = np.concatenate([[atom.value for atom in d.atoms],
+                                 *(seq.terms(per_sequence) for seq in d.sequences)])
+        dimension = sum(2 * per_sequence if atom.is_infinite else int(atom.multiplicity)
+                        for atom in d.atoms)
+        dimension += per_sequence * sum(int(seq.multiplicity) for seq in d.sequences)
+        return cls(values, dimension)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +228,11 @@ def check_strict_contraction(
 # Spectral-bound checks (Rayleigh quotients, minimizers)
 # ---------------------------------------------------------------------------
 
+def _pair_blocks(pairs: np.ndarray):
+    """``pairs`` in blocks of whole pairs, at most ``ROW_BLOCK`` probes each."""
+    return (pairs[rows] for rows in row_blocks(len(pairs), PROBE_ANGLES.size))
+
+
 def _probe_quotients(pairs: np.ndarray) -> np.ndarray:
     """Quotients lam cos^2 theta + mu sin^2 theta of cos theta e_lam + sin theta e_mu.
 
@@ -237,13 +249,17 @@ def check_rayleigh_bounds(space: TruncatedQuadraticSpace) -> VerificationReport:
     quotient escapes the bounds and the eigenbasis attains both.  The check
     reads the quotients of the eigenbasis, which are the distinct values,
     and of every extremal-pair probe: lam the min or the max and mu any other
-    value.  Its residual is the distance of the smallest and the largest
-    quotient from min lambda and max lambda, relative to max lambda.
+    value, in blocks of whole pairs with a running min and max.  Its residual
+    is the distance of the smallest and the largest quotient from min lambda
+    and max lambda, relative to max lambda.
     """
-    quotients = np.concatenate([space.values, _probe_quotients(space.pairs).ravel()])
-    lo, hi = space.values[[0, -1]]
-    worst = np.maximum(np.abs(quotients.min() - lo), np.abs(quotients.max() - hi)) / hi
-    return _report("rayleigh_bounds", quotients.size, worst, POINT_TOL)
+    lo, hi = least, most = space.values[[0, -1]]  # the eigenbasis quotients' extrema
+    for pairs in _pair_blocks(space.pairs):
+        quotients = _probe_quotients(pairs)
+        least, most = np.minimum(least, quotients.min()), np.maximum(most, quotients.max())
+    worst = np.maximum(np.abs(least - lo), np.abs(most - hi)) / hi
+    samples = space.values.size + len(space.pairs) * PROBE_ANGLES.size
+    return _report("rayleigh_bounds", samples, worst, POINT_TOL)
 
 
 def check_min_attained(space: TruncatedQuadraticSpace) -> VerificationReport:
@@ -254,19 +270,19 @@ def check_min_attained(space: TruncatedQuadraticSpace) -> VerificationReport:
     is the distance to the second-smallest value.  Both hold for every x of
     a diagonal form, so the check reads (a) on the eigenbasis and (b) on the
     probes cos theta e_lo + sin theta e_mu, m = sin^2 theta, for every other
-    value mu.  Each residual is relative to the largest eigenvalue of its
-    quotient.
+    value mu, in blocks of whole pairs with a running maximum.  Each residual
+    is relative to the largest eigenvalue of its quotient.
     """
     if space.dimension < 2:
         raise PreconditionError("need dimension >= 2")
     values, lo = space.values, space.values[0]
-    residuals = np.abs(values[:1] - lo) / lo  # (a)
-    if values.size > 1:
-        pairs = space.pairs[: values.size - 1]  # the min's block
+    worst = np.abs(values[0] - lo) / lo  # (a)
+    lowest = space.pairs[: values.size - 1]  # the min's pairs
+    for pairs in _pair_blocks(lowest):
         excess = _probe_quotients(pairs) - lo
         violation = (values[1] - lo) * np.sin(PROBE_ANGLES) ** 2 - excess
-        residuals = np.append(residuals, violation / pairs[:, 1:])
-    return _report("min_attained", residuals.size, np.max(residuals), POINT_TOL)
+        worst = np.maximum(worst, np.max(violation / pairs[:, 1:]))
+    return _report("min_attained", 1 + len(lowest) * PROBE_ANGLES.size, worst, POINT_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +370,9 @@ def check_extremal_invariance(space: TruncatedQuadraticSpace) -> VerificationRep
     if space.dimension < 2:
         raise PreconditionError("need dimension >= 2")
     worst = 0.0
-    for rows in row_blocks(len(space.pairs), PROBE_ANGLES.size):
-        lo, hi = np.sort(space.pairs[rows], axis=1).T[..., None]
-        t = _scaled_probes(space.pairs[rows])
+    for pairs in _pair_blocks(space.pairs):
+        lo, hi = np.sort(pairs, axis=1).T[..., None]
+        t = _scaled_probes(pairs)
         sigma, leak = _singular_values(t)[0], np.abs(t[..., [0, 1], [1, 0]]).max(axis=-1)
         defect = np.abs(sigma - lo / hi / sigma - leak * ((hi - lo) / hi)) / sigma
         worst = np.maximum(worst, np.max(defect))

@@ -9,6 +9,7 @@ from lecplast import (
     INFINITE,
     ContinuousPart,
     Direction,
+    DomainError,
     EigenAtom,
     EigenSequence,
     MeasureSpec,
@@ -16,6 +17,7 @@ from lecplast import (
     RestrictedMeasure,
     SpectralDescriptor,
     TransportMap,
+    TruncatedQuadraticSpace,
     canonicalize,
 )
 from lecplast.measures import _GUESS_GRID, _NEWTON_CAP, quadrature_nodes
@@ -188,6 +190,38 @@ def reference_first_index(seq, threshold):
     while j > 1 and seq.offset * seq.ratio ** (j - 1) < threshold:
         j -= 1
     return j
+
+
+# The point-spectrum truncation as it stood before the truncated space was
+# built from the descriptor's components, kept verbatim as an oracle: one
+# (value, multiplicity) point per distinct eigenvalue.
+
+
+def reference_points(d: SpectralDescriptor, per_sequence: int) -> list[tuple[float, int]]:
+    """Finite truncation of the point spectrum, sorted ascending.
+
+    Each sequence contributes its first ``per_sequence`` terms; INFINITE atom
+    multiplicities are rendered as 2*per_sequence copies, which set only the
+    dimension of the truncated space.  Points sharing a value merge by adding
+    multiplicities (the atom/term overlay).
+    """
+    if per_sequence < 1:
+        raise DomainError(f"per_sequence must be positive, got {per_sequence}")
+    counts: dict[float, int] = {}
+    for atom in d.atoms:
+        mult = 2 * per_sequence if atom.is_infinite else int(atom.multiplicity)
+        counts[atom.value] = counts.get(atom.value, 0) + mult
+    for seq in d.sequences:
+        for value in seq.terms(per_sequence):
+            value = float(value)
+            counts[value] = counts.get(value, 0) + seq.multiplicity
+    return sorted(counts.items())
+
+
+def space_of(points):
+    """The truncated space of (value, multiplicity) points: their values, and
+    the sum of their multiplicities as its dimension."""
+    return TruncatedQuadraticSpace([v for v, _ in points], sum(m for _, m in points))
 
 
 # Reference density quantiles: the solve as it stood before its arrays were

@@ -182,7 +182,7 @@ def test_criterion_6_rayleigh_minimizer_suite():
         mults = rng.integers(1, 5, size=count)
         while mults.sum() > 64:
             mults = np.maximum(1, mults - 1)
-        space = TruncatedQuadraticSpace(tuple(zip(values, mults)))
+        space = TruncatedQuadraticSpace(values, int(mults.sum()))
         rng.integers(1 << 31)  # once the checks' seed; drawn so later spectra stay the same
         all_pass = all_pass and check_rayleigh_bounds(space).passed
         all_pass = all_pass and check_min_attained(space).passed
@@ -222,7 +222,7 @@ def test_criterion_7_finite_dim_surrogate():
         count = int(rng.integers(2, 5))
         values = np.sort(rng.uniform(0.5, 2.5, size=count))
         mults = rng.integers(1, 3, size=count)
-        space = TruncatedQuadraticSpace(tuple(zip(values, mults)))
+        space = TruncatedQuadraticSpace(values, int(mults.sum()))
         rng.integers(1 << 31)
         ex = check_extremal_invariance(space)
         checks_pass = checks_pass and fd.passed and ex.passed

@@ -90,6 +90,8 @@ POINT_ARITHMETIC = {
     "subnormal_gap": {"sequences": [_seq_doc(1e-300, "dec", offset=1e-250,
                                              ratio=0.9999999999999998)],
                       "atoms": [{"value": 1.0000000000000004e-300, "multiplicity": "inf"}]},
+    # limit + offset * ratio**j is past the float range from j = 1 on
+    "terms_past_float_max": {"sequences": [_seq_doc(1.5e308, "dec", offset=1.5e308, ratio=0.9)]},
 }
 
 
@@ -517,8 +519,10 @@ class TestPointSpectrumArithmetic:
          "the sequence with limit 1.0 comes within 0.5 of it only where ratio**j is not a "
          "normal float"),
         ("subnormal_gap", ["witness", "--window", "1"], "forward chain must stay below (r + R)/2"),
+        ("terms_past_float_max", ["all"], "terms 1..32 of the sequence with limit 1.5e+308 and "
+                                          "ratio 0.9 are not distinct finite floats"),
     ], ids=["merge_past_digit_limit", "gap_over_offset_underflows", "gap_over_offset_overflows",
-            "steps_underflow", "subnormal_band", "subnormal_gap"])
+            "steps_underflow", "subnormal_band", "subnormal_gap", "terms_past_float_max"])
     def test_exits_1_with_one_line(self, tmp_path, capsys, name, args, line):
         if name == "merge_past_digit_limit" and not hasattr(sys, "get_int_max_str_digits"):
             pytest.skip("the interpreter prints integers of any length")
@@ -573,6 +577,7 @@ class TestContract:
     @example(doc=POINT_ARITHMETIC["gap_over_offset_overflows"], K=16, full=False)
     @example(doc=POINT_ARITHMETIC["steps_underflow"], K=1, full=False)
     @example(doc=POINT_ARITHMETIC["subnormal_band"], K=2, full=True)
+    @example(doc=POINT_ARITHMETIC["terms_past_float_max"], K=16, full=False)
     @given(doc=_contract_descriptor(), K=st.integers(1, 24),
            full=st.sampled_from([False, False, True]))
     @settings(max_examples=200, deadline=None, derandomize=True)

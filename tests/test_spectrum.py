@@ -14,13 +14,12 @@ from lecplast import (
     SchemaError,
     TruncatedQuadraticSpace,
     canonicalize,
-    enumerate_points,
     parse_descriptor,
     serialize_descriptor,
 )
 from lecplast.spectrum import is_multiplicity
 from conftest import (atom, cantor, density, descriptor, random_descriptor,
-                      reference_first_index, seq)
+                      reference_first_index, reference_points, seq)
 
 #: Whole numbers >= 1 of every type a multiplicity may have, and values that are not.
 WHOLE = [1, 3, 2**53 + 1, 10**400, 2.0, np.float64(3.0), np.int64(2)]
@@ -122,7 +121,7 @@ class TestMultiplicityRule:
         assert is_multiplicity(m)
         assert atom(1.0, m).multiplicity == m
         assert seq(1.0, "dec", mult=m).multiplicity == m
-        assert TruncatedQuadraticSpace(((1.0, m),)).dimension == int(m)
+        assert TruncatedQuadraticSpace((1.0,), m).dimension == int(m)
 
     @pytest.mark.parametrize("m", NOT_WHOLE, ids=repr)
     def test_other_values_are_refused(self, m):
@@ -134,8 +133,9 @@ class TestMultiplicityRule:
         with pytest.raises(DomainError, match="^per-term multiplicity must be a positive "
                                               "integer, got "):
             seq(1.0, "dec", mult=m)
-        with pytest.raises(PreconditionError, match="whole numbers >= 1"):
-            TruncatedQuadraticSpace(((1.0, m),))
+        with pytest.raises(PreconditionError, match="^the dimension must be a whole number "
+                                                    ">= 1, the count of distinct eigenvalues, got "):
+            TruncatedQuadraticSpace((1.0,), m)
 
     def test_parsed_multiplicities_past_the_float_range(self):
         doc = {"atoms": [{"value": 1, "multiplicity": 10**400}],
@@ -158,22 +158,46 @@ class TestBounds:
             values += [v for q in d.sequences for v in (q.limit, q.term(1))]
             lo, hi = min(values), max(values)
             for depth in (1, 3, 17):
-                for value, _ in enumerate_points(d, depth):
+                for value in TruncatedQuadraticSpace.from_descriptor(d, depth).values:
                     assert lo <= value <= hi
+
+
+def truncation(d, per_sequence):
+    """The truncated space's distinct values as a list, and its dimension."""
+    space = TruncatedQuadraticSpace.from_descriptor(d, per_sequence)
+    return space.values.tolist(), space.dimension
 
 
 class TestEnumerate:
     def test_infinite_replication_default(self):
         d = descriptor(atoms=[atom(1, INFINITE)])
-        assert enumerate_points(d, 3) == [(1.0, 6)]
+        assert truncation(d, 3) == ([1.0], 6)
 
     def test_sequence_terms(self):
         d = descriptor(sequences=[seq(2, "inc")])
-        assert enumerate_points(d, 3) == [(1.5, 1), (1.75, 1), (1.875, 1)]
+        assert truncation(d, 3) == ([1.5, 1.75, 1.875], 3)
 
     def test_overlay_merge(self):
         d = descriptor(atoms=[atom(1.5, 1)], sequences=[seq(2, "inc")])
-        assert enumerate_points(d, 3) == [(1.5, 2), (1.75, 1), (1.875, 1)]
+        assert truncation(d, 3) == ([1.5, 1.75, 1.875], 4)
+
+    def test_components_agree_with_reference_points(self):
+        # The space built from the descriptor's components against the
+        # per-point truncation: its values are the points' distinct values
+        # and its dimension the sum of their multiplicities.
+        rng = np.random.default_rng(19)
+        for _ in range(50):
+            d = random_descriptor(rng, allow_continuous=False)
+            if d.is_empty:
+                continue
+            for depth in (1, 3, 17):
+                points = reference_points(d, depth)
+                values = np.unique([v for v, _ in points])
+                assert truncation(d, depth) == (values.tolist(), sum(m for _, m in points))
+
+    def test_per_sequence_below_one_is_refused(self):
+        with pytest.raises(DomainError, match="^per_sequence must be positive, got 0$"):
+            TruncatedQuadraticSpace.from_descriptor(descriptor(atoms=[atom(1.0)]), 0)
 
 
 class TestSequenceTerms:
@@ -252,7 +276,7 @@ class TestSequenceTerms:
     def test_enumerate_refuses_merged_terms(self):
         d = descriptor(sequences=[seq(1, "dec"), seq(2, "inc")])
         with pytest.raises(CapacityError):
-            enumerate_points(d, 64)
+            TruncatedQuadraticSpace.from_descriptor(d, 64)
 
 
 class TestRoundTrip:

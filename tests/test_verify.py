@@ -36,7 +36,7 @@ from lecplast.verify import (
     plasticity_map,
 )
 from lecplast.measures import ROW_BLOCK, quadrature_nodes, row_blocks
-from conftest import atom, cantor, density, descriptor, seq
+from conftest import atom, cantor, density, descriptor, reference_points, seq, space_of
 
 mpmath.mp.dps = 40
 DELTA_TWO_ATOMS = float(1 - mpmath.sqrt(mpmath.mpf(1) / 2))
@@ -68,12 +68,13 @@ def singular_values_spy(monkeypatch):
     return calls
 
 
-def dense_lambdas(space):
-    """The dense diagonal of the space's form: each value repeated by its multiplicity."""
-    return np.repeat([v for v, _ in space.points], [m for _, m in space.points]).astype(float)
+def dense_lambdas(points):
+    """The dense diagonal of the form of (value, multiplicity) points: each
+    value repeated by its multiplicity."""
+    return np.repeat([v for v, _ in points], [m for _, m in points]).astype(float)
 
 
-def unblocked_rayleigh_bounds(space, samples, seed):
+def unblocked_rayleigh_bounds(points, samples, seed):
     """Reference: the sampled rayleigh_bounds on one (samples + n) x n matrix.
 
     Random unit rows and the eigenbasis; the residual, relative to max
@@ -82,7 +83,7 @@ def unblocked_rayleigh_bounds(space, samples, seed):
     the bounds beyond 5% of the spectral width.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    lam = dense_lambdas(space)
+    lam = dense_lambdas(points)
     vectors = rng.normal(size=(samples, lam.size))
     vectors = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
     vectors = np.vstack([vectors, np.eye(lam.size)])
@@ -102,7 +103,7 @@ def exact_squares(x):
     return [(n * (denominator // d)) ** 2 for n, d in ratios]
 
 
-def per_sample_space_residuals(space, samples, seed):
+def per_sample_space_residuals(points, samples, seed):
     """Reference: sampled rayleigh_bounds and min_attained, one vector at a time.
 
     Each random vector is divided by its vector norm; its quotient and its
@@ -114,7 +115,8 @@ def per_sample_space_residuals(space, samples, seed):
     max lambda.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    values, group_of = np.unique(dense_lambdas(space), return_inverse=True)
+    values, group_of = np.unique(dense_lambdas(points), return_inverse=True)
+    dimension = group_of.size
     values = [Fraction(v) for v in values]
     lo, hi = values[0], values[-1]
     gap = values[1] - lo if len(values) > 1 else Fraction(0)
@@ -129,28 +131,24 @@ def per_sample_space_residuals(space, samples, seed):
 
     rayleigh = attained = Fraction(0)
     for _ in range(samples):
-        q, _ = quotient(rng.normal(size=space.dimension))
+        q, _ = quotient(rng.normal(size=dimension))
         rayleigh = max(rayleigh, lo - q, q - hi)
-    if space.dimension >= 2:
+    if dimension >= 2:
         inside = group_of == 0
         for _ in range(samples):
-            x = np.zeros(space.dimension)
+            x = np.zeros(dimension)
             x[inside] = rng.normal(size=inside.sum())
             q, _ = quotient(x)
             attained = max(attained, abs(q - lo))
         for _ in range(samples):
-            q, outside = quotient(rng.normal(size=space.dimension))
+            q, outside = quotient(rng.normal(size=dimension))
             attained = max(attained, lo + gap * outside - q)
     return float(rayleigh / hi), float(attained / hi)
 
 
 #: Two infinite atoms and one simple atom between them at --per-sequence 64.
-BENCH_SCALE_POINTS = tuple(
-    TruncatedQuadraticSpace.from_descriptor(
-        descriptor(atoms=[atom(1.0, INFINITE), atom(1.5, 1), atom(2.0, INFINITE)]),
-        per_sequence=64,
-    ).points
-)
+BENCH_SCALE_POINTS = tuple(reference_points(
+    descriptor(atoms=[atom(1.0, INFINITE), atom(1.5, 1), atom(2.0, INFINITE)]), per_sequence=64))
 NEAR_DEGENERATE_POINTS = ((1.0, 1), (1.0 + 1e-12, 1))
 
 
@@ -384,11 +382,12 @@ class TestAgainstPerSampleLoops:
         # exactly: the exact space residuals bound every sampled one.
         counts = [len(part) for part in np.array_split(np.arange(n), min(n, 4))]
         values = np.linspace(1.0, 2.5, len(counts))
-        space = TruncatedQuadraticSpace(tuple(zip(values, counts)))
+        points = tuple(zip(values, counts))
+        space = space_of(points)
         checks = [check_rayleigh_bounds, check_min_attained][: 1 + (n >= 2)]
         reports = [check(space) for check in checks]
         for seed in (n, n + 1, n + 2):
-            sampled = per_sample_space_residuals(space, samples=200, seed=seed)
+            sampled = per_sample_space_residuals(points, samples=200, seed=seed)
             for report, worst in zip(reports, sampled):
                 assert report.worst_residual >= worst
                 assert report.passed == (worst <= report.threshold)
@@ -614,7 +613,7 @@ class TestExactPointChecks:
         # NaN compares false with every bound, so the space tests the range
         # it accepts rather than the values it rejects.
         with pytest.raises(PreconditionError, match="finite and > 0"):
-            TruncatedQuadraticSpace(points)
+            space_of(points)
 
     @pytest.mark.parametrize(
         "points",
@@ -623,28 +622,30 @@ class TestExactPointChecks:
     )
     def test_multiplicity_not_a_whole_number_is_refused(self, points):
         # int() would truncate 1.5 to 1, and raises bare errors on inf and NaN.
-        with pytest.raises(PreconditionError, match="whole numbers >= 1"):
-            TruncatedQuadraticSpace(points)
+        with pytest.raises(PreconditionError, match="^the dimension must be a whole number >= "):
+            space_of(points)
 
     def test_whole_multiplicities_of_any_type(self):
-        space = TruncatedQuadraticSpace(((1.0, np.int64(2)), (2.0, 3.0), (3.0, 2**60)))
-        assert space.points == ((1.0, 2), (2.0, 3), (3.0, 2**60))
+        for m in (np.int64(2), 3.0, 2**60):
+            space = TruncatedQuadraticSpace((1.0,), m)
+            assert space.dimension == int(m) and type(space.dimension) is int
+        space = TruncatedQuadraticSpace((1.0, 2.0, 3.0), 5 + 2**60)
         assert space.dimension == 5 + 2**60 and type(space.dimension) is int
 
     def test_space_checks_ignore_multiplicities(self):
         # Multiplicities 2**40 times larger hold over 2**50 eigenvalues in all,
         # more than any dense array could; the checks read the distinct values.
         points = ((1.0, 1000), (1.25, 7), (1.5, 3), (2.0, 24))
-        space = TruncatedQuadraticSpace(points)
-        scaled = TruncatedQuadraticSpace(tuple((v, m * 2**40) for v, m in points))
+        space = space_of(points)
+        scaled = space_of(tuple((v, m * 2**40) for v, m in points))
         assert scaled.dimension == 1034 * 2**40
         for check in (check_rayleigh_bounds, check_min_attained, check_extremal_invariance):
             assert check(scaled) == check(space) and check(space).passed
 
     def test_eigenvalue_order_does_not_matter(self):
         # The space takes values in any order; the checks read min and max.
-        ordered = TruncatedQuadraticSpace(((1.0, 2), (1.5, 1), (2.0, 3)))
-        shuffled = TruncatedQuadraticSpace(((1.5, 1), (2.0, 3), (1.0, 2)))
+        ordered = space_of(((1.0, 2), (1.5, 1), (2.0, 3)))
+        shuffled = space_of(((1.5, 1), (2.0, 3), (1.0, 2)))
         for check in (check_rayleigh_bounds, check_min_attained):
             assert check(shuffled) == check(ordered) and check(ordered).passed
 
@@ -661,16 +662,16 @@ class TestExactPointChecks:
 
 class TestRayleigh:
     def test_eigenvector_attains_bound(self):
-        space = TruncatedQuadraticSpace(((1.0, 1), (2.0, 1)))
+        points = ((1.0, 1), (2.0, 1))
         x = np.array([[1.0, 0.0], [math.sqrt(0.5), math.sqrt(0.5)]])
-        q = np.sum(dense_lambdas(space) * x * x, axis=1)
+        q = np.sum(dense_lambdas(points) * x * x, axis=1)
         assert q[0] == 1.0 and q[1] == pytest.approx(1.5, abs=1e-15)
 
     def test_no_escape_on_random_spectra(self):
         rng = np.random.default_rng(43)
         for _ in range(10):
             values = np.sort(rng.uniform(0.5, 3.0, size=8))
-            space = TruncatedQuadraticSpace(tuple((v, 1) for v in values))
+            space = space_of(tuple((v, 1) for v in values))
             rng.integers(1 << 31)  # once the check's seed; drawn so later spectra stay the same
             report = check_rayleigh_bounds(space)
             assert report.passed and report.threshold == 1e-12
@@ -683,38 +684,38 @@ class TestRayleigh:
     )
     def test_matches_unblocked_reference(self, points, samples):
         # The exact residual bounds the sampled one at any sample count.
-        space = TruncatedQuadraticSpace(points)
+        space = space_of(points)
         report = check_rayleigh_bounds(space)
         values = sorted({v for v, _ in points})
         assert report.samples == len(values) + 2 * (len(values) - 1) * PROBE_ANGLES.size
         for seed in (29, 30, 31):
-            worst = unblocked_rayleigh_bounds(space, samples, seed)
+            worst = unblocked_rayleigh_bounds(points, samples, seed)
             assert report.worst_residual >= worst
             assert report.passed == (worst <= report.threshold)
 
     def test_precondition(self):
         with pytest.raises(PreconditionError):
-            TruncatedQuadraticSpace(())
+            TruncatedQuadraticSpace((), 0)
 
 
 class TestMinAttained:
     def test_inside_group_attains(self):
-        space = TruncatedQuadraticSpace(((1.0, 2), (2.0, 1)))
+        points = ((1.0, 2), (2.0, 1))
         x = np.array([0.6, 0.8, 0.0])
-        assert np.sum(dense_lambdas(space) * x * x) == pytest.approx(1.0, abs=1e-15)
+        assert np.sum(dense_lambdas(points) * x * x) == pytest.approx(1.0, abs=1e-15)
 
     def test_two_point_equality(self):
-        space = TruncatedQuadraticSpace(((1.0, 1), (2.0, 1)))
+        points = ((1.0, 1), (2.0, 1))
         x = np.array([math.sqrt(0.5), math.sqrt(0.5)])
         # quotient = min + gap * outside mass, with equality here
-        assert np.sum(dense_lambdas(space) * x * x) == pytest.approx(1.0 + 1.0 * 0.5, abs=1e-15)
+        assert np.sum(dense_lambdas(points) * x * x) == pytest.approx(1.0 + 1.0 * 0.5, abs=1e-15)
 
     def test_property_over_random_spectra(self):
         rng = np.random.default_rng(47)
         for _ in range(10):
             values = np.sort(rng.uniform(0.5, 3.0, size=5))
             mults = rng.integers(1, 3, size=5)
-            space = TruncatedQuadraticSpace(tuple(zip(values, mults)))
+            space = space_of(tuple(zip(values, mults)))
             rng.integers(1 << 31)  # once the check's seed; drawn so later spectra stay the same
             report = check_min_attained(space)
             assert report.passed
@@ -798,7 +799,7 @@ class TestExtremalInvariance:
         ids=["one_group", "two_groups", "three_groups", "unsorted", "near_degenerate", "dim_257"],
     )
     def test_matches_mpmath_oracle(self, points, singular_values_spy):
-        space = TruncatedQuadraticSpace(points)
+        space = space_of(points)
         report = check_extremal_invariance(space)
         values = sorted({v for v, _ in points})
         pairs = [(lam, mu) for lam in (values[0], values[-1]) for mu in values if mu != lam]
@@ -824,7 +825,7 @@ class TestExtremalInvariance:
     @pytest.mark.parametrize(
         "check, builder",
         [
-            (partial(check_extremal_invariance, TruncatedQuadraticSpace(((1.0, 3), (2.0, 4)))),
+            (partial(check_extremal_invariance, space_of(((1.0, 3), (2.0, 4)))),
              "_scaled_probes"),
             (check_finite_dim_plasticity, "plasticity_map"),
         ],
@@ -862,7 +863,7 @@ class TestExtremalInvariance:
         monkeypatch.setattr(np.linalg, "qr", recording_qr)
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         monkeypatch.setattr(np.random, "Generator", no_generator)
-        space = TruncatedQuadraticSpace(((1.0, 3), (1.5, 1), (2.0, 4)))
+        space = space_of(((1.0, 3), (1.5, 1), (2.0, 4)))
         samples = []
         for check in (partial(check_extremal_invariance, space), check_finite_dim_plasticity):
             a = check().to_dict()
@@ -881,14 +882,14 @@ class TestExtremalInvariance:
         assert ((sigma > 1.0 + NORM_SLACK).any(axis=1)).all()
 
     def test_multiplicity_pattern(self):
-        space = TruncatedQuadraticSpace(((1.0, 2), (1.5, 3), (2.0, 1)))
+        space = space_of(((1.0, 2), (1.5, 3), (2.0, 1)))
         report = check_extremal_invariance(space)
         assert report.passed and report.worst_residual <= 1e-9
 
     def test_every_block_is_read(self, monkeypatch):
         # 400 distinct values give 798 pairs, three blocks of whole pairs; a
         # probe doubled only on the last pair, in the last block, must fail.
-        space = TruncatedQuadraticSpace(tuple((1.0 + k / 400, 1) for k in range(400)))
+        space = space_of(tuple((1.0 + k / 400, 1) for k in range(400)))
         assert len(row_blocks(len(space.pairs), PROBE_ANGLES.size)) == 3
         scaled_probes = verify._scaled_probes
 
@@ -901,25 +902,55 @@ class TestExtremalInvariance:
         monkeypatch.setattr(verify, "_scaled_probes", doubled_on_last_pair)
         assert check_extremal_invariance(space).worst_residual >= 0.5
 
-    def test_memory_does_not_grow_with_the_space(self):
-        # The probes of 2 x 19,999 pairs go in blocks of whole pairs, at most
-        # ROW_BLOCK probes each, so the check holds one block at a time.
-        space = TruncatedQuadraticSpace(tuple((1.0 + k / 20_000, 1) for k in range(20_000)))
+
+class TestSpaceChecksInBlocks:
+    """The three space checks read the probes of their pairs in blocks of
+    whole pairs, at most ROW_BLOCK probes each."""
+
+    @pytest.mark.parametrize("check, samples", [
+        (check_rayleigh_bounds, 20_000 + 2 * 19_999 * PROBE_ANGLES.size),
+        (check_min_attained, 1 + 19_999 * PROBE_ANGLES.size),
+        (check_extremal_invariance, 2 * 19_999 * PROBE_ANGLES.size),
+    ], ids=["rayleigh_bounds", "min_attained", "extremal_invariance"])
+    def test_memory_does_not_grow_with_the_space(self, check, samples):
+        # The probes of up to 2 x 19,999 pairs go in blocks of whole pairs,
+        # so each check holds one block at a time.
+        space = space_of(tuple((1.0 + k / 20_000, 1) for k in range(20_000)))
         tracemalloc.start()
         try:
-            report = check_extremal_invariance(space)
+            report = check(space)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.passed and report.samples == 2 * 19_999 * PROBE_ANGLES.size
+        assert report.passed and report.samples == samples
         assert peak < 4e6
+
+    @pytest.mark.parametrize("check, last", [(check_rayleigh_bounds, -1),
+                                             (check_min_attained, 398)],
+                             ids=["rayleigh_bounds", "min_attained"])
+    def test_every_block_is_read(self, monkeypatch, check, last):
+        # 400 distinct values give 798 pairs in three blocks, the min's 399 in
+        # two; a quotient zeroed only on the last pair a check reads, in its
+        # last block, must fail it.
+        space = space_of(tuple((1.0 + k / 400, 1) for k in range(400)))
+        assert [len(row_blocks(n, PROBE_ANGLES.size)) for n in (798, 399)] == [3, 2]
+        probe_quotients = verify._probe_quotients
+
+        def zeroed_on_last_pair(pairs):
+            q = probe_quotients(pairs)
+            q[(pairs == space.pairs[last]).all(axis=1)] = 0.0
+            return q
+
+        assert check(space).passed
+        monkeypatch.setattr(verify, "_probe_quotients", zeroed_on_last_pair)
+        assert check(space).worst_residual >= 0.4
 
 
 class TestDeterminism:
     def test_same_input_same_report(self):
         w = shift_no_min_no_max()
         assert check_form_preservation(w) == check_form_preservation(w)
-        space = TruncatedQuadraticSpace(((1.0, 3), (2.0, 2)))
+        space = space_of(((1.0, 3), (2.0, 2)))
         assert check_rayleigh_bounds(space) == check_rayleigh_bounds(space)
 
     def test_report_serialization_fields(self):
