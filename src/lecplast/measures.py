@@ -24,10 +24,14 @@ by Horner's rule in numpy ``polyval``'s order, bit for bit as numpy's
 for the Cantor function, affinely rescaled to its support and mass.
 
 Each part kind is inverted directly: a Cantor level maps its binary digits
-to ternary digits 0/2, and a density level runs a safeguarded Newton
-iteration on the closed-form cdf.  Every quantile keeps the floating-point
-invariant cdf(quantile(u)) <= u, so a level on a cdf plateau selects the
-plateau's right end.
+to ternary digits 0/2, and a density level takes one Newton step on the
+closed-form cdf from the cdf interpolated on a fine grid.  Only the levels
+that this step leaves open run the safeguarded Newton iteration, and the
+step finishes a level exactly where the iteration's first pass would, with
+its bits.  Every quantile keeps the floating-point invariant
+cdf(quantile(u)) <= u, so a level on a cdf plateau selects the plateau's
+right end; a window keeps it for its own cdf, base.cdf(x) - offset, without
+searching for a base level.
 
 Cut at triadic points, a Cantor part's windows are each an affine copy of
 the standard Cantor measure (``CantorCells``): their maps are affine
@@ -55,7 +59,7 @@ DEFAULT_CANTOR_DEPTH = 40
 _NEWTON_CAP = 100
 
 #: Grid points of the interpolated cdf that starts the density Newton solve.
-_GUESS_GRID = 65
+_GUESS_GRID = 4097
 
 #: Most levels of one block of a stacked-window evaluation; a row longer
 #: than this is a block of its own.
@@ -129,20 +133,26 @@ class MeasureSpec:
         Inverted in closed form; cdf(quantile(u)) <= u holds exactly in
         floating point.
         """
-        x = self._solve(_levels(u, self.total_mass))
+        levels = _levels(u, self.total_mass)
+        x = self._solve(levels)
+        x[levels >= self.total_mass] = self.support[1]
         return float(x[0]) if np.ndim(u) == 0 else x
 
-    def _solve(self, levels: np.ndarray) -> np.ndarray:
-        """The quantile of levels already within [0, total_mass], as a new array."""
+    def _solve(self, levels: np.ndarray, offset=0.0) -> np.ndarray:
+        """For each level, an x with fl(cdf(x) - offset) <= level, as a new array.
+
+        A density is solved at offset + level (clipped to [0, total_mass]), a
+        Cantor level in closed form; then x walks left while
+        fl(cdf(x) - offset) > level.  ``offset`` broadcasts against
+        ``levels``.  The caller sets the top level's x.
+        """
         a, b = self.support
         if self.part.kind is PartKind.CANTOR:
-            x = np.clip(a + (b - a) * _cantor_quantile(levels, self.part.mass), a, b)
+            x = np.clip(a + (b - a) * _cantor_quantile(levels, self.part.mass, offset), a, b)
             values = self.cdf(x)
         else:
-            x, values = _density_quantile(self, levels)
-        x = _step_left(self.cdf, x, values, levels, a)
-        x[levels >= self.total_mass] = b
-        return x
+            x, values = _density_quantile(self, np.clip(offset + levels, 0.0, self.total_mass))
+        return _step_left(self.cdf, x, values, levels, a, offset)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,24 +218,21 @@ class RestrictedMeasure:
         return self.base.cdf(np.clip(t, lo, hi)) - offset
 
     def quantile(self, u):
-        """sup{x in [lo, hi] : cdf(x) <= u}, read off the base measure.
+        """sup{x in [lo, hi] : cdf(x) <= u}, solved on the base measure.
 
-        The base level is the largest c with fl(c - offset) <= u, so the
-        base's invariant base.cdf(x) <= c carries over to cdf(x) <= u.
+        The base is solved at offset + u and walked left while the window's
+        own cdf, fl(base.cdf(x) - offset), exceeds u.  Rounding is monotone,
+        so fl(F(x) - offset) <= u holds exactly when F(x) <= c, for c the
+        largest level with fl(c - offset) <= u: the invariant is the base's
+        base.cdf(x) <= c, and no level c is searched for.
         """
         return _blockwise(self, self.total_mass, u, RestrictedMeasure._quantile)
 
     def _quantile(self, u):
         mass = _per_row(self.total_mass, u)
         levels = _levels(u, mass)
-        offset = _per_row(self._offset, levels)
-        c = offset + levels
-        while (over := c - offset > levels).any():
-            c[over] = np.nextafter(c[over], -np.inf)
-        while (fits := np.nextafter(c, np.inf) - offset <= levels).any():
-            c[fits] = np.nextafter(c[fits], np.inf)
-        lo, hi = _per_row(self.lo, levels), _per_row(self.hi, levels)
-        x = np.clip(self.base._solve(np.clip(c, 0.0, self.base.total_mass)), lo, hi)
+        offset, lo, hi = (_per_row(v, levels) for v in (self._offset, self.lo, self.hi))
+        x = np.clip(self.base._solve(levels, offset), lo, hi)
         np.copyto(x, hi, where=levels >= mass)
         return x
 
@@ -278,20 +285,21 @@ def _levels(u, mass) -> np.ndarray:
     return np.clip(levels, 0.0, mass)
 
 
-def _cantor_quantile(u: np.ndarray, mass: float) -> np.ndarray:
-    """Right plateau end in [0, 1] of level u of mass * standard Cantor, to ulps.
+def _cantor_quantile(u: np.ndarray, mass: float, offset=0.0) -> np.ndarray:
+    """Right plateau end in [0, 1] of level u of mass * standard Cantor, less
+    ``offset``, to ulps.
 
     The Cantor level y is the largest multiple of 2**-(DEFAULT_CANTOR_DEPTH+1),
-    the grid that ``cantor_function`` values lie on, with fl(mass * y) <= u.  Its
-    binary digits b_i become ternary digits 2 b_i: z = sum_i 2 b_i 3**-i, a
-    point of the set.  The finite (greedy-floor) binary expansion gives the
-    sup convention on plateaus.
+    the grid that ``cantor_function`` values lie on, with
+    fl(fl(mass * y) - offset) <= u.  Its binary digits b_i become ternary
+    digits 2 b_i: z = sum_i 2 b_i 3**-i, a point of the set.  The finite
+    (greedy-floor) binary expansion gives the sup convention on plateaus.
     """
     scale = 2.0 ** (DEFAULT_CANTOR_DEPTH + 1)
-    n = np.floor(u / mass * scale)  # y = n / scale
-    n = np.where(mass * (n / scale) > u, n - 1.0, n)
+    n = np.floor((offset + u) / mass * scale)  # y = n / scale
+    n = np.where(mass * (n / scale) - offset > u, n - 1.0, n)
     up = n + 1.0
-    n = np.where((up <= scale) & (mass * (up / scale) <= u), up, n)
+    n = np.where((up <= scale) & (mass * (up / scale) - offset <= u), up, n)
     z = np.zeros_like(u)
     for _ in range(DEFAULT_CANTOR_DEPTH + 1):  # least significant digit first
         half = np.floor(0.5 * n)
@@ -311,22 +319,62 @@ def _horner(coeffs: np.ndarray, x):
 
 
 def _density_quantile(m: MeasureSpec, u: np.ndarray):
-    """Safeguarded Newton solve of m.cdf(x) = u on the support of a density.
+    """Solve m.cdf(x) = u on the support of a density: x and m.cdf(x).
 
-    Starts from the inverse of the cdf interpolated on a coarse grid and
-    keeps a bracket [lo, hi] with cdf(lo) <= u < cdf(hi).  A Newton step
+    Takes one Newton step from the inverse of the cdf interpolated on the
+    guess grid.  A level is finished by that step exactly when the first
+    iteration of ``_safeguarded_newton`` would finish it by a Newton step:
+    p > 0, the step lands in [a, b], moves at most (b - a)/2, and its error
+    term is at most one ulp of x, so such a level gets the loop's own bits.
+    Only the other levels enter the loop, with their guess, its cdf and the
+    step taken from it.
+    """
+    a, b = m.support
+    grid_cdf, grid = m._guess
+    x = np.interp(u, grid_cdf, grid)
+    values = m.cdf(x)
+    p, step, error = _newton_step(m, x, values, u)
+    newton = x + step
+    done = (p > 0) & (a <= newton) & (newton <= b) & (np.abs(step) <= 0.5 * (b - a))
+    done &= error <= np.spacing(x)
+    if done.all():
+        return newton, m.cdf(newton)
+    x[done] = newton[done]
+    values[done] = m.cdf(x[done])
+    open_ = ~done
+    x[open_], values[open_] = _safeguarded_newton(
+        m, *(v[open_] for v in (x, values, u, step, error)))
+    return x, values
+
+
+def _newton_step(m: MeasureSpec, x: np.ndarray, values: np.ndarray, u: np.ndarray):
+    """The density p at x, the Newton step (u - values)/p towards level u
+    (0 where values == u) and its quadratic error term |p'/2p| * step**2
+    (0 where the step is 0).  ``values`` is m.cdf(x)."""
+    _, density, slope = m._coeffs
+    p = _horner(density, x)
+    # An overflowed step**2 makes the error term inf or nan, which counts as
+    # not converged.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        step = (u - values) / p
+        np.copyto(step, 0.0, where=values == u)
+        error = np.abs(_horner(slope, x) / (2.0 * p)) * step**2
+    np.copyto(error, 0.0, where=step == 0.0)
+    return p, step, error
+
+
+def _safeguarded_newton(m: MeasureSpec, x, values, u, step, error):
+    """Safeguarded Newton solve of m.cdf(x) = u from x, given values = m.cdf(x)
+    and the Newton step from x with its error term (``_newton_step``).
+
+    Keeps a bracket [lo, hi] with cdf(lo) <= u < cdf(hi).  A Newton step
     that leaves the bracket, or fails to halve the previous move, is
     replaced by a bisection of the bracket.  A level is done after a Newton
     step whose quadratic error term |p'/2p| * step**2 is below one ulp, or
     once its bracket is within four ulps.  Returns the last iterate with its
-    cdf values.  The measure holds the guess grid and p, p', set up once;
-    the bracket and the iterate are updated in place.
+    cdf values.  The bracket and the iterate are updated in place.
     """
     a, b = m.support
-    _, density, slope = m._coeffs
-    grid_cdf, grid = m._guess
-    x = np.interp(u, grid_cdf, grid)
-    values = m.cdf(x)
     lo = np.full_like(u, a)
     hi = np.full_like(u, b)
     moved = np.full_like(u, b - a)
@@ -335,14 +383,6 @@ def _density_quantile(m: MeasureSpec, u: np.ndarray):
         below = values <= u
         np.copyto(lo, x, where=below)
         np.copyto(hi, x, where=~below)
-        p = _horner(density, x)
-        # An overflowed step**2 makes the error term inf or nan, which
-        # counts as not converged.
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            step = (u - values) / p
-            np.copyto(step, 0.0, where=values == u)
-            error = np.abs(_horner(slope, x) / (2.0 * p)) * step**2
-        np.copyto(error, 0.0, where=step == 0.0)
         spacing = np.spacing(x)
         newton = x + step
         fast = (lo <= newton) & (newton <= hi) & (np.abs(step) <= 0.5 * moved)
@@ -357,24 +397,26 @@ def _density_quantile(m: MeasureSpec, u: np.ndarray):
         values = m.cdf(x)
         if done.all():
             break
+        _, step, error = _newton_step(m, x, values, u)
     return x, values
 
 
-def _step_left(cdf: Callable, x: np.ndarray, values, u: np.ndarray, floor: float):
-    """Walk x left in doubling ulp steps until cdf(x) <= u.
+def _step_left(cdf: Callable, x: np.ndarray, values, u: np.ndarray, floor: float, offset=0.0):
+    """Walk x left in doubling ulp steps until fl(cdf(x) - offset) <= u.
 
-    ``values`` is cdf(x); the walk stops at ``floor``, where cdf is 0.  Only
-    the levels that overshoot are walked.
+    ``values`` is cdf(x) and ``offset`` broadcasts against x; the walk stops
+    at ``floor``, where cdf is 0.  Only the levels that overshoot are walked.
     """
     x = np.ascontiguousarray(x)  # so that its flat view writes through
     flat, levels = x.reshape(-1), u.reshape(-1)
-    i = np.flatnonzero(values > u)
+    i = np.flatnonzero(values - offset > u)
+    offset = np.broadcast_to(offset, x.shape).flat[i]
     step = np.spacing(flat[i])
     while i.size:
         flat[i] = np.maximum(flat[i] - step, floor)
         step *= 2.0
-        over = cdf(flat[i]) > levels[i]
-        i, step = i[over], step[over]
+        over = cdf(flat[i]) - offset > levels[i]
+        i, step, offset = i[over], step[over], offset[over]
     return x
 
 

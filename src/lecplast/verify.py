@@ -26,7 +26,7 @@ NaN, so a non-finite residual fails its check.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,13 +80,12 @@ class TruncatedQuadraticSpace:
 
     The form is diagonal, so the space is its distinct eigenvalues ``values``
     (ascending; the constructor takes any, and merges equal ones) and the exact
-    integer ``dimension``, at least their count; its checks probe ``pairs``,
-    (min, mu) for every larger mu, then (max, mu) for every smaller mu.
+    integer ``dimension``, at least their count; its checks probe its
+    extremal pairs block by block (``_pair_blocks``).
     """
 
     values: np.ndarray
     dimension: int
-    pairs: np.ndarray = field(init=False)
 
     def __post_init__(self):
         values = np.unique(np.asarray(self.values, dtype=float))  # NaN sorts last
@@ -95,12 +94,8 @@ class TruncatedQuadraticSpace:
         if not (is_multiplicity(self.dimension) and self.dimension >= values.size):
             raise PreconditionError(f"the dimension must be a whole number >= {values.size}, "
                                     f"the count of distinct eigenvalues, got {self.dimension}")
-        n = values.size - 1
-        ends = np.concatenate([np.full(n, values[0]), np.full(n, values[-1])])
-        others = np.concatenate([values[1:], values[:-1]])
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "dimension", int(self.dimension))
-        object.__setattr__(self, "pairs", np.stack([ends, others], axis=1))
 
     @classmethod
     def from_descriptor(cls, d: SpectralDescriptor, per_sequence: int) -> "TruncatedQuadraticSpace":
@@ -228,9 +223,20 @@ def check_strict_contraction(
 # Spectral-bound checks (Rayleigh quotients, minimizers)
 # ---------------------------------------------------------------------------
 
-def _pair_blocks(pairs: np.ndarray):
-    """``pairs`` in blocks of whole pairs, at most ``ROW_BLOCK`` probes each."""
-    return (pairs[rows] for rows in row_blocks(len(pairs), PROBE_ANGLES.size))
+def _pair_blocks(values: np.ndarray, count: int):
+    """The first ``count`` extremal pairs of the distinct ``values``, as
+    (lam, mu) rows in blocks of whole pairs, at most ``ROW_BLOCK`` probes
+    each: (min, mu) for every larger mu, then (max, mu) for every smaller mu.
+    Each block is copied from ``values`` when it is read."""
+    n = values.size - 1
+    for rows in row_blocks(count, PROBE_ANGLES.size):
+        start, stop = rows.start, min(rows.stop, count)
+        split = min(max(start, n), stop) - start  # the block's pairs with the min
+        block = np.empty((stop - start, 2))
+        block[:split, 0], block[split:, 0] = values[0], values[-1]
+        block[:split, 1] = values[start + 1:start + split + 1]
+        block[split:, 1] = values[start + split - n:stop - n]
+        yield block
 
 
 def _probe_quotients(pairs: np.ndarray) -> np.ndarray:
@@ -254,11 +260,12 @@ def check_rayleigh_bounds(space: TruncatedQuadraticSpace) -> VerificationReport:
     and max lambda, relative to max lambda.
     """
     lo, hi = least, most = space.values[[0, -1]]  # the eigenbasis quotients' extrema
-    for pairs in _pair_blocks(space.pairs):
+    count = 2 * (space.values.size - 1)
+    for pairs in _pair_blocks(space.values, count):
         quotients = _probe_quotients(pairs)
         least, most = np.minimum(least, quotients.min()), np.maximum(most, quotients.max())
     worst = np.maximum(np.abs(least - lo), np.abs(most - hi)) / hi
-    samples = space.values.size + len(space.pairs) * PROBE_ANGLES.size
+    samples = space.values.size + count * PROBE_ANGLES.size
     return _report("rayleigh_bounds", samples, worst, POINT_TOL)
 
 
@@ -277,12 +284,12 @@ def check_min_attained(space: TruncatedQuadraticSpace) -> VerificationReport:
         raise PreconditionError("need dimension >= 2")
     values, lo = space.values, space.values[0]
     worst = np.abs(values[0] - lo) / lo  # (a)
-    lowest = space.pairs[: values.size - 1]  # the min's pairs
-    for pairs in _pair_blocks(lowest):
+    lowest = values.size - 1  # the min's pairs come first
+    for pairs in _pair_blocks(values, lowest):
         excess = _probe_quotients(pairs) - lo
         violation = (values[1] - lo) * np.sin(PROBE_ANGLES) ** 2 - excess
         worst = np.maximum(worst, np.max(violation / pairs[:, 1:]))
-    return _report("min_attained", 1 + len(lowest) * PROBE_ANGLES.size, worst, POINT_TOL)
+    return _report("min_attained", 1 + lowest * PROBE_ANGLES.size, worst, POINT_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +376,11 @@ def check_extremal_invariance(space: TruncatedQuadraticSpace) -> VerificationRep
     """
     if space.dimension < 2:
         raise PreconditionError("need dimension >= 2")
-    worst = 0.0
-    for pairs in _pair_blocks(space.pairs):
+    worst, count = 0.0, 2 * (space.values.size - 1)
+    for pairs in _pair_blocks(space.values, count):
         lo, hi = np.sort(pairs, axis=1).T[..., None]
         t = _scaled_probes(pairs)
         sigma, leak = _singular_values(t)[0], np.abs(t[..., [0, 1], [1, 0]]).max(axis=-1)
         defect = np.abs(sigma - lo / hi / sigma - leak * ((hi - lo) / hi)) / sigma
         worst = np.maximum(worst, np.max(defect))
-    samples = len(space.pairs) * PROBE_ANGLES.size
-    return _report("extremal_invariance", samples, worst, OPERATOR_TOL)
+    return _report("extremal_invariance", count * PROBE_ANGLES.size, worst, OPERATOR_TOL)

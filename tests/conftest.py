@@ -224,6 +224,17 @@ def space_of(points):
     return TruncatedQuadraticSpace([v for v, _ in points], sum(m for _, m in points))
 
 
+def pairs_of(space):
+    """The whole extremal-pair table of a truncated space, as the space stored
+    it before its checks formed each block from the values: (min, mu) for
+    every larger mu, then (max, mu) for every smaller mu."""
+    values = space.values
+    n = values.size - 1
+    ends = np.concatenate([np.full(n, values[0]), np.full(n, values[-1])])
+    others = np.concatenate([values[1:], values[:-1]])
+    return np.stack([ends, others], axis=1)
+
+
 # Reference density quantiles: the solve as it stood before its arrays were
 # updated in place, kept verbatim as an oracle.  The library must give the
 # same bits on every input (see tests/test_measures.py::TestDensityQuantileBits).
@@ -304,7 +315,30 @@ def reference_quantile(part, u):
 
 def reference_window_quantile(part, lo, hi, u):
     """``RestrictedMeasure.quantile`` on windows [lo[p], hi[p]] of a density;
-    row p of the (C, n) levels ``u`` lies in [0, mass of window p]."""
+    row p of the (C, n) levels ``u`` lies in [0, mass of window p].  The
+    base is solved at offset + u, then walked left while the window's cdf
+    exceeds u."""
+    offset, upper = reference_cdf(part, np.stack([lo, hi]))
+    mass, offset = (upper - offset)[:, None], offset[:, None]
+    levels = np.clip(u, 0.0, mass)
+    cdf = lambda t: reference_cdf(part, t)
+    x, values = _density_quantile(part, cdf, np.clip(offset + levels, 0.0, part.total_mass))
+    offset = np.broadcast_to(offset, levels.shape)
+    step = np.spacing(x)
+    over = values - offset > levels
+    while over.any():
+        x[over] = np.maximum(x[over] - step[over], part.support[0])
+        step[over] *= 2.0
+        over[over] = cdf(x[over]) - offset[over] > levels[over]
+    x = np.clip(x, lo[:, None], hi[:, None])
+    np.copyto(x, hi[:, None], where=levels >= mass)
+    return x
+
+
+def level_walk_window_quantile(part, lo, hi, u):
+    """``RestrictedMeasure.quantile`` as it stood before the window walk,
+    kept verbatim as a second reference: the base quantile at the largest
+    level c with fl(c - offset) <= u, found by a walk over the floats."""
     offset, upper = reference_cdf(part, np.stack([lo, hi]))
     mass, offset = (upper - offset)[:, None], offset[:, None]
     levels = np.clip(u, 0.0, mass)

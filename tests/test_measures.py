@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 
 from lecplast import (
     CapacityError,
@@ -13,6 +14,7 @@ from lecplast import (
     build_partition,
     build_transport_witness,
 )
+from lecplast import measures
 from lecplast.measures import quadrature_nodes, row_blocks
 from lecplast.witness import partition_levels
 from conftest import (
@@ -22,6 +24,7 @@ from conftest import (
     density,
     drawn_density,
     integrate,
+    level_walk_window_quantile,
     pushforward_check,
     reference_cdf,
     reference_quantile,
@@ -149,6 +152,14 @@ ZERO_AT_START = {
     "linear_zero_at_a": density(1.0, 2.0, coeffs=(-2.0, 2.0)),
 }
 
+# Densities on which one Newton step from the guess leaves most levels open
+# (about 70 % of a K=16, 4096-node table), so the safeguarded loop runs:
+# (t - 1.5)^2 vanishes inside its support, 1 + 5t + 40t^3 is steep.
+LOOP_DENSITIES = {
+    "square_zero_inside": density(1.0, 2.0, coeffs=(2.25, -3.0, 1.0)),
+    "steep_cubic": density(0.5, 3.0, coeffs=(1.0, 5.0, 0.0, 40.0)),
+}
+
 
 def _single_part_levels(m, count=1000, seed=41):
     rng = np.random.default_rng(seed)
@@ -219,12 +230,17 @@ class TestDensityQuantileBits:
     through ``MeasureSpec.quantile``, ``RestrictedMeasure.quantile`` and
     ``TransportMap`` on the cells of a witness."""
 
+    #: Distance allowed between the window rule and the level walk before it.
+    WINDOW_RULE_ULPS = 4
+
     # The first two inputs tell an error term computed as (e * step) * step
     # from the reference's e * step**2.
     @example(part=density(9.0786e184, 9.0786e184 * (1 + 3.2e-6)), K=1, nodes=1024)
     @example(part=density(1e300, 1.5e300), K=16, nodes=256)
     @example(part=ZERO_AT_START["linear_zero_at_a"], K=16, nodes=4096)
     @example(part=ZERO_AT_START["square_zero_at_a"], K=16, nodes=4096)
+    @example(part=LOOP_DENSITIES["square_zero_inside"], K=16, nodes=4096)
+    @example(part=LOOP_DENSITIES["steep_cubic"], K=16, nodes=4096)
     @given(part=drawn_density(), K=st.sampled_from([1, 4, 16]),
            nodes=st.sampled_from([256, 1024]))
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -251,9 +267,68 @@ class TestDensityQuantileBits:
         u = (np.arange(nodes) + 0.5) * (mass[:, None] / nodes)
         assert same(x, reference_window_quantile(part, lo, hi, u))
         assert same(w.cells.quantile(u[:, ::-1]), reference_window_quantile(part, lo, hi, u[:, ::-1]))
+        # The window rule before this one solved the base at the largest
+        # level c with fl(c - offset) <= u.  Both rules keep F(x) <= c, and
+        # they differ by at most 4 ulps of x plus 4 ulps of the level F(x),
+        # carried to x by the density (a level ulp moves x by ulp / p(x)).
+        walked = level_walk_window_quantile(part, lo, hi, u)
+        with np.errstate(divide="ignore"):
+            ulp = np.spacing(walked) + np.spacing(reference_cdf(part, walked)) / np.abs(Polynomial(part.coeffs)(walked))
+        assert (np.abs(x - walked) <= self.WINDOW_RULE_ULPS * ulp).all()
         cells, succ = (lo[:-1], hi[:-1]), (lo[1:], hi[1:])
         assert same(w.maps(x[1:]), reference_transport(part, cells, succ, x[1:]))
         assert same(w.maps.inverse(x[:-1]), reference_transport(part, succ, cells, x[:-1]))
+
+
+# The density draws of the `transport_verify` benchmark strata (perfbench
+# corpus, seeds 0 and 1, rounds 0 and 1): support [a, a + w] with a and w in
+# [0.5, 2], c_0 in [0.5, 2] and the other coefficients in [0, 1].
+STRATA_DENSITIES = [
+    density(1.166939, 3.151961, coeffs=(1.656972,)),
+    density(1.385881, 2.373727, coeffs=(0.528889, 0.175883)),
+    density(1.359961, 2.110157, coeffs=(1.974742, 0.196894, 0.307936)),
+    density(0.572879, 1.668238, coeffs=(1.972179,)),
+    density(1.109997, 2.030797, coeffs=(0.589398, 0.385627)),
+    density(0.703253, 1.231466, coeffs=(0.619228, 0.310793, 0.761009)),
+    density(1.213081, 2.352202, coeffs=(1.683687,)),
+    density(1.092919, 2.72432, coeffs=(0.815394, 0.219865)),
+    density(1.509813, 2.842149, coeffs=(1.378556, 0.699505, 0.334525)),
+    density(1.922985, 3.071895, coeffs=(1.458888,)),
+    density(1.152392, 1.825512, coeffs=(1.831969, 0.935955)),
+    density(1.129717, 1.757269, coeffs=(1.787997, 0.721695, 0.156724)),
+]
+
+
+class TestOneNewtonStep:
+    """A density quantile takes one Newton step from the guess for every
+    level; only the levels that step leaves open enter the safeguarded loop."""
+
+    @staticmethod
+    def loop_levels(monkeypatch, part, K=16, nodes=4096) -> int:
+        """Levels the safeguarded loop receives while a K-window witness's
+        quadrature nodes and multiplier are evaluated."""
+        w = build_transport_witness(part, K)
+        loop, received = measures._safeguarded_newton, []
+
+        def spy(m, x, values, u, *step):
+            received.append(u.size)
+            return loop(m, x, values, u, *step)
+
+        monkeypatch.setattr(measures, "_safeguarded_newton", spy)
+        x = quadrature_nodes(w.cells, nodes=nodes)
+        w.multiplier_squared(x[:-1])
+        return sum(received)
+
+    @pytest.mark.parametrize("part", STRATA_DENSITIES,
+                             ids=[f"draw{i}_degree{len(p.coeffs) - 1}" for i, p in enumerate(STRATA_DENSITIES)])
+    def test_no_level_of_the_strata_enters_the_loop(self, monkeypatch, part):
+        assert self.loop_levels(monkeypatch, part) == 0
+
+    @pytest.mark.parametrize("part", LOOP_DENSITIES.values(), ids=LOOP_DENSITIES.keys())
+    def test_levels_the_step_leaves_open_enter_the_loop(self, monkeypatch, part):
+        # (t - 1.5)^2 vanishes at the start of cell 0, where the guess is far
+        # off; the steep cubic's error term exceeds an ulp after one step
+        assert self.loop_levels(monkeypatch, part) > 0
 
 
 class TestTransportMap:

@@ -36,7 +36,7 @@ from lecplast.verify import (
     plasticity_map,
 )
 from lecplast.measures import ROW_BLOCK, quadrature_nodes, row_blocks
-from conftest import atom, cantor, density, descriptor, reference_points, seq, space_of
+from conftest import atom, cantor, density, descriptor, pairs_of, reference_points, seq, space_of
 
 mpmath.mp.dps = 40
 DELTA_TWO_ATOMS = float(1 - mpmath.sqrt(mpmath.mpf(1) / 2))
@@ -401,9 +401,9 @@ class TestAgainstPerSampleLoops:
         calls = []
         solve = MeasureSpec._solve
 
-        def counting_solve(self, levels):
+        def counting_solve(self, levels, offset=0.0):
             calls.append(np.size(levels))
-            return solve(self, levels)
+            return solve(self, levels, offset)
 
         monkeypatch.setattr(MeasureSpec, "_solve", counting_solve)
         verify._TransportTables(w, nodes)
@@ -875,7 +875,8 @@ class TestExtremalInvariance:
         assert shapes == [(n // PROBE_ANGLES.size, PROBE_ANGLES.size, 2, 2) for n in samples]
         # Four separated extremal pairs: each has accepted and rejected probes,
         # read on the probes unscaled (times kappa = sqrt(max / min) of each pair).
-        kappa = np.sqrt(space.pairs.max(axis=1) / space.pairs.min(axis=1))[:, None]
+        pairs = pairs_of(space)
+        kappa = np.sqrt(pairs.max(axis=1) / pairs.min(axis=1))[:, None]
         sigma = singular_values_spy[0][1][0] * kappa
         assert sigma.shape == (4, PROBE_ANGLES.size)
         assert ((sigma <= 1.0 + NORM_SLACK).any(axis=1)).all()
@@ -890,12 +891,12 @@ class TestExtremalInvariance:
         # 400 distinct values give 798 pairs, three blocks of whole pairs; a
         # probe doubled only on the last pair, in the last block, must fail.
         space = space_of(tuple((1.0 + k / 400, 1) for k in range(400)))
-        assert len(row_blocks(len(space.pairs), PROBE_ANGLES.size)) == 3
+        assert len(row_blocks(len(pairs_of(space)), PROBE_ANGLES.size)) == 3
         scaled_probes = verify._scaled_probes
 
         def doubled_on_last_pair(pairs):
             t = scaled_probes(pairs)
-            t[(pairs == space.pairs[-1]).all(axis=1)] *= 2.0
+            t[(pairs == pairs_of(space)[-1]).all(axis=1)] *= 2.0
             return t
 
         assert check_extremal_invariance(space).passed
@@ -925,6 +926,21 @@ class TestSpaceChecksInBlocks:
         assert report.passed and report.samples == samples
         assert peak < 4e6
 
+    def test_space_holds_only_its_values(self):
+        # The ratio-0.99999 sequences at --per-sequence 100000: 200,000
+        # distinct values, 1.6 MB.  The checks form each block of pairs from
+        # the values, so the space keeps no pair table; its build holds at
+        # most twice the values and peaks below five times them.
+        d = descriptor(sequences=[seq(1, "dec", 0.5, 0.99999), seq(2, "inc", 0.5, 0.99999)])
+        tracemalloc.start()
+        try:
+            space = TruncatedQuadraticSpace.from_descriptor(d, 100_000)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert space.values.size == 200_000 and space.dimension == 200_000
+        assert held <= 2 * space.values.nbytes and peak <= 5 * space.values.nbytes
+
     @pytest.mark.parametrize("check, last", [(check_rayleigh_bounds, -1),
                                              (check_min_attained, 398)],
                              ids=["rayleigh_bounds", "min_attained"])
@@ -938,7 +954,7 @@ class TestSpaceChecksInBlocks:
 
         def zeroed_on_last_pair(pairs):
             q = probe_quotients(pairs)
-            q[(pairs == space.pairs[last]).all(axis=1)] = 0.0
+            q[(pairs == pairs_of(space)[last]).all(axis=1)] = 0.0
             return q
 
         assert check(space).passed
