@@ -422,11 +422,12 @@ class TestStackedWindows:
         one = [RestrictedMeasure(m, pts[p:p + 1], pts[p + 1:p + 2]) for p in range(2 * K)]
         return RestrictedMeasure(m, pts[:-1], pts[1:]), one
 
-    # 12 rows of 700 levels span three blocks of whole rows (5, 5 and 2).
+    # At K = ROW_BLOCK // 700 + 1, the 2K rows of 700 levels span three
+    # blocks of whole rows (ROW_BLOCK // 700 twice, then 2).
     @pytest.mark.parametrize("n", [33, 700])
     @pytest.mark.parametrize("part", SINGLE_PARTS.values(), ids=SINGLE_PARTS.keys())
     def test_rows_equal_one_window_calls(self, part, n):
-        stack, one = self.windows(part)
+        stack, one = self.windows(part, K=measures.ROW_BLOCK // 700 + 1)
         assert len(row_blocks(len(one), n)) == (1 if n == 33 else 3)
         assert stack.total_mass.tolist() == [float(w.total_mass[0]) for w in one]
         lo, hi = stack.support

@@ -28,7 +28,7 @@ from lecplast import (
     check_strict_contraction,
     classify,
 )
-from lecplast import verify
+from lecplast import measures, verify
 from lecplast.verify import (
     FINITE_DIM_SPECTRUM,
     NORM_SLACK,
@@ -41,6 +41,16 @@ from conftest import atom, cantor, density, descriptor, pairs_of, reference_poin
 mpmath.mp.dps = 40
 DELTA_TWO_ATOMS = float(1 - mpmath.sqrt(mpmath.mpf(1) / 2))
 DELTA_NO_MIN_NO_MAX = float(1 - mpmath.sqrt(mpmath.mpf(5) / 6))
+
+#: Distinct values n of a space whose 2(n - 1) extremal pairs span three
+#: blocks of whole pairs and whose min's n - 1 pairs span two: n - 1 is 4/3
+#: of the pairs in one block.
+SPANNING = 4 * (ROW_BLOCK // PROBE_ANGLES.size) // 3 + 1
+
+
+def spanning_space():
+    """SPANNING simple eigenvalues evenly spaced in [1, 2)."""
+    return space_of(tuple((1.0 + k / SPANNING, 1) for k in range(SPANNING)))
 
 
 def shift_two_atoms(K=8):
@@ -436,6 +446,27 @@ class TestAgainstPerSampleLoops:
             assert traced() == start
         finally:
             tracemalloc.stop()
+
+
+class TestBlockSize:
+    """Each row of a stacked evaluation is evaluated alone, so the tables do
+    not depend on how many rows share a block."""
+
+    @pytest.mark.parametrize("part, K, nodes", [
+        (density(1.0, 2.5, (1.0, 0.3, 0.2)), 16, 4096),
+        (density(1.0, 2.0, (0.25, 1.0)), 8, 1024),
+        (cantor(1.0, 2.0), 16, 256),
+    ], ids=["density-16-4096", "density-8-1024", "cantor-16-256"])
+    def test_tables_equal_at_4096_level_blocks(self, monkeypatch, part, K, nodes):
+        w = build_transport_witness(part, K)
+        tables = verify._TransportTables(w, nodes)
+        blocks = len(row_blocks(2 * K, nodes))
+        monkeypatch.setattr(measures, "ROW_BLOCK", 4096)
+        assert len(row_blocks(2 * K, nodes)) == 2 * K * nodes // 4096 > blocks
+        small = verify._TransportTables(w, nodes)
+        for name in ("form", "gain", "contraction"):
+            large, at_4096 = (np.asarray(getattr(t, name)) for t in (tables, small))
+            assert large.tobytes() == at_4096.tobytes(), name
 
 
 class TestTransportSuprema:
@@ -888,9 +919,10 @@ class TestExtremalInvariance:
         assert report.passed and report.worst_residual <= 1e-9
 
     def test_every_block_is_read(self, monkeypatch):
-        # 400 distinct values give 798 pairs, three blocks of whole pairs; a
-        # probe doubled only on the last pair, in the last block, must fail.
-        space = space_of(tuple((1.0 + k / 400, 1) for k in range(400)))
+        # The extremal pairs of the spanning space fill three blocks of whole
+        # pairs; a probe doubled only on the last pair, in the last block,
+        # must fail.
+        space = spanning_space()
         assert len(row_blocks(len(pairs_of(space)), PROBE_ANGLES.size)) == 3
         scaled_probes = verify._scaled_probes
 
@@ -942,14 +974,14 @@ class TestSpaceChecksInBlocks:
         assert held <= 2 * space.values.nbytes and peak <= 5 * space.values.nbytes
 
     @pytest.mark.parametrize("check, last", [(check_rayleigh_bounds, -1),
-                                             (check_min_attained, 398)],
+                                             (check_min_attained, SPANNING - 2)],
                              ids=["rayleigh_bounds", "min_attained"])
     def test_every_block_is_read(self, monkeypatch, check, last):
-        # 400 distinct values give 798 pairs in three blocks, the min's 399 in
-        # two; a quotient zeroed only on the last pair a check reads, in its
-        # last block, must fail it.
-        space = space_of(tuple((1.0 + k / 400, 1) for k in range(400)))
-        assert [len(row_blocks(n, PROBE_ANGLES.size)) for n in (798, 399)] == [3, 2]
+        # The spanning space's 2(n - 1) pairs fill three blocks, the min's
+        # n - 1 two; a quotient zeroed only on the last pair a check reads,
+        # in its last block, must fail it.
+        space, lowest = spanning_space(), SPANNING - 1
+        assert [len(row_blocks(c, PROBE_ANGLES.size)) for c in (2 * lowest, lowest)] == [3, 2]
         probe_quotients = verify._probe_quotients
 
         def zeroed_on_last_pair(pairs):
