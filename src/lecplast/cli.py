@@ -6,8 +6,9 @@ every command takes the same flags, before or after the command name.
 Exit codes form a trichotomy for scripting over descriptor corpora:
 0 = plastic (or, for verify, plastic with all checks passing), 3 = verdict
 "not plastic" reached successfully, 2 = some verification check failed,
-1 = input, usage or capacity error, reported as one ``error:`` line on
-stderr.  Identical (input, flags, seed) produce byte-identical reports.
+named with its residual and threshold on one ``failed:`` line each on
+stderr, 1 = input, usage or capacity error, reported as one ``error:`` line
+on stderr.  Identical (input, flags, seed) produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -188,6 +189,10 @@ def main(argv=None) -> int:
             handle.write(text)
     else:
         sys.stdout.write(text)
+    for check in report.get("checks", ()):
+        if not check["pass"]:
+            print(f"failed: {check['name']} (worst_residual {check['worst_residual']!r}, "
+                  f"threshold {check['threshold']!r})", file=sys.stderr)
     return exit_code
 
 

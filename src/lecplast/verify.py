@@ -1,17 +1,16 @@
 """Numerical verification of witness and spectral-bound properties.
 
-Every check is deterministic given (inputs, node counts) and draws nothing.
-Each reads a supremum over its whole test space.  The three witness checks
-each reduce one table of values read only from the published witness: a
-shift's lambdas and factors f_k per slot, a transport's multiplier g at every
-quadrature node of each cell (built once per witness).  Form preservation
-reads lambda_{n_{k-1}} f_k^2 = lambda_{n_k} and the node identity
-t g^2(x) = x (it does not test the pushforward apart from the nodes),
-non-expansion f_k <= 1 and g <= 1.  The Rayleigh-quotient checks read the
-eigenbasis and the probes cos theta e_lam + sin theta e_mu, theta in
-``PROBE_ANGLES``, of the space's extremal pairs; the two operator checks,
-finite-dimensional plasticity and extremal invariance, read the closed-form
-singular values of 2 x 2 rotation probes over the same angles.
+Every check is deterministic given (inputs, node counts), draws nothing and
+reads a supremum over its whole test space off one table, built once per
+witness or space and shared by its checks: a shift's lambdas and factors f_k
+per slot, a transport's multiplier g at every quadrature node of each cell,
+or one pass over the probes cos theta e_lam + sin theta e_mu, theta in
+``PROBE_ANGLES``, of a space's extremal pairs.  Form preservation reads
+lambda_{n_{k-1}} f_k^2 = lambda_{n_k} and the node identity t g^2(x) = x (it
+does not test the pushforward apart from the nodes), non-expansion f_k <= 1
+and g <= 1.  The two operator checks read the closed-form singular values of
+2 x 2 rotation probes; finite-dimensional plasticity probes a fixed palette,
+so its report is computed once per process.
 
 Tolerances follow the kind of arithmetic, not the kind of part: shift and
 space identities are exact-arithmetic paths (``POINT_TOL``, 1e-12), the
@@ -25,6 +24,7 @@ NaN, so a non-finite residual fails its check.
 
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass
 
@@ -45,6 +45,7 @@ NORM_SLACK = 1e-10
 #: on a pair with gap/sqrt(lam mu) between about 2e-10 and 120, the ladder
 #: holds operator probes on both sides of ||T|| = 1 + NORM_SLACK.
 PROBE_ANGLES = np.pi / 2 * 10.0 ** -np.arange(13)
+Witness = ShiftWitness | TransportWitness
 
 
 @dataclass(frozen=True)
@@ -56,18 +57,12 @@ class VerificationReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "samples": self.samples,
-            "worst_residual": self.worst_residual,
-            "threshold": self.threshold,
-            "pass": self.passed,
-        }
+        return {"name": self.name, "samples": self.samples, "worst_residual": self.worst_residual,
+                "threshold": self.threshold, "pass": self.passed}
 
 
 def _report(name, samples, worst, threshold) -> VerificationReport:
-    worst = float(worst)
-    return VerificationReport(name, samples, worst, threshold, worst <= threshold)
+    return VerificationReport(name, samples, float(worst), threshold, bool(worst <= threshold))
 
 
 # ---------------------------------------------------------------------------
@@ -173,48 +168,39 @@ class _TransportTables:
         self.form = np.max(np.abs(gsq, out=gsq), axis=1)
 
 
-#: Transport tables by witness, then by node count; an entry goes with its witness.
+#: Tables by witness or space, then by node count (None for a space); each goes with its owner.
 _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _table(w: ShiftWitness | TransportWitness, nodes: int) -> _ShiftTable | _TransportTables:
-    """The witness's table: a shift's built afresh (2K + 1 multiplies), a
-    transport's at ``nodes`` nodes per cell built once, shared by its checks."""
-    if isinstance(w, ShiftWitness):
-        return _ShiftTable(w)
-    by_nodes = _TABLES.setdefault(w, {})
+def _table(owner: Witness | TruncatedQuadraticSpace, nodes: int | None = None):
+    """A shift's table built afresh (2K + 1 multiplies); a transport's at ``nodes``
+    nodes per cell, or a space's, built once and shared by its checks."""
+    if isinstance(owner, ShiftWitness):
+        return _ShiftTable(owner)
+    by_nodes = _TABLES.setdefault(owner, {})
     if nodes not in by_nodes:
-        by_nodes[nodes] = _TransportTables(w, nodes)
+        by_nodes[nodes] = _SpaceTable(owner) if nodes is None else _TransportTables(owner, nodes)
     return by_nodes[nodes]
 
 
-def check_form_preservation(
-    op: ShiftWitness | TransportWitness, nodes: int = 4096
-) -> VerificationReport:
+def check_form_preservation(op: Witness, nodes: int = 4096) -> VerificationReport:
     """sup |q(Tx) - q(x)| / q(x) over inputs supported inside the window: the
     largest ``form`` defect, per slot of a shift or per node of a transport."""
     table = _table(op, nodes)
     return _report("form_preservation", table.form.size, np.max(table.form), table.tol)
 
 
-def check_nonexpansive(
-    op: ShiftWitness | TransportWitness, nodes: int = 4096
-) -> VerificationReport:
+def check_nonexpansive(op: Witness, nodes: int = 4096) -> VerificationReport:
     """sup (||Tx|| - ||x||)/||x||, at most 0 for a non-expansive T: the
     largest ``gain`` (a factor, or a multiplier g at a node) minus 1."""
     table = _table(op, nodes)
     return _report("nonexpansive", table.gain.size, np.max(table.gain) - 1.0, table.tol)
 
 
-def check_strict_contraction(
-    op: ShiftWitness | TransportWitness, nodes: int = 4096
-) -> VerificationReport:
-    """Exhibit a unit direction with ||Tx|| <= 1 - delta, delta >= 1e-6.
-
-    The residual is the table's ``contraction`` ||Tx||; the threshold 1 - 1e-6
-    encodes the margin, so a witness with no contracting direction (a witness
-    bug) yields a failing report.
-    """
+def check_strict_contraction(op: Witness, nodes: int = 4096) -> VerificationReport:
+    """Exhibit a unit direction with ||Tx|| <= 1 - delta, delta >= 1e-6: the
+    residual is the table's ``contraction`` ||Tx||, so a witness with no
+    contracting direction (a witness bug) yields a failing report."""
     factor = _table(op, nodes).contraction
     return _report("strict_contraction", 1, factor, 1.0 - CONTRACTION_MARGIN)
 
@@ -223,28 +209,55 @@ def check_strict_contraction(
 # Spectral-bound checks (Rayleigh quotients, minimizers)
 # ---------------------------------------------------------------------------
 
-def _pair_blocks(values: np.ndarray, count: int):
-    """The first ``count`` extremal pairs of the distinct ``values``, as
-    (lam, mu) rows in blocks of whole pairs, at most ``ROW_BLOCK`` probes
-    each: (min, mu) for every larger mu, then (max, mu) for every smaller mu.
-    Each block is copied from ``values`` when it is read."""
+def _pair_blocks(values: np.ndarray):
+    """The 2(n - 1) extremal pairs of the n distinct ``values``, as (lam, mu) rows
+    in blocks of whole pairs, at most ``ROW_BLOCK`` probes each: (min, mu) for
+    every larger mu, then (max, mu) for every smaller mu.  Each block is copied
+    from ``values`` when it is read, and comes with its count of pairs with the min."""
     n = values.size - 1
-    for rows in row_blocks(count, PROBE_ANGLES.size):
-        start, stop = rows.start, min(rows.stop, count)
-        split = min(max(start, n), stop) - start  # the block's pairs with the min
+    for rows in row_blocks(2 * n, PROBE_ANGLES.size):
+        start, stop = rows.start, min(rows.stop, 2 * n)
+        split = min(max(start, n), stop) - start
         block = np.empty((stop - start, 2))
         block[:split, 0], block[split:, 0] = values[0], values[-1]
         block[:split, 1] = values[start + 1:start + split + 1]
         block[split:, 1] = values[start + split - n:stop - n]
-        yield block
+        yield block, split
 
 
 def _probe_quotients(pairs: np.ndarray) -> np.ndarray:
-    """Quotients lam cos^2 theta + mu sin^2 theta of cos theta e_lam + sin theta e_mu.
-
-    One row per (lam, mu) pair, one column per theta in ``PROBE_ANGLES``.
-    """
+    """Quotients lam cos^2 theta + mu sin^2 theta of cos theta e_lam + sin theta e_mu,
+    one row per (lam, mu) pair, one column per theta in ``PROBE_ANGLES``."""
     return pairs[:, :1] * np.cos(PROBE_ANGLES) ** 2 + pairs[:, 1:] * np.sin(PROBE_ANGLES) ** 2
+
+
+class _SpaceTable:
+    """Suprema over the extremal-pair probes of a space, shared by its checks.
+
+    One pass over the 2(n - 1) pairs of the n distinct values, the min's n - 1
+    first, in blocks of whole pairs (``_pair_blocks``) keeps ``least`` and
+    ``most``, the extrema of the probe quotients and the values; ``attained``,
+    the largest min_attained violation (on the min's pairs); and ``defect``,
+    the largest extremal-invariance defect.  No per-probe array and no
+    reference to the space outlives the build.
+    """
+
+    def __init__(self, space: TruncatedQuadraticSpace):
+        values = space.values
+        lo, (self.least, self.most) = values[0], values[[0, -1]]
+        self.attained, self.defect = np.abs(values[0] - lo) / lo, 0.0
+        for pairs, split in _pair_blocks(values):
+            quotients = _probe_quotients(pairs)
+            self.least = np.minimum(self.least, quotients.min())
+            self.most = np.maximum(self.most, quotients.max())
+            if split:  # the block's pairs with the min
+                violation = (values[1] - lo) * np.sin(PROBE_ANGLES) ** 2 - (quotients[:split] - lo)
+                self.attained = np.maximum(self.attained, np.max(violation / pairs[:split, 1:]))
+            small, big = np.sort(pairs, axis=1).T[..., None]
+            t = _scaled_probes(pairs)
+            sigma, leak = _singular_values(t)[0], np.abs(t[..., [0, 1], [1, 0]]).max(axis=-1)
+            defect = np.abs(sigma - small / big / sigma - leak * ((big - small) / big)) / sigma
+            self.defect = np.maximum(self.defect, np.max(defect))
 
 
 def check_rayleigh_bounds(space: TruncatedQuadraticSpace) -> VerificationReport:
@@ -252,20 +265,13 @@ def check_rayleigh_bounds(space: TruncatedQuadraticSpace) -> VerificationReport:
 
     For a diagonal form q(x)/|x|^2 = sum_v w_v v is a convex combination of
     the distinct eigenvalues v (w_v the share of |x|^2 in Ker(A - v)), so no
-    quotient escapes the bounds and the eigenbasis attains both.  The check
-    reads the quotients of the eigenbasis, which are the distinct values,
-    and of every extremal-pair probe: lam the min or the max and mu any other
-    value, in blocks of whole pairs with a running min and max.  Its residual
-    is the distance of the smallest and the largest quotient from min lambda
-    and max lambda, relative to max lambda.
+    quotient escapes the bounds and the eigenbasis attains both.  The residual
+    is the distance of the table's ``least`` and ``most`` quotient from min
+    lambda and max lambda, relative to max lambda.
     """
-    lo, hi = least, most = space.values[[0, -1]]  # the eigenbasis quotients' extrema
-    count = 2 * (space.values.size - 1)
-    for pairs in _pair_blocks(space.values, count):
-        quotients = _probe_quotients(pairs)
-        least, most = np.minimum(least, quotients.min()), np.maximum(most, quotients.max())
-    worst = np.maximum(np.abs(least - lo), np.abs(most - hi)) / hi
-    samples = space.values.size + count * PROBE_ANGLES.size
+    table, (lo, hi) = _table(space), space.values[[0, -1]]
+    worst = np.maximum(np.abs(table.least - lo), np.abs(table.most - hi)) / hi
+    samples = space.values.size + 2 * (space.values.size - 1) * PROBE_ANGLES.size
     return _report("rayleigh_bounds", samples, worst, POINT_TOL)
 
 
@@ -277,19 +283,12 @@ def check_min_attained(space: TruncatedQuadraticSpace) -> VerificationReport:
     is the distance to the second-smallest value.  Both hold for every x of
     a diagonal form, so the check reads (a) on the eigenbasis and (b) on the
     probes cos theta e_lo + sin theta e_mu, m = sin^2 theta, for every other
-    value mu, in blocks of whole pairs with a running maximum.  Each residual
-    is relative to the largest eigenvalue of its quotient.
+    value mu.  Each residual is relative to the largest eigenvalue of its quotient.
     """
     if space.dimension < 2:
         raise PreconditionError("need dimension >= 2")
-    values, lo = space.values, space.values[0]
-    worst = np.abs(values[0] - lo) / lo  # (a)
-    lowest = values.size - 1  # the min's pairs come first
-    for pairs in _pair_blocks(values, lowest):
-        excess = _probe_quotients(pairs) - lo
-        violation = (values[1] - lo) * np.sin(PROBE_ANGLES) ** 2 - excess
-        worst = np.maximum(worst, np.max(violation / pairs[:, 1:]))
-    return _report("min_attained", 1 + lowest * PROBE_ANGLES.size, worst, POINT_TOL)
+    samples = 1 + (space.values.size - 1) * PROBE_ANGLES.size
+    return _report("min_attained", samples, _table(space).attained, POINT_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +297,7 @@ def check_min_attained(space: TruncatedQuadraticSpace) -> VerificationReport:
 
 def plasticity_map(lambdas, u: np.ndarray) -> np.ndarray:
     """T = A^{-1/2} U A^{1/2} for diagonal A: automatically form-preserving.
-
-    Broadcasts over leading axes: lambdas (..., n) with u (..., n, n).
-    """
+    Broadcasts over leading axes: lambdas (..., n) with u (..., n, n)."""
     lam = np.asarray(lambdas, dtype=float)
     return (lam[..., :, None] ** -0.5) * u * (lam[..., None, :] ** 0.5)
 
@@ -340,19 +337,28 @@ def check_finite_dim_plasticity() -> VerificationReport:
     singular value >= 1), so no form-preserving map is a strict contraction;
     (c) a T with ||T|| <= 1 + NORM_SLACK has both singular values within
     tolerance of 1, i.e. is an isometry; (d) lam = mu gives ||T|| = 1.  The
-    small angles put probes of unequal pairs into (c).
+    small angles put probes of unequal pairs into (c).  The palette does not
+    depend on the input, so the report is computed once per process, keyed on
+    every module name it reads (``PROBE_ANGLES``, which ``_rotations`` reads, by
+    its bytes); rebinding one of them computes it afresh.
     """
-    pairs = np.take(FINITE_DIM_SPECTRUM, np.transpose(np.triu_indices(len(FINITE_DIM_SPECTRUM))))
-    t = plasticity_map(pairs[:, None, :], _rotations())  # (pairs, angles, 2, 2)
-    norm, least = _singular_values(t)
+    return _finite_dim_plasticity(plasticity_map, _singular_values, tuple(FINITE_DIM_SPECTRUM),
+                                  PROBE_ANGLES.tobytes(), NORM_SLACK, OPERATOR_TOL)
+
+
+@functools.lru_cache(maxsize=1)
+def _finite_dim_plasticity(transform, singular_values, spectrum, angles, slack, tol):
+    pairs = np.take(spectrum, np.transpose(np.triu_indices(len(spectrum))))
+    t = transform(pairs[:, None, :], _rotations())  # (pairs, angles, 2, 2)
+    norm, least = singular_values(t)
     a = pairs[:, None, :, None] * np.eye(2)
     residuals = [
         np.abs(np.swapaxes(t, -1, -2) @ a @ t - a).max(axis=(-2, -1)),
         1.0 - norm,
-        np.where(norm <= 1.0 + NORM_SLACK, np.abs([norm - 1.0, least - 1.0]).max(axis=0), 0.0),
+        np.where(norm <= 1.0 + slack, np.abs([norm - 1.0, least - 1.0]).max(axis=0), 0.0),
         np.where(pairs[:, :1] == pairs[:, 1:], np.abs(norm - 1.0), 0.0),
     ]
-    return _report("finite_dim_plasticity", norm.size, np.max(residuals), OPERATOR_TOL)
+    return _report("finite_dim_plasticity", norm.size, np.max(residuals), tol)
 
 
 def check_extremal_invariance(space: TruncatedQuadraticSpace) -> VerificationReport:
@@ -370,17 +376,10 @@ def check_extremal_invariance(space: TruncatedQuadraticSpace) -> VerificationRep
     |mu - lam|: an accepted contraction leaves each extremal eigenspace invariant up to a
     bound set by the spectral gap (a Davis-Kahan sin-theta bound); close values mix freely.
 
-    It reads ``_scaled_probes`` T / kappa (1/sigma becomes kappa^-2 / (sigma / kappa))
-    in blocks of whole pairs; the defect relative to sigma, its residual, is the same
-    in both scalings.  A space with one distinct value has no probe.
+    The table reads ``_scaled_probes`` T / kappa (1/sigma becomes kappa^-2 / (sigma / kappa)),
+    in which the residual, the defect relative to sigma, is the same.  One value, no probe.
     """
     if space.dimension < 2:
         raise PreconditionError("need dimension >= 2")
-    worst, count = 0.0, 2 * (space.values.size - 1)
-    for pairs in _pair_blocks(space.values, count):
-        lo, hi = np.sort(pairs, axis=1).T[..., None]
-        t = _scaled_probes(pairs)
-        sigma, leak = _singular_values(t)[0], np.abs(t[..., [0, 1], [1, 0]]).max(axis=-1)
-        defect = np.abs(sigma - lo / hi / sigma - leak * ((hi - lo) / hi)) / sigma
-        worst = np.maximum(worst, np.max(defect))
-    return _report("extremal_invariance", count * PROBE_ANGLES.size, worst, OPERATOR_TOL)
+    samples = 2 * (space.values.size - 1) * PROBE_ANGLES.size
+    return _report("extremal_invariance", samples, _table(space).defect, OPERATOR_TOL)

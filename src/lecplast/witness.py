@@ -93,8 +93,8 @@ def _component_chain(
     seq = d.sequences[index]
     gap = seq.limit - bound if seq.direction is Direction.INCREASING else bound - seq.limit
     first = seq.first_index_below(gap)
-    labels = [("sequence", index, j) for j in range(first, first + count)]
-    return seq.terms(count, first=first), labels
+    terms = seq.terms(count, first=first)  # refuses before any label is built
+    return terms, [("sequence", index, j) for j in range(first, first + count)]
 
 
 def build_shift_witness(

@@ -95,6 +95,12 @@ POINT_ARITHMETIC = {
 }
 
 
+def failed_lines(checks):
+    """The stderr line of each failing check, in report order."""
+    return [f"failed: {c['name']} (worst_residual {c['worst_residual']!r}, "
+            f"threshold {c['threshold']!r})" for c in checks]
+
+
 def write(tmp_path, name, doc):
     """Write doc as JSON, or bytes as they are."""
     path = tmp_path / name
@@ -361,7 +367,11 @@ class TestVerifyCommand:
         out = tmp_path / "report.json"
         argv = ["verify", "--window", "3", "--nodes", "256", "--output", str(out)]
         assert main([*argv, "--input", write(tmp_path, "d.json", LEBESGUE)]) == 2
-        assert capsys.readouterr().err == ""
+        assert capsys.readouterr().err.splitlines() == [
+            "failed: form_preservation (worst_residual nan, threshold 1e-05)",
+            "failed: nonexpansive (worst_residual nan, threshold 1e-05)",
+            "failed: strict_contraction (worst_residual nan, threshold 0.999999)",
+        ]
         assert '"worst_residual": NaN' in out.read_text()
         checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
         for name in ("form_preservation", "nonexpansive", "strict_contraction"):
@@ -378,9 +388,9 @@ class TestVerifyCommand:
         out = tmp_path / "report.json"
         argv = ["all", "--input", write(tmp_path, "d.json", doc), "--output", str(out)]
         assert main(argv) == 2
-        assert capsys.readouterr().err == ""
-        failed = [c["name"] for c in json.loads(out.read_text())["checks"] if not c["pass"]]
-        assert "nonexpansive" in failed and "strict_contraction" in failed
+        failed = [c for c in json.loads(out.read_text())["checks"] if not c["pass"]]
+        assert failed_lines(failed) == capsys.readouterr().err.splitlines()
+        assert {"nonexpansive", "strict_contraction"} <= {c["name"] for c in failed}
 
     @pytest.mark.parametrize("doc", [LEBESGUE, CANTOR], ids=["lebesgue", "cantor"])
     def test_scaled_multiplier_fails(self, tmp_path, capsys, monkeypatch, doc):
@@ -393,9 +403,24 @@ class TestVerifyCommand:
         out = tmp_path / "report.json"
         argv = ["all", "--input", write(tmp_path, "d.json", doc), "--output", str(out)]
         assert main(argv) == 2
-        assert capsys.readouterr().err == ""
-        failed = [c["name"] for c in json.loads(out.read_text())["checks"] if not c["pass"]]
-        assert failed == ["form_preservation", "nonexpansive"]
+        failed = [c for c in json.loads(out.read_text())["checks"] if not c["pass"]]
+        assert failed_lines(failed) == capsys.readouterr().err.splitlines()
+        assert [c["name"] for c in failed] == ["form_preservation", "nonexpansive"]
+
+    def test_failing_check_is_named_on_stderr(self, tmp_path, capsys):
+        # The witness of atoms 1e-6 apart contracts by 5e-7 only, inside the
+        # 1e-6 margin of strict_contraction: exit 2, one stderr line that
+        # names the check, and the report written as on any other exit.
+        doc = {"atoms": [{"value": 1.0, "multiplicity": "inf"},
+                         {"value": 1.0 + 1e-6, "multiplicity": "inf"}]}
+        out = tmp_path / "report.json"
+        argv = ["all", "--input", write(tmp_path, "d.json", doc), "--output", str(out)]
+        assert main(argv) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert re.fullmatch(r"failed: strict_contraction \(worst_residual 0\.99999950\d*, "
+                            r"threshold 0\.999999\)", line)
+        assert [c["name"] for c in json.loads(out.read_text())["checks"] if not c["pass"]] == [
+            "strict_contraction"]
 
     def test_transport_table_built_once(self, tmp_path, monkeypatch):
         builds = []

@@ -785,6 +785,8 @@ class TestFiniteDimPlasticity:
         assert report.samples == pairs * PROBE_ANGLES.size
 
     def test_palette_reaches_isometry_branches(self, singular_values_spy):
+        # The spy rebinds a name the kept report is keyed on, so this call
+        # computes the report afresh, through the spy.
         assert check_finite_dim_plasticity().passed
         [(_, (sigma, _))] = singular_values_spy
         assert sigma.shape[1:] == PROBE_ANGLES.shape
@@ -795,6 +797,33 @@ class TestFiniteDimPlasticity:
         assert accepted.any(axis=1).all() and not accepted.all()
         # (d): equal pairs, whose every probe has norm 1
         assert equal.any() and np.abs(sigma[equal] - 1.0).max() <= 1e-15
+
+
+    def test_report_is_kept(self, singular_values_spy):
+        first = check_finite_dim_plasticity()
+        assert check_finite_dim_plasticity() is first
+        assert len(singular_values_spy) == 1
+
+    @pytest.mark.parametrize("name, value, changed", [
+        ("PROBE_ANGLES", PROBE_ANGLES[:6], lambda r: r.samples == 15 * 6),
+        ("FINITE_DIM_SPECTRUM", (0.5, 1.0), lambda r: r.samples == 3 * PROBE_ANGLES.size),
+        ("plasticity_map", lambda lam, u: 2.0 * plasticity_map(lam, u), lambda r: not r.passed),
+        ("_singular_values", lambda t, closed_form=verify._singular_values:
+         [2.0 * s for s in closed_form(t)], lambda r: not r.passed),
+        ("NORM_SLACK", 1.0, lambda r: not r.passed),
+        ("OPERATOR_TOL", 1e-6, lambda r: r.threshold == 1e-6),
+    ], ids=["PROBE_ANGLES", "FINITE_DIM_SPECTRUM", "plasticity_map", "_singular_values",
+            "NORM_SLACK", "OPERATOR_TOL"])
+    def test_rebinding_a_name_recomputes(self, monkeypatch, name, value, changed):
+        # The report is keyed on every module name its computation reads, so
+        # rebinding one after a first call computes it afresh, with no
+        # cache_clear; restoring the name reads the same report again.
+        first = check_finite_dim_plasticity()
+        assert first.passed
+        monkeypatch.setattr(verify, name, value)
+        assert changed(check_finite_dim_plasticity())
+        monkeypatch.undo()
+        assert check_finite_dim_plasticity() == first
 
 
 class TestExtremalInvariance:
@@ -894,13 +923,15 @@ class TestExtremalInvariance:
         monkeypatch.setattr(np.linalg, "qr", recording_qr)
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         monkeypatch.setattr(np.random, "Generator", no_generator)
+        # The spy is installed before either check first runs on the space or
+        # under these names; a second call reads the kept table or report.
         space = space_of(((1.0, 3), (1.5, 1), (2.0, 4)))
         samples = []
         for check in (partial(check_extremal_invariance, space), check_finite_dim_plasticity):
             a = check().to_dict()
             b = check().to_dict()
             assert a == b and a["pass"]
-            samples += [a["samples"]] * 2
+            samples.append(a["samples"])
         assert qr_shapes == []
         shapes = [np.shape(t) for t, _ in singular_values_spy]
         assert shapes == [(n // PROBE_ANGLES.size, PROBE_ANGLES.size, 2, 2) for n in samples]
@@ -931,9 +962,10 @@ class TestExtremalInvariance:
             t[(pairs == pairs_of(space)[-1]).all(axis=1)] *= 2.0
             return t
 
+        # A space's table is built once, so the mutant reads a fresh space.
         assert check_extremal_invariance(space).passed
         monkeypatch.setattr(verify, "_scaled_probes", doubled_on_last_pair)
-        assert check_extremal_invariance(space).worst_residual >= 0.5
+        assert check_extremal_invariance(spanning_space()).worst_residual >= 0.5
 
 
 class TestSpaceChecksInBlocks:
@@ -989,9 +1021,54 @@ class TestSpaceChecksInBlocks:
             q[(pairs == pairs_of(space)[last]).all(axis=1)] = 0.0
             return q
 
+        # A space's table is built once, so the mutant reads a fresh space.
         assert check(space).passed
         monkeypatch.setattr(verify, "_probe_quotients", zeroed_on_last_pair)
-        assert check(space).worst_residual >= 0.4
+        assert check(spanning_space()).worst_residual >= 0.4
+
+
+class TestSpaceTable:
+    """The three space checks read one table per space, built in one walk
+    over its pairs and dropped with the space."""
+
+    def test_one_walk_per_space(self, monkeypatch):
+        walks = []
+        pair_blocks = verify._pair_blocks
+
+        def recording(values):
+            walks.append(values)
+            return pair_blocks(values)
+
+        monkeypatch.setattr(verify, "_pair_blocks", recording)
+        spaces = [spanning_space(), space_of(((1.0, 3), (1.5, 1), (2.0, 4)))]
+        for space in spaces:
+            for check in (check_rayleigh_bounds, check_min_attained, check_extremal_invariance) * 2:
+                assert check(space).passed
+        assert len(walks) == 2 and all(w is s.values for w, s in zip(walks, spaces))
+
+    def test_table_goes_with_its_space(self):
+        space = space_of(((1.0, 3), (1.5, 1), (2.0, 4)))
+        assert check_rayleigh_bounds(space).passed
+        assert space in verify._TABLES
+        ref = weakref.ref(space)
+        del space
+        gc.collect()
+        assert ref() is None
+
+    def test_table_equals_one_walk_per_check(self):
+        # Each reduction of the shared table equals the check it replaced,
+        # which walked the pairs on its own: the same probes, the same bits.
+        space = spanning_space()
+        values, lo, hi = space.values, space.values[0], space.values[-1]
+        pairs = pairs_of(space)
+        quotients = verify._probe_quotients(pairs)
+        least, most = min(lo, quotients.min()), max(hi, quotients.max())
+        mins = pairs[: values.size - 1]
+        violation = ((values[1] - lo) * np.sin(PROBE_ANGLES) ** 2
+                     - (verify._probe_quotients(mins) - lo)) / mins[:, 1:]
+        assert check_rayleigh_bounds(space).worst_residual == max(abs(least - lo),
+                                                                  abs(most - hi)) / hi
+        assert check_min_attained(space).worst_residual == max(0.0, violation.max())
 
 
 class TestDeterminism:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -126,6 +127,21 @@ class TestBuildShift:
         )
         with pytest.raises(CapacityError):
             build_shift_witness(d, cert, 5)
+
+    def test_refused_chain_builds_no_labels(self):
+        # Terms past the 54th of a ratio-0.5 sequence round to its limit, so
+        # a window of 10^6 is refused; the refusal comes before a label list
+        # of 10^6 tuples (about 100 MB) is built.
+        d = descriptor(sequences=[seq(1, "dec", 0.5), seq(2, "inc", 0.5)])
+        cert = classify(d).certificate
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="^terms 1..1000000 of the sequence"):
+                build_shift_witness(d, cert, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
 
 class TestPartition:
