@@ -108,7 +108,12 @@ class EigenSequence:
         range, or rounds to the limit or to its neighbour, as it is then not a
         distinct eigenvalue."""
         with np.errstate(over="ignore"):  # a term past the float range is read from its inf
-            values = self._term_at(self.step(np.arange(first, first + count)))
+            # The end terms, computed as the array computes them, refuse a run
+            # that leaves the float range or reaches the limit before a
+            # count-sized array is made; the check below then raises on them.
+            values = self._term_at(self.step(np.array([first, first + count - 1])))
+            if np.isfinite(values[0]) and values[1] != self.limit:
+                values = self._term_at(self.step(np.arange(first, first + count)))
         if (not np.isfinite(values).all() or (values == self.limit).any()
                 or (np.diff(values) == 0).any()):
             raise CapacityError(

@@ -30,7 +30,7 @@ from .errors import CapacityError, PreconditionError, RangeError
 from .measures import (AffineMap, CantorCells, MeasureSpec, RestrictedMeasure, TransportMap,
                        quadrature_nodes)
 from .plasticity import ComponentRef, Rule, ViolationCertificate
-from .spectrum import ContinuousPart, Direction, PartKind, SpectralDescriptor
+from .spectrum import ContinuousPart, PartKind, SpectralDescriptor
 
 #: Basis label: (component kind, component index, ordinal or term index).
 BasisLabel = tuple[str, int, int]
@@ -73,13 +73,22 @@ class ShiftWitness:
         object.__setattr__(self, "factors", np.sqrt(lam[1:] / lam[:-1]))
 
 
+def _strictly_past(value: float, bound: float, below: bool, what: str) -> None:
+    """CapacityError unless the chain value nearest the bound lies strictly past it."""
+    if not (value < bound if below else value > bound):
+        raise CapacityError(f"no float value of {what} lies strictly "
+                            f"{'below' if below else 'above'} the chain bound {bound!r}; "
+                            "floating point rounds the two together")
+
+
 def _component_chain(
-    d: SpectralDescriptor, ref: ComponentRef, count: int, bound: float
+    d: SpectralDescriptor, ref: ComponentRef, count: int, bound: float, below: bool
 ) -> tuple[np.ndarray, list[BasisLabel]]:
-    """``count`` eigenvalues of component ``ref`` strictly past ``bound``.
+    """``count`` eigenvalues of component ``ref`` strictly below (or above) ``bound``.
 
     An atom repeats its value over distinct ordinals 0..count-1; a sequence
-    gives its earliest terms between ``bound`` and its limit, in index order.
+    gives its earliest terms between ``bound`` and its limit, in index order,
+    so its first term is the one nearest the bound.
     """
     kind, index = ref
     if kind == "atom":
@@ -89,11 +98,12 @@ def _component_chain(
                 f"eigenspace at {atom.value} holds {atom.multiplicity} vectors, "
                 f"needs {count}"
             )
+        _strictly_past(atom.value, bound, below, f"the atom at {atom.value}")
         return np.full(count, atom.value), [("atom", index, o) for o in range(count)]
     seq = d.sequences[index]
-    gap = seq.limit - bound if seq.direction is Direction.INCREASING else bound - seq.limit
-    first = seq.first_index_below(gap)
+    first = seq.first_index_below(bound - seq.limit if below else seq.limit - bound)
     terms = seq.terms(count, first=first)  # refuses before any label is built
+    _strictly_past(terms[0], bound, below, f"term {first} of the sequence with limit {seq.limit}")
     return terms, [("sequence", index, j) for j in range(first, first + count)]
 
 
@@ -112,8 +122,8 @@ def build_shift_witness(
         raise PreconditionError(f"window must be >= 1, got {K}")
     if cert.rule is Rule.CONTINUOUS:
         raise PreconditionError("continuous certificates take the transport witness")
-    fwd, fwd_labels = _component_chain(d, cert.components[0], K, 0.5 * (cert.r + cert.R))
-    back, back_labels = _component_chain(d, cert.components[1], K + 1, fwd[0])
+    fwd, fwd_labels = _component_chain(d, cert.components[0], K, 0.5 * (cert.r + cert.R), True)
+    back, back_labels = _component_chain(d, cert.components[1], K + 1, fwd[0], False)
     return ShiftWitness(
         window=K,
         lambdas=np.concatenate([back[::-1], fwd]),

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -92,7 +93,14 @@ POINT_ARITHMETIC = {
                       "atoms": [{"value": 1.0000000000000004e-300, "multiplicity": "inf"}]},
     # limit + offset * ratio**j is past the float range from j = 1 on
     "terms_past_float_max": {"sequences": [_seq_doc(1.5e308, "dec", offset=1.5e308, ratio=0.9)]},
+    # (r + R)/2 rounds onto r
+    "adjacent_atoms": {"atoms": [{"value": 1.0, "multiplicity": "inf"},
+                                 {"value": 1.0000000000000002, "multiplicity": "inf"}]},
 }
+HALF_SEQUENCES = {"sequences": [_seq_doc(1, "dec"), _seq_doc(2, "inc")]}
+SLOW_SEQUENCES = {"sequences": [_seq_doc(1, "dec", ratio=0.99999), _seq_doc(2, "inc", ratio=0.99999)]}
+CANTOR_MASS = {"continuous": [{"kind": "cantor", "support": [0.696057, 1.592525],
+                               "mass": 1.759262}]}
 
 
 def failed_lines(checks):
@@ -346,9 +354,10 @@ class TestVerifyCommand:
         # they are written; pytest turns a RuntimeWarning into an error.
         path = write(tmp_path, "d.json", WITH_NUMBER["support_end"](end))
         out = tmp_path / "report.json"
-        assert main(["all", "--full", "--input", path, "--output", str(out)]) == 3
-        assert capsys.readouterr().err == ""
-        assert all(c["pass"] for c in json.loads(out.read_text())["checks"])
+        for full in ([], ["--full"]):
+            assert main(["all", *full, "--input", path, "--output", str(out)]) == 3
+            assert capsys.readouterr().err == ""
+            assert all(c["pass"] for c in json.loads(out.read_text())["checks"])
 
     def test_far_support_newton_step_does_not_warn(self, tmp_path, capsys):
         # Lebesgue on [1e300, 1.5e300]: the quantile's Newton steps pass 1e154,
@@ -462,20 +471,31 @@ class TestVerifyCommand:
         assert len(checks) == 7
         assert [c["name"] for c in checks if not c["pass"]] == []
 
-    def test_spectrum_across_the_float_range(self, tmp_path):
-        # max / min = 3.4e631: the extremal probes are divided by
-        # kappa = sqrt(max / min), so none of their entries overflows.
-        doc = {"atoms": [{"value": 5e-324, "multiplicity": 1},
-                         {"value": 1.7e308, "multiplicity": 2}]}
+    @pytest.mark.parametrize("doc, args, holds", [
+        # densities that vanish at the support start, where a Newton step
+        # divides by a density near 0, and two that the safeguarded loop solves
+        *[({"continuous": [dict(_DENSITY, **part)]}, ["all", "--window", "16", "--nodes", "4096"],
+           None) for part in ({"coeffs": [-2, 2]}, {"coeffs": [1, -2, 1]},
+                              {"coeffs": [2.25, -3, 1]}, {"support": [0.5, 3], "coeffs": [1, 5, 0, 40]})],
+        # 16 cells of 1024 levels: each stacked quantile call runs whole rows
+        ({"continuous": [dict(_DENSITY, coeffs=[0.25, 1])]},
+         ["all", "--window", "8", "--nodes", "1024"], None),
+        # the shift's form check reads its published factors, so its residual is rounding
+        (HALF_SEQUENCES, ["all"], lambda c: c["form_preservation"]["worst_residual"] <= 1e-12),
+        (CANTOR_MASS, ["all", "--window", "16", "--nodes", "256"],
+         lambda c: c["form_preservation"]["worst_residual"] < 1e-10),
+        (CANTOR_MASS, ["witness", "--full", "--window", "8"], None),
+        (CANTOR_MASS, ["all"], lambda c: c["form_preservation"]["threshold"] == 1e-05),
+    ], ids=["linear_zero_at_a", "square_zero_at_a", "square_zero_inside", "steep_cubic",
+            "degree_1_window_8", "half_sequences", "cantor_mass_nodes_256", "cantor_mass_full",
+            "cantor_mass"])
+    def test_run_exits_3_cleanly(self, tmp_path, capsys, doc, args, holds):
+        # Exit 3 from verify means every check passed; a RuntimeWarning is an error.
         out = tmp_path / "report.json"
-        proc = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "lecplast", "all",
-             "--input", write(tmp_path, "d.json", doc), "--output", str(out)],
-            capture_output=True, text=True, timeout=300,
-        )
-        assert (proc.returncode, proc.stderr) == (0, "")
-        checks = json.loads(out.read_text())["checks"]
-        assert len(checks) == 4 and all(c["pass"] for c in checks)
+        assert main([*args, "--input", write(tmp_path, "d.json", doc), "--output", str(out)]) == 3
+        assert capsys.readouterr().err == ""
+        checks = {c["name"]: c for c in json.loads(out.read_text()).get("checks", [])}
+        assert holds is None or holds(checks)
 
     @pytest.mark.parametrize("doc, args, code", [
         ({"atoms": [{"value": 1.0, "multiplicity": 2**53}]}, [], 0),
@@ -541,14 +561,21 @@ class TestPointSpectrumArithmetic:
         ("gap_over_offset_overflows", ["witness"], "terms 1..17 of the sequence with limit "),
         ("steps_underflow", ["witness", "--window", "1"], "the sequence with limit 1e-150 "),
         ("subnormal_band", ["witness", "--window", "2"],
-         "the sequence with limit 1.0 comes within 0.5 of it only where ratio**j is not a "
+         r"the sequence with limit 1.0 comes within 0.5 of it only where ratio\*\*j is not a "
          "normal float"),
-        ("subnormal_gap", ["witness", "--window", "1"], "forward chain must stay below (r + R)/2"),
-        ("terms_past_float_max", ["all"], "terms 1..32 of the sequence with limit 1.5e+308 and "
+        # the first term past the bound 1.0000000000000002e-300 rounds onto it
+        ("subnormal_gap", ["witness", "--window", "1"],
+         r"no float value of term \d+ of the sequence with limit 1e-300 lies strictly below the "
+         r"chain bound 1\.0000000000000002e-300; floating point rounds the two together$"),
+        ("terms_past_float_max", ["all"], r"terms 1..32 of the sequence with limit 1.5e\+308 and "
                                           "ratio 0.9 are not distinct finite floats"),
+        ("adjacent_atoms", ["witness"], r"no float value of the atom at 1\.0 lies strictly below "
+                                        r"the chain bound 1\.0; floating point rounds the two together$"),
     ], ids=["merge_past_digit_limit", "gap_over_offset_underflows", "gap_over_offset_overflows",
-            "steps_underflow", "subnormal_band", "subnormal_gap", "terms_past_float_max"])
+            "steps_underflow", "subnormal_band", "subnormal_gap", "terms_past_float_max",
+            "adjacent_atoms"])
     def test_exits_1_with_one_line(self, tmp_path, capsys, name, args, line):
+        # line is a pattern for the start of the one error line
         if name == "merge_past_digit_limit" and not hasattr(sys, "get_int_max_str_digits"):
             pytest.skip("the interpreter prints integers of any length")
         path = write(tmp_path, "d.json", POINT_ARITHMETIC[name])
@@ -556,7 +583,64 @@ class TestPointSpectrumArithmetic:
         assert main([*args, "--input", path]) == 1
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"error: {line}")
+        assert len(err) == 1 and re.match(f"error: {line}", err[0])
+
+
+#: Runs argv[3:] under an address-space cap of argv[1] bytes (0 for none),
+#: killed after argv[2] seconds, and prints its exit code and its own peak RSS
+#: in KiB, read with wait4.  A child forked from pytest would count pytest's
+#: pages in its peak RSS; one forked from this small process does not.
+_LAUNCHER = """
+import os, resource, subprocess, sys, threading
+cap, seconds, argv = int(sys.argv[1]), float(sys.argv[2]), sys.argv[3:]
+if cap:
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+proc = subprocess.Popen(argv)
+timer = threading.Timer(seconds, proc.kill)
+timer.start()
+_, status, usage = os.wait4(proc.pid, 0)
+timer.cancel()
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss)
+"""
+
+
+class TestOwnProcess:
+    """Runs bounded by wall time, an address-space cap (bytes) or a peak RSS (MB)."""
+
+    @pytest.mark.parametrize("doc, args, code, checks, seconds, cap, peak_mb", [
+        # max / min = 3.4e631: the extremal probes are divided by
+        # kappa = sqrt(max / min), so none of their entries overflows
+        ({"atoms": [{"value": 5e-324, "multiplicity": 1}, {"value": 1.7e308, "multiplicity": 2}]},
+         ["all"], 0, 4, 300, 0, None),
+        # the space checks read their probes in blocks of whole pairs, so
+        # memory does not grow with the probes of the truncation
+        (SLOW_SEQUENCES, ["all", "--per-sequence", "100000"], 3, 7, 60, 0, None),
+        (SLOW_SEQUENCES, ["all", "--per-sequence", "1000000"], 3, 7, 120, 10**6 * 1024, None),
+        # the chain is refused before anything of its window's size is built
+        (HALF_SEQUENCES, ["witness", "--window", "1000000"], 1, None, 60, 0, 50),
+        (HALF_SEQUENCES, ["witness", "--window", "10000000"], 1, None, 60, 0, 50),
+    ], ids=["float_range_atoms", "per_sequence_1e5", "per_sequence_1e6_capped",
+            "witness_window_1e6", "witness_window_1e7"])
+    def test_run(self, tmp_path, doc, args, code, checks, seconds, cap, peak_mb):
+        out, err = tmp_path / "report.json", tmp_path / "stderr.txt"
+        argv = [sys.executable, "-c", _LAUNCHER, str(cap), str(seconds),
+                sys.executable, "-W", "error::RuntimeWarning", "-m", "lecplast", *args,
+                "--input", write(tmp_path, "d.json", doc), "--output", str(out)]
+        with open(err, "w") as stderr:
+            child = subprocess.run(argv, stdout=subprocess.PIPE, stderr=stderr, text=True,
+                                   env=dict(os.environ, OPENBLAS_NUM_THREADS="1"), check=True)
+        exit_code, peak_kib = map(int, child.stdout.split())
+        lines = err.read_text().splitlines()
+        assert exit_code == code, f"killed after {seconds} s" if exit_code < 0 else lines
+        if peak_mb is not None:
+            assert peak_kib / 1024 < peak_mb  # Linux counts ru_maxrss in KiB
+        if checks is None:
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+        else:
+            assert lines == []
+            report = json.loads(out.read_text())["checks"]
+            assert len(report) == checks and all(c["pass"] for c in report)
 
 
 _MAGNITUDE = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
@@ -621,6 +705,9 @@ class TestContract:
                 assert len(lines) == 2 and lines[0].startswith("error: ") and lines[1] == ""
 
 
+SMALL_FLAGS = {"window": 3, "nodes": 256, "per_sequence": 4}
+
+
 class TestDeterminism:
     def test_identical_runs_identical_bytes(self, tmp_path):
         config = RunConfig(
@@ -631,16 +718,15 @@ class TestDeterminism:
         dumps = lambda rep: json.dumps(rep, indent=2, sort_keys=True)
         assert dumps(first) == dumps(second)
 
-    @pytest.mark.parametrize("doc", [LEBESGUE, CANTOR, TWO_ATOMS],
-                             ids=["lebesgue", "cantor", "two_atoms"])
-    def test_checks_do_not_depend_on_seed(self, tmp_path, doc):
+    @pytest.mark.parametrize("doc, flags", [
+        (LEBESGUE, SMALL_FLAGS), (CANTOR, SMALL_FLAGS), (TWO_ATOMS, SMALL_FLAGS), (CANTOR, {})],
+        ids=["lebesgue", "cantor", "two_atoms", "cantor_default_flags"])
+    def test_checks_do_not_depend_on_seed(self, tmp_path, doc, flags):
         # No check takes the seed: only the report records it, once.
         path = write(tmp_path, "d.json", doc)
-        checks = [
-            run(RunConfig("all", path, seed=seed, window=3, nodes=256,
-                          per_sequence=4))[1]["checks"]
-            for seed in (0, 1)
-        ]
+        runs = [run(RunConfig("all", path, seed=seed, **flags)) for seed in (0, 1)]
+        assert [code for code, _ in runs] == [3, 3]
+        checks = [report["checks"] for _, report in runs]
         assert checks[0] == checks[1]
         assert not any("seed" in c for c in checks[0])
 

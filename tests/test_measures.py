@@ -205,7 +205,13 @@ class TestClosedFormQuantile:
             )
             assert (cell.cdf(cell.quantile(levels)) <= levels).all()
 
-    @pytest.mark.parametrize("part", SINGLE_PARTS.values(), ids=SINGLE_PARTS.keys())
+    @pytest.mark.parametrize("part", ZERO_AT_START.values(), ids=ZERO_AT_START.keys())
+    def test_level_0_is_the_support_start(self, part):
+        # The Newton step from a = 1 divides by p(1) = 0 inside its errstate.
+        assert MeasureSpec(part).quantile(0.0) == part.support[0]
+
+    @pytest.mark.parametrize("part", [*SINGLE_PARTS.values(), *ZERO_AT_START.values()],
+                             ids=[*SINGLE_PARTS, *ZERO_AT_START])
     def test_at_most_eight_cdf_calls(self, part, monkeypatch):
         m = MeasureSpec(part)
         levels = _single_part_levels(m)

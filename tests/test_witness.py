@@ -130,18 +130,18 @@ class TestBuildShift:
 
     def test_refused_chain_builds_no_labels(self):
         # Terms past the 54th of a ratio-0.5 sequence round to its limit, so
-        # a window of 10^6 is refused; the refusal comes before a label list
-        # of 10^6 tuples (about 100 MB) is built.
+        # a window of 10^7 is refused; the refusal comes before a label list
+        # of 10^7 tuples or an array of 10^7 terms (80 MB) is built.
         d = descriptor(sequences=[seq(1, "dec", 0.5), seq(2, "inc", 0.5)])
         cert = classify(d).certificate
         tracemalloc.start()
         try:
-            with pytest.raises(CapacityError, match="^terms 1..1000000 of the sequence"):
-                build_shift_witness(d, cert, 10**6)
+            with pytest.raises(CapacityError, match="^terms 1..10000000 of the sequence"):
+                build_shift_witness(d, cert, 10**7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 40e6
+        assert peak < 1e6
 
 
 class TestPartition:
