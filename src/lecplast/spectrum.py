@@ -297,12 +297,6 @@ def _part_key(part: ContinuousPart):
 # JSON schema (owned by the cli module; field names are part of the contract)
 # ---------------------------------------------------------------------------
 
-_ATOM_KEYS = {"value", "multiplicity"}
-_SEQ_KEYS = {"limit", "direction", "offset", "ratio", "multiplicity"}
-_DENSITY_KEYS = {"kind", "support", "coeffs"}
-_CANTOR_KEYS = {"kind", "support", "mass"}
-
-
 def _require_number(obj, where: str) -> float:
     """A finite number as a float; JSON also parses to inf, nan and huge ints."""
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
@@ -318,115 +312,93 @@ def _require_int(obj, where: str) -> int:
     return obj
 
 
-def _require_keys(obj, allowed: set[str], where: str) -> None:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{where}: expected an object, got {type(obj).__name__}")
-    if set(obj) != allowed:
-        raise SchemaError(
-            f"{where}: expected fields {sorted(allowed)}, got {sorted(obj)}"
-        )
+def _require_support(obj, where: str) -> tuple[float, float]:
+    if not isinstance(obj, (list, tuple)) or len(obj) != 2:
+        raise SchemaError(f"{where}: expected [a, b]")
+    return tuple(_require_number(x, f"{where}[{j}]") for j, x in enumerate(obj))
+
+
+def _require_coeffs(obj, where: str) -> tuple[float, ...]:
+    if not isinstance(obj, list) or not obj:
+        raise SchemaError(f"{where}: expected a nonempty list")
+    return tuple(_require_number(x, f"{where}[{j}]") for j, x in enumerate(obj))
+
+
+def _member_field(enum):
+    """Reader and writer of a string that names one of enum's values."""
+    values = tuple(member.value for member in enum)
+    def read(obj, where: str):
+        if obj not in values:
+            raise SchemaError(f"{where}: expected {' or '.join(map(repr, values))}")
+        return enum(obj)
+    return read, lambda member: member.value
+
+
+_NUMBER = (_require_number, float)
+_KIND = _member_field(PartKind)
+_SUPPORT = (_require_support, list)  # ContinuousPart stores support and coeffs as floats
+
+#: The descriptor JSON: each component list maps its entries' kind ("kind", or
+#: None) to the type an entry builds and its fields in reading order, each a
+#: reader from JSON (whose SchemaError names the path) and a writer to plain JSON.
+_SCHEMA = {
+    "atoms": {None: (EigenAtom, {
+        "value": _NUMBER,
+        "multiplicity": (lambda obj, where: INFINITE if obj == "inf" else _require_int(obj, where),
+                         lambda m: "inf" if m == INFINITE else int(m)),
+    })},
+    "sequences": {None: (EigenSequence, {
+        "limit": _NUMBER,
+        "direction": _member_field(Direction),
+        "offset": _NUMBER,
+        "ratio": _NUMBER,
+        "multiplicity": (_require_int, int),
+    })},
+    "continuous": {
+        PartKind.DENSITY: (ContinuousPart, {"kind": _KIND, "support": _SUPPORT,
+                                            "coeffs": (_require_coeffs, list)}),
+        PartKind.CANTOR: (ContinuousPart, {"kind": _KIND, "support": _SUPPORT, "mass": _NUMBER}),
+    },
+}
 
 
 def parse_descriptor(document: dict) -> SpectralDescriptor:
     """Validate a descriptor document and return its canonical form."""
     if not isinstance(document, dict):
         raise SchemaError("descriptor document must be a JSON object")
-    unknown = set(document) - {"atoms", "sequences", "continuous"}
+    unknown = document.keys() - _SCHEMA.keys()
     if unknown:
         raise SchemaError(f"unknown top-level fields: {sorted(unknown)}")
-
-    atoms = []
-    for i, entry in enumerate(document.get("atoms", [])):
-        where = f"atoms[{i}]"
-        _require_keys(entry, _ATOM_KEYS, where)
-        mult = entry["multiplicity"]
-        if mult == "inf":
-            mult = INFINITE
-        else:
-            mult = _require_int(mult, f"{where}.multiplicity")
-        atoms.append(EigenAtom(_require_number(entry["value"], f"{where}.value"), mult))
-
-    sequences = []
-    for i, entry in enumerate(document.get("sequences", [])):
-        where = f"sequences[{i}]"
-        _require_keys(entry, _SEQ_KEYS, where)
-        if entry["direction"] not in ("inc", "dec"):
-            raise SchemaError(f"{where}.direction: expected 'inc' or 'dec'")
-        sequences.append(
-            EigenSequence(
-                limit=_require_number(entry["limit"], f"{where}.limit"),
-                direction=Direction(entry["direction"]),
-                offset=_require_number(entry["offset"], f"{where}.offset"),
-                ratio=_require_number(entry["ratio"], f"{where}.ratio"),
-                multiplicity=_require_int(entry["multiplicity"], f"{where}.multiplicity"),
-            )
-        )
-
-    continuous = []
-    for i, entry in enumerate(document.get("continuous", [])):
-        where = f"continuous[{i}]"
-        if not isinstance(entry, dict) or entry.get("kind") not in ("density", "cantor"):
-            raise SchemaError(f"{where}.kind: expected 'density' or 'cantor'")
-        keys = _DENSITY_KEYS if entry["kind"] == "density" else _CANTOR_KEYS
-        _require_keys(entry, keys, where)
-        support = entry["support"]
-        if not isinstance(support, (list, tuple)) or len(support) != 2:
-            raise SchemaError(f"{where}.support: expected [a, b]")
-        a = _require_number(support[0], f"{where}.support[0]")
-        b = _require_number(support[1], f"{where}.support[1]")
-        if entry["kind"] == "density":
-            coeffs = entry["coeffs"]
-            if not isinstance(coeffs, list) or not coeffs:
-                raise SchemaError(f"{where}.coeffs: expected a nonempty list")
-            coeffs = tuple(
-                _require_number(c, f"{where}.coeffs[{j}]") for j, c in enumerate(coeffs)
-            )
-            continuous.append(ContinuousPart(PartKind.DENSITY, (a, b), coeffs=coeffs))
-        else:
-            continuous.append(
-                ContinuousPart(
-                    PartKind.CANTOR,
-                    (a, b),
-                    mass=_require_number(entry["mass"], f"{where}.mass"),
-                )
-            )
-
-    descriptor = SpectralDescriptor(tuple(atoms), tuple(sequences), tuple(continuous))
+    components = {}
+    for key, kinds in _SCHEMA.items():
+        entries = document.get(key, [])
+        if not isinstance(entries, list):
+            raise SchemaError(f"{key}: expected a list, got {type(entries).__name__}")
+        components[key] = built = []
+        for i, entry in enumerate(entries):
+            where, kind = f"{key}[{i}]", None
+            if None not in kinds:  # the entry's "kind" picks its fields
+                kind = _KIND[0](entry.get("kind") if isinstance(entry, dict) else None,
+                                f"{where}.kind")
+            elif not isinstance(entry, dict):
+                raise SchemaError(f"{where}: expected an object, got {type(entry).__name__}")
+            build, fields = kinds[kind]
+            if entry.keys() != fields.keys():
+                raise SchemaError(f"{where}: expected fields {sorted(fields)}, got {sorted(entry)}")
+            built.append(build(**{name: read(entry[name], f"{where}.{name}")
+                                  for name, (read, _) in fields.items()}))
+    descriptor = SpectralDescriptor(**components)
     if descriptor.is_empty:
         raise DomainError("descriptor is empty")
     return canonicalize(descriptor)
 
 
 def serialize_descriptor(d: SpectralDescriptor) -> dict:
-    """Inverse of parse_descriptor on canonical descriptors."""
+    """Inverse of parse_descriptor on canonical descriptors, in plain JSON types."""
     doc: dict = {}
-    if d.atoms:
-        doc["atoms"] = [
-            {
-                "value": atom.value,
-                "multiplicity": "inf" if atom.is_infinite else int(atom.multiplicity),
-            }
-            for atom in d.atoms
-        ]
-    if d.sequences:
-        doc["sequences"] = [
-            {
-                "limit": seq.limit,
-                "direction": seq.direction.value,
-                "offset": seq.offset,
-                "ratio": seq.ratio,
-                "multiplicity": seq.multiplicity,
-            }
-            for seq in d.sequences
-        ]
-    if d.continuous:
-        doc["continuous"] = [
-            {"kind": part.kind.value, "support": list(part.support)}
-            | (
-                {"coeffs": list(part.coeffs)}
-                if part.kind is PartKind.DENSITY
-                else {"mass": part.mass}
-            )
-            for part in d.continuous
-        ]
+    for key, kinds in _SCHEMA.items():
+        for entry in getattr(d, key):
+            _, fields = kinds[getattr(entry, "kind", None)]
+            doc.setdefault(key, []).append(
+                {name: write(getattr(entry, name)) for name, (_, write) in fields.items()})
     return doc

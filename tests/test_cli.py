@@ -211,6 +211,11 @@ class TestClassify:
             ({"continuous": [dict(_DENSITY, support=[1e150, 1e300], coeffs=[0, 0, 1])]},
              ["classify"]),
             ({"continuous": [dict(_DENSITY, coeffs=[-1e308, -1e308, -1e308])]}, ["classify"]),
+            # component fields that are not lists
+            ({"atoms": None}, ["classify"]),
+            ({"sequences": 5}, ["classify"]),
+            ({"continuous": 3.5}, ["classify"]),
+            ({"atoms": {"value": 1, "multiplicity": 1}}, ["classify"]),
         ],
         ids=["window_0", "nodes_8", "cantor_window_40", "sequence_window_80",
              "cantor_window_32", "lebesgue_window_46", "lebesgue_window_51",
@@ -220,7 +225,8 @@ class TestClassify:
              "nodes_1e15", "nodes_1e19", "lebesgue_window_1e20", "atoms_window_1e19",
              "atoms_per_sequence_1e20", "density_negative_between_grid_points",
              "density_mass_overflows", "density_wide_support_mass_overflows",
-             "density_negative_coefficients_overflow"],
+             "density_negative_coefficients_overflow", "atoms_null", "sequences_int",
+             "continuous_float", "atoms_object"],
     )
     def test_rejected_run_exits_1_with_one_line(self, tmp_path, capsys, doc, args):
         assert main([*args, "--input", write(tmp_path, "d.json", doc)]) == 1

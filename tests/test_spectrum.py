@@ -1,4 +1,6 @@
+import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -11,6 +13,7 @@ from lecplast import (
     CapacityError,
     DomainError,
     PreconditionError,
+    RangeError,
     SchemaError,
     TruncatedQuadraticSpace,
     canonicalize,
@@ -88,6 +91,125 @@ class TestParse:
             parse_descriptor(
                 {"continuous": [{"kind": "density", "support": [0, 1], "coeffs": [1]}]}
             )
+
+
+#: One valid document per component kind.
+SCHEMA_DOCS = {
+    "atoms": {"atoms": [{"value": 1.0, "multiplicity": "inf"}]},
+    "sequence": {"sequences": [{"limit": 1.0, "direction": "dec", "offset": 1.0, "ratio": 0.5,
+                                "multiplicity": 1}]},
+    "density": {"continuous": [{"kind": "density", "support": [1.0, 2.0], "coeffs": [1.0]}]},
+    "cantor": {"continuous": [{"kind": "cantor", "support": [1.0, 2.0], "mass": 1.0}]},
+}
+
+
+def _paths(node, path=()):
+    """The path of every value inside a JSON document, as keys and indices."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield (*path, key)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, (*path, key))
+
+
+def _path_name(path):
+    """A path as error lines name it, such as continuous[0].support[1]."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+
+def _put(doc, path, value):
+    """A deep copy of doc with value at path."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+#: (SCHEMA_DOCS key, path, a value of a wrong JSON type there, the error line): one
+#: row per field and per entry of each component kind, and one per kind for
+#: an unknown field.
+WRONG_TYPE = [
+    ("atoms", ("atoms", 0), "x", "atoms[0]: expected an object, got str"),
+    ("atoms", ("atoms", 0, "extra"), 0,
+     "atoms[0]: expected fields ['multiplicity', 'value'], "
+     "got ['extra', 'multiplicity', 'value']"),
+    ("atoms", ("atoms", 0, "value"), "1", "atoms[0].value: expected a number, got '1'"),
+    ("atoms", ("atoms", 0, "multiplicity"), 1.0,
+     "atoms[0].multiplicity: expected an integer, got 1.0"),
+    ("sequence", ("sequences", 0), [], "sequences[0]: expected an object, got list"),
+    ("sequence", ("sequences", 0, "extra"), 0,
+     "sequences[0]: expected fields ['direction', 'limit', 'multiplicity', 'offset', "
+     "'ratio'], got ['direction', 'extra', 'limit', 'multiplicity', 'offset', 'ratio']"),
+    ("sequence", ("sequences", 0, "limit"), None,
+     "sequences[0].limit: expected a number, got None"),
+    ("sequence", ("sequences", 0, "direction"), 1,
+     "sequences[0].direction: expected 'inc' or 'dec'"),
+    ("sequence", ("sequences", 0, "offset"), True,
+     "sequences[0].offset: expected a number, got True"),
+    ("sequence", ("sequences", 0, "ratio"), [], "sequences[0].ratio: expected a number, got []"),
+    ("sequence", ("sequences", 0, "multiplicity"), "inf",
+     "sequences[0].multiplicity: expected an integer, got 'inf'"),
+    ("density", ("continuous", 0), 5, "continuous[0].kind: expected 'density' or 'cantor'"),
+    ("density", ("continuous", 0, "mass"), 1.0,
+     "continuous[0]: expected fields ['coeffs', 'kind', 'support'], "
+     "got ['coeffs', 'kind', 'mass', 'support']"),
+    ("density", ("continuous", 0, "kind"), 0,
+     "continuous[0].kind: expected 'density' or 'cantor'"),
+    ("density", ("continuous", 0, "support"), "1", "continuous[0].support: expected [a, b]"),
+    ("density", ("continuous", 0, "support", 0), "1",
+     "continuous[0].support[0]: expected a number, got '1'"),
+    ("density", ("continuous", 0, "coeffs"), {}, "continuous[0].coeffs: expected a nonempty list"),
+    ("density", ("continuous", 0, "coeffs", 0), None,
+     "continuous[0].coeffs[0]: expected a number, got None"),
+    ("cantor", ("continuous", 0), None, "continuous[0].kind: expected 'density' or 'cantor'"),
+    ("cantor", ("continuous", 0, "coeffs"), [1.0],
+     "continuous[0]: expected fields ['kind', 'mass', 'support'], "
+     "got ['coeffs', 'kind', 'mass', 'support']"),
+    ("cantor", ("continuous", 0, "kind"), None,
+     "continuous[0].kind: expected 'density' or 'cantor'"),
+    ("cantor", ("continuous", 0, "support"), 2.0, "continuous[0].support: expected [a, b]"),
+    ("cantor", ("continuous", 0, "support", 1), [2],
+     "continuous[0].support[1]: expected a number, got [2]"),
+    ("cantor", ("continuous", 0, "mass"), "1", "continuous[0].mass: expected a number, got '1'"),
+]
+
+
+class TestSchema:
+    """Every malformed document ends in one of the package's errors, and a
+    value of a wrong JSON type in one field names that field."""
+
+    @pytest.mark.parametrize("name, path, value, line", WRONG_TYPE,
+                             ids=[f"{name}-{_path_name(path)}" for name, path, _, _ in WRONG_TYPE])
+    def test_wrong_json_type_names_the_field(self, name, path, value, line):
+        with pytest.raises(SchemaError) as info:
+            parse_descriptor(_put(SCHEMA_DOCS[name], path, value))
+        assert str(info.value) == line
+
+    @pytest.mark.parametrize("doc, line", [
+        ({"atoms": None}, "atoms: expected a list, got NoneType"),
+        ({"sequences": 5}, "sequences: expected a list, got int"),
+        ({"continuous": 3.5}, "continuous: expected a list, got float"),
+        ({"atoms": {"value": 1, "multiplicity": 1}}, "atoms: expected a list, got dict"),
+    ], ids=["atoms_null", "sequences_int", "continuous_float", "atoms_object"])
+    def test_component_that_is_not_a_list(self, doc, line):
+        with pytest.raises(SchemaError) as info:
+            parse_descriptor(doc)
+        assert str(info.value) == line
+
+    @pytest.mark.parametrize("name", SCHEMA_DOCS)
+    def test_any_value_at_any_path_ends_in_a_package_error(self, name):
+        doc = SCHEMA_DOCS[name]
+        for path in _paths(doc):
+            where = _path_name(path)
+            for value in [None, True, 0, -1, 10**30, 1.5, 1e308, "", "inf", [], [1, 2], {}]:
+                try:
+                    parse_descriptor(_put(doc, path, value))
+                except SchemaError as exc:  # names the path or a path inside it
+                    assert re.match(rf"{re.escape(where)}[:.\[]", str(exc)), (where, value, exc)
+                except (DomainError, RangeError, PreconditionError, CapacityError):
+                    pass
 
 
 class TestCanonicalize:
@@ -296,3 +418,15 @@ class TestRoundTrip:
     def test_serialize_parts(self):
         doc = serialize_descriptor(descriptor(continuous=[cantor(1, 2, mass=0.5)]))
         assert doc["continuous"][0] == {"kind": "cantor", "support": [1.0, 2.0], "mass": 0.5}
+
+    @pytest.mark.parametrize("m", WHOLE, ids=repr)
+    def test_whole_multiplicities_survive_json(self, m):
+        d = descriptor(atoms=[atom(1.0, m)], sequences=[seq(1.0, "dec", mult=m)])
+        assert parse_descriptor(json.loads(json.dumps(serialize_descriptor(d)))) == d
+
+    def test_float32_values_survive_json(self):
+        f = np.float32
+        d = descriptor(atoms=[atom(f(0.1), 2)], sequences=[seq(f(3.3), "inc", f(0.7), f(0.2))],
+                       continuous=[density(f(4.1), f(5.3), (f(0.3), f(1.7))),
+                                   cantor(f(6.1), f(7.9), f(0.9))])
+        assert parse_descriptor(json.loads(json.dumps(serialize_descriptor(d)))) == d
