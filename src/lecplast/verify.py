@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .measures import quadrature_nodes, row_blocks
+from .measures import column_blocks, quadrature_nodes, row_blocks
 from .spectrum import SpectralDescriptor, is_multiplicity
 from .witness import ShiftWitness, TransportWitness, require_window
 
@@ -144,28 +144,45 @@ class _TransportTables:
     ``contraction`` = ||Tx||, the root mean of g^2 on the nodes, for x the
     indicator of cell k = 0 (at K = 1, of the last cell with a successor).
 
-    Nodes and g^2 each come from one stacked call.  A cell whose nodes are
-    not strictly increasing raises ``CapacityError`` first, naming the
-    largest window that works (a cell's nodes do not depend on K).  No
+    The nodes come in column blocks of at most ``ROW_BLOCK`` node indices,
+    one ``quadrature_nodes`` table of all 2K cells each, and g^2 in blocks of
+    whole rows of that table, each read through the published multiplier and
+    folded into running maxima and the cell-0 sum, so memory does not grow
+    with ``nodes``.  A cell whose nodes are not strictly increasing in the
+    blocks read so far raises ``CapacityError`` before its block's g^2,
+    naming the largest window that works (a cell's nodes do not depend on
+    K); the run stops at the first column block with a repeated node.  No
     per-node array and no reference to the witness outlives the build.
     """
 
     tol = TRANSPORT_TOL
 
     def __init__(self, w: TransportWitness, nodes: int):
-        K = w.window
-        x = quadrature_nodes(w.cells, nodes=nodes)
-        require_window(K, (np.diff(x, axis=1) > 0).all(axis=1),
-                       f"transport cell k={{k}} at window K={K} is too narrow for "
-                       f"--nodes {nodes} distinct quadrature points", "distinct quadrature points")
-        x, t = x[:-1], x[1:]  # cells with a successor, and the successors
-        gsq = w.multiplier_squared(x)
-        self.gain = np.sqrt(np.max(gsq, axis=1))
-        self.contraction = np.sqrt(np.mean(gsq[min(K, len(gsq) - 1)]))
-        gsq *= t  # in place from here on, so that no second per-node array is made
-        gsq /= x
-        gsq -= 1.0
-        self.form = np.max(np.abs(gsq, out=gsq), axis=1)
+        K, cells = w.window, 2 * w.window - 1  # the cells with a successor
+        self.form, self.gain = np.full(cells, -np.inf), np.full(cells, -np.inf)
+        zero, total, last = min(K, cells - 1), -0.0, None  # -0.0 + s == s for every s
+        for columns in column_blocks(nodes):
+            x = quadrature_nodes(w.cells, nodes=nodes, columns=columns)
+            increasing = (x[:, 1:] > x[:, :-1]).all(axis=1)
+            if last is not None:
+                increasing &= x[:, 0] > last
+            require_window(K, increasing, f"transport cell k={{k}} at window K={K} is too narrow "
+                           f"for --nodes {nodes} distinct quadrature points",
+                           "distinct quadrature points")
+            last = x[:, -1].copy()
+            source, target = x[:-1], x[1:]  # cells with a successor, and the successors
+            for rows in row_blocks(cells, x.shape[1]):
+                gsq = w.multiplier_squared(source[rows], rows=rows)
+                np.maximum(self.gain[rows], np.max(gsq, axis=1), out=self.gain[rows])
+                if rows.start <= zero < rows.stop:
+                    total += np.sum(gsq[zero - rows.start])
+                gsq *= target[rows]  # in place from here on, so that no second g^2 block is made
+                gsq /= source[rows]
+                gsq -= 1.0
+                np.maximum(self.form[rows], np.max(np.abs(gsq, out=gsq), axis=1),
+                           out=self.form[rows])
+        self.gain = np.sqrt(self.gain)
+        self.contraction = np.sqrt(total / nodes)
 
 
 #: Tables by witness or space, then by node count (None for a space); each goes with its owner.

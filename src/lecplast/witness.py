@@ -180,17 +180,18 @@ class TransportWitness:
         object.__setattr__(self, "endpoints", np.append(self.cells.lo, self.cells.hi[-1]))
         object.__setattr__(self, "masses", self.cells.total_mass)
 
-    def multiplier_squared(self, s):
+    def multiplier_squared(self, s, rows: slice = slice(0, None)):
         """g_hat_k(s)^2 = s / G_k^{-1}(s) on the closed cells with a successor.
 
-        Row p of s lies in cell k = p - K, for the 2K - 1 cells at once.
+        ``rows`` picks a block of the 2K - 1 cells with a successor, all of
+        them by default: row p of s lies in cell k = rows.start + p - K.
         """
         s = np.asarray(s, dtype=float)
-        outside = self.cells[:-1].outside(s)
+        outside = self.cells[:-1][rows].outside(s)
         if outside.any():
-            k = int(np.argwhere(outside)[0][0]) - self.window
+            k = rows.start + int(np.argwhere(outside)[0][0]) - self.window
             raise RangeError(f"multiplier argument outside cell {k}")
-        return s / self.maps.inverse(s)
+        return s / self.maps[rows].inverse(s)
 
     def multiplier(self, s):
         return np.sqrt(self.multiplier_squared(s))

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -298,10 +299,17 @@ def _step_left(cdf, x, values, u, floor):
     return x
 
 
+@functools.lru_cache(maxsize=64)
+def _reference_antiderivative(part) -> Polynomial:
+    """The density's cdf in s = t - a, composed and integrated by numpy's ``Polynomial``."""
+    with np.errstate(all="ignore"):
+        return Polynomial(part.coeffs)(Polynomial([part.support[0], 1.0])).integ()
+
+
 def reference_cdf(part, t):
     """The density's cdf through numpy's ``Polynomial``, clamped to the support."""
     a, b = part.support
-    return part.antiderivative(np.clip(np.asarray(t, dtype=float), a, b) - a)
+    return _reference_antiderivative(part)(np.clip(np.asarray(t, dtype=float), a, b) - a)
 
 
 def reference_quantile(part, u):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from lecplast import RangeError, TransportWitness, cli, verify
 from lecplast import __version__
 from lecplast.cli import RunConfig, build_parser, main, run
+from lecplast.measures import ROW_BLOCK
 from conftest import drawn_density, drawn_support
 
 TWO_ATOMS = {
@@ -192,8 +193,7 @@ class TestClassify:
             (LEBESGUE, ["all", "--window", "x"]),
             (LEBESGUE, ["all", "--bogus"]),
             (LEBESGUE, ["all", "two\nlines"]),
-            # node tables past the 64-bit address space fail to allocate
-            # before any memory is touched
+            # 10^15 nodes repeat in the first column block of the outer cells
             (LEBESGUE, ["all", "--nodes", str(10**15)]),
             # count flags past 2**53 are rejected before anything is built
             (LEBESGUE, ["all", "--nodes", str(10**19)]),
@@ -235,21 +235,38 @@ class TestClassify:
 
 
     @pytest.mark.parametrize(
-        "doc, args, largest",
-        [(LEBESGUE, ["--window", "44", "--nodes", "256"], 43),
-         (CANTOR, ["--window", "21"], 20),
-         (CANTOR, ["--window", "25", "--nodes", "256"], 24)],
-        ids=["lebesgue", "cantor", "cantor_256"],
+        "doc, K, nodes, largest",
+        [(LEBESGUE, 44, 256, 43), (CANTOR, 21, 4096, 20), (CANTOR, 25, 256, 24),
+         # two column blocks of nodes: the line a single table of them gives
+         (LEBESGUE, 40, 16384, 37), (CANTOR, 20, 16384, 18)],
+        ids=["lebesgue", "cantor", "cantor_256", "lebesgue_16384", "cantor_16384"],
     )
-    def test_narrow_cells_name_largest_window(self, tmp_path, capsys, doc, args, largest):
+    def test_narrow_cells_name_largest_window(self, tmp_path, capsys, doc, K, nodes, largest):
         path = write(tmp_path, "d.json", doc)
-        assert main(["verify", *args, "--input", path]) == 1
-        err = capsys.readouterr().err
-        assert err.endswith(
-            f"; the largest window with distinct quadrature points is K={largest}\n"
-        )
-        assert main(["verify", *args, "--window", str(largest), "--input", path]) == 3
+        args = ["verify", "--nodes", str(nodes), "--input", path]
+        assert main([*args, "--window", str(K)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: transport cell k={-K} at window K={K} is too narrow for --nodes {nodes} "
+            f"distinct quadrature points; the largest window with distinct quadrature points "
+            f"is K={largest}\n")
+        assert main([*args, "--window", str(largest)]) == 3
         capsys.readouterr()
+
+    def test_nodes_past_any_table_stop_at_first_column_block(self, tmp_path, capsys, monkeypatch):
+        # 10^15 nodes per cell: the outer cells repeat a node in the first
+        # column block of 8192, and the run ends there, at once.
+        columns, quadrature_nodes = [], verify.quadrature_nodes
+        monkeypatch.setattr(verify, "quadrature_nodes", lambda m, **kwargs: (
+            columns.append(kwargs["columns"]) or quadrature_nodes(m, **kwargs)))
+        path = write(tmp_path, "d.json", LEBESGUE)
+        start = time.perf_counter()
+        assert main(["all", "--nodes", str(10**15), "--input", path]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert columns == [slice(0, ROW_BLOCK)]
+        assert capsys.readouterr().err == (
+            f"error: transport cell k=-16 at window K=16 is too narrow for --nodes {10**15} "
+            "distinct quadrature points; the largest window with distinct quadrature points "
+            "is K=1\n")
 
     @pytest.mark.parametrize("mass, args, code", [
         (5e-324, ["--window", "16"], 1), (1e-320, ["--window", "16"], 1),
@@ -378,7 +395,7 @@ class TestVerifyCommand:
 
     def test_nan_residual_fails_its_check(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(TransportWitness, "multiplier_squared",
-                            lambda self, s: np.full(np.shape(s), np.nan))
+                            lambda self, s, rows=slice(0, None): np.full(np.shape(s), np.nan))
         out = tmp_path / "report.json"
         argv = ["verify", "--window", "3", "--nodes", "256", "--output", str(out)]
         assert main([*argv, "--input", write(tmp_path, "d.json", LEBESGUE)]) == 2
@@ -399,7 +416,8 @@ class TestVerifyCommand:
         # published multiplier, so the mutant witness must not pass.
         multiplier_squared = TransportWitness.multiplier_squared
         monkeypatch.setattr(TransportWitness, "multiplier_squared",
-                            lambda self, s: 1.0 / multiplier_squared(self, s))
+                            lambda self, s, rows=slice(0, None):
+                            1.0 / multiplier_squared(self, s, rows))
         out = tmp_path / "report.json"
         argv = ["all", "--input", write(tmp_path, "d.json", doc), "--output", str(out)]
         assert main(argv) == 2
@@ -414,7 +432,8 @@ class TestVerifyCommand:
         # narrow cells, where g^2 is near 1, it also expands.
         multiplier_squared = TransportWitness.multiplier_squared
         monkeypatch.setattr(TransportWitness, "multiplier_squared",
-                            lambda self, s: (1.0 + 1e-4) * multiplier_squared(self, s))
+                            lambda self, s, rows=slice(0, None):
+                            (1.0 + 1e-4) * multiplier_squared(self, s, rows))
         out = tmp_path / "report.json"
         argv = ["all", "--input", write(tmp_path, "d.json", doc), "--output", str(out)]
         assert main(argv) == 2
@@ -626,8 +645,12 @@ class TestOwnProcess:
         # the chain is refused before anything of its window's size is built
         (HALF_SEQUENCES, ["witness", "--window", "1000000"], 1, None, 60, 0, 50),
         (HALF_SEQUENCES, ["witness", "--window", "10000000"], 1, None, 60, 0, 50),
+        # the transport tables hold one column block of nodes at a time
+        (LEBESGUE, ["all", "--window", "1", "--nodes", "10000000"], 3, 4, 120, 0, 100),
+        (CANTOR, ["all", "--window", "4", "--nodes", "10000000"], 3, 4, 120, 2**30, None),
     ], ids=["float_range_atoms", "per_sequence_1e5", "per_sequence_1e6_capped",
-            "witness_window_1e6", "witness_window_1e7"])
+            "witness_window_1e6", "witness_window_1e7", "lebesgue_nodes_1e7",
+            "cantor_nodes_1e7_capped"])
     def test_run(self, tmp_path, doc, args, code, checks, seconds, cap, peak_mb):
         out, err = tmp_path / "report.json", tmp_path / "stderr.txt"
         argv = [sys.executable, "-c", _LAUNCHER, str(cap), str(seconds),

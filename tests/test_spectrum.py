@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 
 from lecplast import (
     INFINITE,
     CapacityError,
     DomainError,
+    MeasureSpec,
     PreconditionError,
     RangeError,
     SchemaError,
@@ -21,7 +23,7 @@ from lecplast import (
     serialize_descriptor,
 )
 from lecplast.spectrum import is_multiplicity
-from conftest import (atom, cantor, density, descriptor, random_descriptor,
+from conftest import (atom, cantor, density, descriptor, drawn_density, random_descriptor,
                       reference_first_index, reference_points, seq)
 
 #: Whole numbers >= 1 of every type a multiplicity may have, and values that are not.
@@ -85,6 +87,23 @@ class TestParse:
     )
     def test_density_with_zero_minimum_accepted(self, coeffs):
         assert density(1.0, 2.0, coeffs=coeffs).total_mass > 0
+
+    @given(part=drawn_density())
+    @example(part=density(1.0, 2.0, coeffs=(1.0, 0.0, 0.0)))  # numpy trims the zero top terms
+    @example(part=density(0.5, 3.0, coeffs=(1.0, 0.5, 2.0, 0.25, 1.0)))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_density_setup_is_numpys_polynomial_bit_for_bit(self, part):
+        # The closed-form cdf coefficients, total mass and slope are numpy's
+        # composition, integral, evaluation and derivative, to the bit.
+        a, b = part.support
+        with np.errstate(all="ignore"):
+            cdf = Polynomial(part.coeffs)(Polynomial([a, 1.0])).integ()
+            mass = cdf(b - a)
+        assert part.antiderivative.tobytes() == cdf.coef.tobytes()
+        assert np.float64(part.total_mass).tobytes() == np.float64(mass).tobytes()
+        _, density_coeffs, slope = MeasureSpec(part)._coeffs
+        assert density_coeffs.tobytes() == Polynomial(part.coeffs).coef.tobytes()
+        assert slope.tobytes() == Polynomial(part.coeffs).deriv().coef.tobytes()
 
     def test_spectral_support_must_avoid_zero(self):
         with pytest.raises(DomainError):
