@@ -15,11 +15,12 @@ place where the program reads a transport cell.  A stacked evaluation runs
 in blocks of whole rows of at most ``ROW_BLOCK`` levels, so its working set
 does not grow with C; row p comes out bit for bit as in a one-row stack,
 whatever the block size.  ``ROW_BLOCK`` sits between two limits.  Each call
-of the density quantile kernel pays a fixed dispatch, 89 Python-level and 45
-C calls on a 32-level row, most of them numpy's, so a larger block pays it
-less often: on one 2-vCPU Xeon with numpy 2.4, a call on a 32-level row
-takes 71 us against 193 us on a 4,096-level row, and two rows of 4,096 in
-one call take 320-350 us.  A block's temporaries grow with it: a K = 16,
+of the density quantile kernel pays a fixed dispatch, 94 Python-level and 53
+C calls on a 32-level row of a degree-2 density (73 and 42 in closed form),
+most of them numpy's, so a larger block pays it less often: on one shared
+2-vCPU Xeon with numpy 2.4, a degree-2 call on a 32-level row takes 84-163 us
+against 226-309 us on a 4,096-level row (closed form: 57-62 against
+125-133 us).  A block's temporaries grow with it: a K = 16,
 4096-node transport table build, which holds one column block of nodes
 (1 MB) and one row block of g^2 at a time, peaks at 1.53 MB traced with
 blocks of 4,096 levels, 1.99 MB with 8,192 and 2.92 MB with 16,384, and the
@@ -27,22 +28,23 @@ tests pin it below 2.5 MB.
 
 A polynomial density is integrated in closed form, in s = t - a from the
 support start a (``ContinuousPart.antiderivative``).  The coefficients of
-that cdf, of the density and of its slope (j c_j), and the guess grid of the
-inverse, are set up once per ``MeasureSpec``; the polynomials are evaluated
-by Horner's rule in numpy ``polyval``'s order (``spectrum.horner``), bit for
-bit as numpy's ``Polynomial``.  A Cantor part evaluates the classic
-ternary-digit algorithm for the Cantor function, affinely rescaled to its
-support and mass.
+that cdf, of the density and of its slope (j c_j), and the root scales or the
+guess grid of the inverse, are set up once per ``MeasureSpec``; the
+polynomials are evaluated by Horner's rule in numpy ``polyval``'s order
+(``spectrum.horner``), bit for bit as numpy's ``Polynomial``.  A Cantor part
+evaluates the classic ternary-digit algorithm for the Cantor function,
+affinely rescaled to its support and mass.
 
 Each part kind is inverted directly: a Cantor level maps its binary digits
-to ternary digits 0/2, and a density level takes one Newton step on the
-closed-form cdf from the cdf interpolated on a fine grid.  Only the levels
-that this step leaves open run the safeguarded Newton iteration, and the
-step finishes a level exactly where the iteration's first pass would, with
-its bits.  Every quantile keeps the floating-point invariant
-cdf(quantile(u)) <= u, so a level on a cdf plateau selects the plateau's
-right end; a window keeps it for its own cdf, base.cdf(x) - offset, without
-searching for a base level.
+to ternary digits 0/2, a density of degree <= 1 takes the root of its cdf in
+closed form, and any other density level one Newton step on the cdf from the
+cdf interpolated on a fine grid.  Only the levels that this step leaves open
+run the safeguarded Newton iteration, and the step finishes a level exactly
+where the iteration's first pass would, with its bits.  Every solve ends in
+one left walk on the program's own cdf, so every quantile keeps the
+floating-point invariant cdf(quantile(u)) <= u: a level on a cdf plateau
+selects the plateau's right end, and a window keeps it for its own cdf,
+base.cdf(x) - offset, without searching for a base level.
 
 Cut at triadic points, a Cantor part's windows are each an affine copy of
 the standard Cantor measure (``CantorCells``): their maps are affine
@@ -123,10 +125,17 @@ class MeasureSpec:
         object.__setattr__(self, "support", self.part.support)
         object.__setattr__(self, "total_mass", self.part.total_mass)
         if self.part.kind is PartKind.DENSITY:  # set up once for every quantile
-            grid, density = np.linspace(*self.support, _GUESS_GRID), np.array(self.part.coeffs)
-            slope = density[1:] * np.arange(1, density.size) if density.size > 1 else density * 0.0
-            object.__setattr__(self, "_coeffs", (self.part.antiderivative, density, slope))
-            object.__setattr__(self, "_guess", (self.cdf(grid), grid))
+            (a, b), A, p = self.support, self.part.antiderivative, np.array(self.part.coeffs)
+            slope = p[1:] * np.arange(1, p.size) if p.size > 1 else p * 0.0
+            object.__setattr__(self, "_coeffs", (A, p, slope))  # the cdf in s, density p, p'
+            if A.size > 3:  # degree >= 2: Newton from the cdf on a guess grid
+                grid = np.linspace(a, b, _GUESS_GRID)
+                object.__setattr__(self, "_guess", (self.cdf(grid), grid))
+            else:  # degree <= 1: s by 2^-e_s ~ 1/(b - a), u and the A_j by 2^e_u ~ 1/M
+                e_s, e_u = math.frexp(b - a)[1], -math.frexp(self.total_mass)[1]
+                alpha = max(math.ldexp(A[1], e_s + e_u), np.finfo(float).tiny)  # u = 0: s = 0
+                beta = math.ldexp(A[2], 2 * e_s + e_u) if A.size == 3 else 0.0
+                object.__setattr__(self, "_scaled", (alpha, beta, e_s, e_u))
 
     def cdf(self, t):
         """mu([0, t]); 0 below the support, total_mass above it."""
@@ -329,15 +338,27 @@ def _cantor_quantile(u: np.ndarray, mass: float, offset=0.0) -> np.ndarray:
 def _density_quantile(m: MeasureSpec, u: np.ndarray):
     """Solve m.cdf(x) = u on the support of a density: x and m.cdf(x).
 
-    Takes one Newton step from the inverse of the cdf interpolated on the
-    guess grid.  A level is finished by that step exactly when the first
-    iteration of ``_safeguarded_newton`` would finish it by a Newton step:
-    p > 0, the step lands in [a, b], moves at most (b - a)/2, and its error
-    term is at most one ulp of x, so such a level gets the loop's own bits.
-    Only the other levels enter the loop, with their guess, its cdf and the
-    step taken from it.
+    A density of degree <= 1 takes the root of its cdf A_1 s + A_2 s^2 in
+    s = x - a without cancellation (Higham, Accuracy and Stability of
+    Numerical Algorithms, section 1.8), s = 2u / (A_1 +
+    sqrt(A_1^2 + 4 A_2 u)), which is u / A_1 at degree 0, on s, u and the A_j
+    scaled by powers of two (``MeasureSpec``) so that no term overflows, or
+    underflows on a level above 2^-1022 M.  Any other density takes one
+    Newton step from the inverse of the cdf interpolated on the guess grid.
+    A level is finished by that step exactly when the first iteration of
+    ``_safeguarded_newton`` would finish it by a Newton step: p > 0, the step
+    lands in [a, b], moves at most (b - a)/2, and its error term is at most
+    one ulp of x, so such a level gets the loop's own bits.  The other levels
+    enter the loop with their guess, its cdf and that step.
     """
     a, b = m.support
+    if m._coeffs[0].size <= 3:  # degree <= 1
+        alpha, beta, e_s, e_u = m._scaled
+        v = np.ldexp(u, e_u)
+        root = 2.0 * alpha if not beta else alpha + np.sqrt(
+            np.maximum(alpha * alpha + 4.0 * beta * v, 0.0))
+        x = np.minimum(a + np.ldexp((v + v) / root, e_s), b)
+        return x, m.cdf(x)
     grid_cdf, grid = m._guess
     x = np.interp(u, grid_cdf, grid)
     values = m.cdf(x)
@@ -413,18 +434,19 @@ def _step_left(cdf: Callable, x: np.ndarray, values, u: np.ndarray, floor: float
     """Walk x left in doubling ulp steps until fl(cdf(x) - offset) <= u.
 
     ``values`` is cdf(x) and ``offset`` broadcasts against x; the walk stops
-    at ``floor``, where cdf is 0.  Only the levels that overshoot are walked.
+    at ``floor``, where cdf is 0; the overshooting levels are gathered once.
     """
     x = np.ascontiguousarray(x)  # so that its flat view writes through
-    flat, levels = x.reshape(-1), u.reshape(-1)
+    flat = x.reshape(-1)
     i = np.flatnonzero(values - offset > u)
-    offset = np.broadcast_to(offset, x.shape).flat[i]
-    step = np.spacing(flat[i])
+    walk, levels, offset = flat[i], u.reshape(-1)[i], np.broadcast_to(offset, x.shape).ravel()[i]
+    step = np.spacing(walk)
     while i.size:
-        flat[i] = np.maximum(flat[i] - step, floor)
-        step *= 2.0
-        over = cdf(flat[i]) - offset > levels[i]
-        i, step, offset = i[over], step[over], offset[over]
+        flat[i] = walk = np.maximum(walk - step, floor)
+        over = cdf(walk) - offset > levels
+        if not over.any():
+            break
+        i, walk, levels, offset, step = (v[over] for v in (i, walk, levels, offset, 2.0 * step))
     return x
 
 

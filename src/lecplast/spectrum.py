@@ -173,10 +173,10 @@ def _nonnegative_on(coeffs: np.ndarray, a: float, b: float) -> bool:
 
 
 def horner(coeffs: np.ndarray, x):
-    """sum_i coeffs[i] x**i, in numpy ``polyval``'s order of operations."""
-    out = x * 0.0
-    out += coeffs[-1]
-    for c in coeffs[-2::-1]:
+    """sum_i coeffs[i] x**i (two or more of them), in numpy ``polyval``'s order."""
+    out = x * coeffs[-1]
+    out += coeffs[-2]
+    for c in coeffs[-3::-1]:
         out *= x
         out += c
     return out

@@ -147,12 +147,13 @@ class _TransportTables:
     The nodes come in column blocks of at most ``ROW_BLOCK`` node indices,
     one ``quadrature_nodes`` table of all 2K cells each, and g^2 in blocks of
     whole rows of that table, each read through the published multiplier and
-    folded into running maxima and the cell-0 sum, so memory does not grow
-    with ``nodes``.  A cell whose nodes are not strictly increasing in the
-    blocks read so far raises ``CapacityError`` before its block's g^2,
-    naming the largest window that works (a cell's nodes do not depend on
-    K); the run stops at the first column block with a repeated node.  No
-    per-node array and no reference to the witness outlives the build.
+    folded into running maxima and a compensated (Neumaier) cell-0 sum, so
+    memory does not grow with ``nodes`` nor the sum drift with the blocks.
+    A cell whose nodes are not strictly increasing in the blocks read so far
+    raises ``CapacityError`` before its block's g^2, naming the largest
+    window that works (a cell's nodes do not depend on K); the run stops at
+    the first column block with a repeated node.  No per-node array and no
+    reference to the witness outlives the build.
     """
 
     tol = TRANSPORT_TOL
@@ -160,7 +161,7 @@ class _TransportTables:
     def __init__(self, w: TransportWitness, nodes: int):
         K, cells = w.window, 2 * w.window - 1  # the cells with a successor
         self.form, self.gain = np.full(cells, -np.inf), np.full(cells, -np.inf)
-        zero, total, last = min(K, cells - 1), -0.0, None  # -0.0 + s == s for every s
+        zero, total, lost, last = min(K, cells - 1), -0.0, 0.0, None  # -0.0 + s == s for every s
         for columns in column_blocks(nodes):
             x = quadrature_nodes(w.cells, nodes=nodes, columns=columns)
             increasing = (x[:, 1:] > x[:, :-1]).all(axis=1)
@@ -175,14 +176,16 @@ class _TransportTables:
                 gsq = w.multiplier_squared(source[rows], rows=rows)
                 np.maximum(self.gain[rows], np.max(gsq, axis=1), out=self.gain[rows])
                 if rows.start <= zero < rows.stop:
-                    total += np.sum(gsq[zero - rows.start])
+                    part = np.sum(gsq[zero - rows.start])
+                    old, total = total, total + part  # lost keeps the bits that total drops
+                    lost += (old - total) + part if abs(old) >= abs(part) else (part - total) + old
                 gsq *= target[rows]  # in place from here on, so that no second g^2 block is made
                 gsq /= source[rows]
                 gsq -= 1.0
                 np.maximum(self.form[rows], np.max(np.abs(gsq, out=gsq), axis=1),
                            out=self.form[rows])
         self.gain = np.sqrt(self.gain)
-        self.contraction = np.sqrt(total / nodes)
+        self.contraction = np.sqrt((total + lost) / nodes)
 
 
 #: Tables by witness or space, then by node count (None for a space); each goes with its owner.

@@ -236,9 +236,11 @@ def pairs_of(space):
     return np.stack([ends, others], axis=1)
 
 
-# Reference density quantiles: the solve as it stood before its arrays were
-# updated in place, kept verbatim as an oracle.  The library must give the
-# same bits on every input (see tests/test_measures.py::TestDensityQuantileBits).
+# Reference density quantiles: the Newton solve as it stood before its arrays
+# were updated in place, kept verbatim as an oracle, and the closed form of a
+# density of degree <= 1 written again on numpy's Polynomial.  The library must
+# give the same bits on every input, and at degree <= 1 stay within a few ulps
+# of the Newton solve it replaced (see tests/test_measures.py::TestDensityQuantileBits).
 
 
 def _density_quantile(part, cdf, u):
@@ -312,25 +314,54 @@ def reference_cdf(part, t):
     return _reference_antiderivative(part)(np.clip(np.asarray(t, dtype=float), a, b) - a)
 
 
-def reference_quantile(part, u):
-    """``MeasureSpec.quantile`` of a density on levels already in [0, total_mass]."""
+def _closed_form(part, u):
+    """The degree <= 1 solve of reference_cdf(x) = u and its cdf: the root
+    s = 2u / (A_1 + sqrt(A_1^2 + 4 A_2 u)), which is u / A_1 at degree 0, of
+    A_1 s + A_2 s^2 = u, on s scaled by 2^-e_s and u and the A_j by 2^e_u,
+    for 2^e_s the power of two just above b - a and 2^-e_u the one just above
+    the mass, with the scaled A_1 at least the least normal float."""
+    cdf = lambda t: reference_cdf(part, t)
+    A, (a, b) = _reference_antiderivative(part).coef, part.support
+    e_s, e_u = math.frexp(b - a)[1], -math.frexp(cdf(b))[1]
+    alpha = max(math.ldexp(A[1], e_s + e_u), np.finfo(float).tiny)
+    beta = math.ldexp(A[2], 2 * e_s + e_u) if A.size == 3 else 0.0
+    v = np.ldexp(u, e_u)
+    root = alpha + np.sqrt(np.maximum(alpha * alpha + 4.0 * beta * v, 0.0)) if beta else 2.0 * alpha
+    x = np.minimum(a + np.ldexp((v + v) / root, e_s), b)
+    return x, cdf(x)
+
+
+def _newton(part, u):
+    return _density_quantile(part, lambda t: reference_cdf(part, t), u)
+
+
+def _solve(part, u):
+    """The closed form at degree <= 1, the Newton solve above it."""
+    return (_closed_form if _reference_antiderivative(part).coef.size <= 3 else _newton)(part, u)
+
+
+def reference_quantile(part, u, solve=_solve):
+    """``MeasureSpec.quantile`` of a density on levels already in [0, total_mass].
+
+    ``newton_quantile`` is the same with every density solved by Newton, as
+    the library did before it inverted degree <= 1 in closed form."""
     levels = np.array(u, dtype=float)
-    x, values = _density_quantile(part, lambda t: reference_cdf(part, t), levels)
+    x, values = solve(part, levels)
     x = _step_left(lambda t: reference_cdf(part, t), x, values, levels, part.support[0])
     x[levels >= part.total_mass] = part.support[1]
     return x
 
 
-def reference_window_quantile(part, lo, hi, u):
+def reference_window_quantile(part, lo, hi, u, solve=_solve):
     """``RestrictedMeasure.quantile`` on windows [lo[p], hi[p]] of a density;
     row p of the (C, n) levels ``u`` lies in [0, mass of window p].  The
-    base is solved at offset + u, then walked left while the window's cdf
-    exceeds u."""
+    base is solved at offset + u (by ``solve``), then walked left while the
+    window's cdf exceeds u."""
     offset, upper = reference_cdf(part, np.stack([lo, hi]))
     mass, offset = (upper - offset)[:, None], offset[:, None]
     levels = np.clip(u, 0.0, mass)
     cdf = lambda t: reference_cdf(part, t)
-    x, values = _density_quantile(part, cdf, np.clip(offset + levels, 0.0, part.total_mass))
+    x, values = solve(part, np.clip(offset + levels, 0.0, part.total_mass))
     offset = np.broadcast_to(offset, levels.shape)
     step = np.spacing(x)
     over = values - offset > levels
@@ -341,6 +372,14 @@ def reference_window_quantile(part, lo, hi, u):
     x = np.clip(x, lo[:, None], hi[:, None])
     np.copyto(x, hi[:, None], where=levels >= mass)
     return x
+
+
+def newton_quantile(part, u):
+    return reference_quantile(part, u, _newton)
+
+
+def newton_window_quantile(part, lo, hi, u):
+    return reference_window_quantile(part, lo, hi, u, _newton)
 
 
 def level_walk_window_quantile(part, lo, hi, u):

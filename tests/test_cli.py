@@ -372,9 +372,10 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("end", [1e200, 1e300, 1.7e308])
     def test_wide_support_passes_without_warnings(self, tmp_path, capsys, end):
-        # Lebesgue on [1, end] at default flags: the Gram weights x du and the
-        # Newton bisection midpoint would leave the float range if formed as
-        # they are written; pytest turns a RuntimeWarning into an error.
+        # Lebesgue on [1, end] at default flags: the Gram weights x du would
+        # leave the float range if formed as they are written, and so would
+        # the closed-form quantile's terms in u and s if not scaled; pytest
+        # turns a RuntimeWarning into an error.
         path = write(tmp_path, "d.json", WITH_NUMBER["support_end"](end))
         out = tmp_path / "report.json"
         for full in ([], ["--full"]):
@@ -383,15 +384,18 @@ class TestVerifyCommand:
             assert all(c["pass"] for c in json.loads(out.read_text())["checks"])
 
     def test_far_support_newton_step_does_not_warn(self, tmp_path, capsys):
-        # Lebesgue on [1e300, 1.5e300]: the quantile's Newton steps pass 1e154,
-        # so the square in their error term overflows; that counts as "not
-        # converged" and must not reach stderr as a RuntimeWarning.
-        doc = {"continuous": [dict(_DENSITY, support=[1e300, 1.5e300])]}
-        out = tmp_path / "report.json"
-        argv = ["all", "--input", write(tmp_path, "d.json", doc), "--output", str(out)]
-        assert main(argv) == 3
-        assert capsys.readouterr().err == ""
-        assert all(c["pass"] for c in json.loads(out.read_text())["checks"])
+        # 1 + 1e-300 t^2 on [1e200, 1.5e200]: the quantile's Newton steps pass
+        # 1e154, so the square in their error term overflows; that counts as
+        # "not converged" and must not reach stderr as a RuntimeWarning.
+        # Lebesgue on [1e300, 1.5e300] takes the closed form of degree <= 1.
+        for part in ({"support": [1e200, 1.5e200], "coeffs": [1, 0, 1e-300]},
+                     {"support": [1e300, 1.5e300]}):
+            doc = {"continuous": [dict(_DENSITY, **part)]}
+            out = tmp_path / "report.json"
+            argv = ["all", "--input", write(tmp_path, "d.json", doc), "--output", str(out)]
+            assert main(argv) == 3
+            assert capsys.readouterr().err == ""
+            assert all(c["pass"] for c in json.loads(out.read_text())["checks"])
 
     def test_nan_residual_fails_its_check(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(TransportWitness, "multiplier_squared",
@@ -633,25 +637,27 @@ print(proc.returncode, usage.ru_maxrss)
 class TestOwnProcess:
     """Runs bounded by wall time, an address-space cap (bytes) or a peak RSS (MB)."""
 
-    @pytest.mark.parametrize("doc, args, code, checks, seconds, cap, peak_mb", [
+    @pytest.mark.parametrize("doc, args, code, checks, seconds, cap, peak_mb, residuals", [
         # max / min = 3.4e631: the extremal probes are divided by
         # kappa = sqrt(max / min), so none of their entries overflows
         ({"atoms": [{"value": 5e-324, "multiplicity": 1}, {"value": 1.7e308, "multiplicity": 2}]},
-         ["all"], 0, 4, 300, 0, None),
+         ["all"], 0, 4, 300, 0, None, {}),
         # the space checks read their probes in blocks of whole pairs, so
         # memory does not grow with the probes of the truncation
-        (SLOW_SEQUENCES, ["all", "--per-sequence", "100000"], 3, 7, 60, 0, None),
-        (SLOW_SEQUENCES, ["all", "--per-sequence", "1000000"], 3, 7, 120, 10**6 * 1024, None),
+        (SLOW_SEQUENCES, ["all", "--per-sequence", "100000"], 3, 7, 60, 0, None, {}),
+        (SLOW_SEQUENCES, ["all", "--per-sequence", "1000000"], 3, 7, 120, 10**6 * 1024, None, {}),
         # the chain is refused before anything of its window's size is built
-        (HALF_SEQUENCES, ["witness", "--window", "1000000"], 1, None, 60, 0, 50),
-        (HALF_SEQUENCES, ["witness", "--window", "10000000"], 1, None, 60, 0, 50),
-        # the transport tables hold one column block of nodes at a time
-        (LEBESGUE, ["all", "--window", "1", "--nodes", "10000000"], 3, 4, 120, 0, 100),
-        (CANTOR, ["all", "--window", "4", "--nodes", "10000000"], 3, 4, 120, 2**30, None),
+        (HALF_SEQUENCES, ["witness", "--window", "1000000"], 1, None, 60, 0, 50, {}),
+        (HALF_SEQUENCES, ["witness", "--window", "10000000"], 1, None, 60, 0, 50, {}),
+        # the transport tables hold one column block of nodes at a time, and
+        # the 1,221 block sums of cell 0 add up as their exact sum does
+        (LEBESGUE, ["all", "--window", "1", "--nodes", "10000000"], 3, 4, 120, 0, 100,
+         {"strict_contraction": 0.9197006687899828}),
+        (CANTOR, ["all", "--window", "4", "--nodes", "10000000"], 3, 4, 120, 2**30, None, {}),
     ], ids=["float_range_atoms", "per_sequence_1e5", "per_sequence_1e6_capped",
             "witness_window_1e6", "witness_window_1e7", "lebesgue_nodes_1e7",
             "cantor_nodes_1e7_capped"])
-    def test_run(self, tmp_path, doc, args, code, checks, seconds, cap, peak_mb):
+    def test_run(self, tmp_path, doc, args, code, checks, seconds, cap, peak_mb, residuals):
         out, err = tmp_path / "report.json", tmp_path / "stderr.txt"
         argv = [sys.executable, "-c", _LAUNCHER, str(cap), str(seconds),
                 sys.executable, "-W", "error::RuntimeWarning", "-m", "lecplast", *args,
@@ -670,6 +676,8 @@ class TestOwnProcess:
             assert lines == []
             report = json.loads(out.read_text())["checks"]
             assert len(report) == checks and all(c["pass"] for c in report)
+            worst = {c["name"]: c["worst_residual"] for c in report}
+            assert {name: worst[name] for name in residuals} == residuals
 
 
 _MAGNITUDE = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -25,6 +26,8 @@ from conftest import (
     drawn_density,
     integrate,
     level_walk_window_quantile,
+    newton_quantile,
+    newton_window_quantile,
     pushforward_check,
     reference_cdf,
     reference_quantile,
@@ -207,7 +210,9 @@ class TestClosedFormQuantile:
 
     @pytest.mark.parametrize("part", ZERO_AT_START.values(), ids=ZERO_AT_START.keys())
     def test_level_0_is_the_support_start(self, part):
-        # The Newton step from a = 1 divides by p(1) = 0 inside its errstate.
+        # (t - 1)^2's Newton step from a = 1 divides by p(1) = 0 inside its
+        # errstate; 2(t - 1)'s closed form divides 0 by at least the least
+        # normal float.
         assert MeasureSpec(part).quantile(0.0) == part.support[0]
 
     @pytest.mark.parametrize("part", [*SINGLE_PARTS.values(), *ZERO_AT_START.values()],
@@ -231,61 +236,6 @@ class TestClosedFormQuantile:
         assert 1 <= len(calls) <= 8
 
 
-class TestDensityQuantileBits:
-    """Density quantiles give the bits of the reference solve in conftest,
-    through ``MeasureSpec.quantile``, ``RestrictedMeasure.quantile`` and
-    ``TransportMap`` on the cells of a witness."""
-
-    #: Distance allowed between the window rule and the level walk before it.
-    WINDOW_RULE_ULPS = 4
-
-    # The first two inputs tell an error term computed as (e * step) * step
-    # from the reference's e * step**2.
-    @example(part=density(9.0786e184, 9.0786e184 * (1 + 3.2e-6)), K=1, nodes=1024)
-    @example(part=density(1e300, 1.5e300), K=16, nodes=256)
-    @example(part=ZERO_AT_START["linear_zero_at_a"], K=16, nodes=4096)
-    @example(part=ZERO_AT_START["square_zero_at_a"], K=16, nodes=4096)
-    @example(part=LOOP_DENSITIES["square_zero_inside"], K=16, nodes=4096)
-    @example(part=LOOP_DENSITIES["steep_cubic"], K=16, nodes=4096)
-    @given(part=drawn_density(), K=st.sampled_from([1, 4, 16]),
-           nodes=st.sampled_from([256, 1024]))
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    def test_same_bits_as_reference(self, part, K, nodes):
-        m = MeasureSpec(part)
-        total = m.total_mass
-        rng = np.random.default_rng(nodes)
-        levels = np.concatenate([
-            [0.0, total, np.nextafter(0.0, 1.0), np.nextafter(total, 0.0)],
-            [-np.nextafter(0.0, 1.0), np.nextafter(total, np.inf)],  # clipped to [0, total]
-            total * rng.random(58),
-        ])
-        same = lambda x, y: x.tobytes() == y.tobytes()
-        assert same(m.quantile(levels), reference_quantile(part, np.clip(levels, 0.0, total)))
-        try:
-            w = build_transport_witness(part, K)
-        except CapacityError:
-            return  # too narrow for window K, or too light for a witness
-        lo, hi = w.endpoints[:-1], w.endpoints[1:]
-        assert same(w.endpoints, reference_quantile(part, total * partition_levels(K)))
-        mass = np.subtract(*reference_cdf(part, np.stack([hi, lo])))
-        assert same(w.cells.total_mass, mass)
-        x = quadrature_nodes(w.cells, nodes=nodes)
-        u = (np.arange(nodes) + 0.5) * (mass[:, None] / nodes)
-        assert same(x, reference_window_quantile(part, lo, hi, u))
-        assert same(w.cells.quantile(u[:, ::-1]), reference_window_quantile(part, lo, hi, u[:, ::-1]))
-        # The window rule before this one solved the base at the largest
-        # level c with fl(c - offset) <= u.  Both rules keep F(x) <= c, and
-        # they differ by at most 4 ulps of x plus 4 ulps of the level F(x),
-        # carried to x by the density (a level ulp moves x by ulp / p(x)).
-        walked = level_walk_window_quantile(part, lo, hi, u)
-        with np.errstate(divide="ignore"):
-            ulp = np.spacing(walked) + np.spacing(reference_cdf(part, walked)) / np.abs(Polynomial(part.coeffs)(walked))
-        assert (np.abs(x - walked) <= self.WINDOW_RULE_ULPS * ulp).all()
-        cells, succ = (lo[:-1], hi[:-1]), (lo[1:], hi[1:])
-        assert same(w.maps(x[1:]), reference_transport(part, cells, succ, x[1:]))
-        assert same(w.maps.inverse(x[:-1]), reference_transport(part, succ, cells, x[:-1]))
-
-
 # The density draws of the `transport_verify` benchmark strata (perfbench
 # corpus, seeds 0 and 1, rounds 0 and 1): support [a, a + w] with a and w in
 # [0.5, 2], c_0 in [0.5, 2] and the other coefficients in [0, 1].
@@ -303,6 +253,130 @@ STRATA_DENSITIES = [
     density(1.152392, 1.825512, coeffs=(1.831969, 0.935955)),
     density(1.129717, 1.757269, coeffs=(1.787997, 0.721695, 0.156724)),
 ]
+
+
+class TestDensityQuantileBits:
+    """Density quantiles give the bits of the reference solve in conftest,
+    through ``MeasureSpec.quantile``, ``RestrictedMeasure.quantile`` and
+    ``TransportMap`` on the cells of a witness."""
+
+    #: Distance allowed between the window rule and the level walk before it.
+    WINDOW_RULE_ULPS = 4
+    #: Distance allowed between the closed form of a density of degree <= 1
+    #: and the Newton solve before it, on levels and on quadrature nodes; the
+    #: largest seen is 3, on the two first examples and a degree-1 draw.
+    NEWTON_ULPS = 3
+
+    # The first two inputs, Lebesgue far out, take the closed form; the third
+    # takes Newton steps whose square overflows, and tells an error term
+    # computed as (e * step) * step from the reference's e * step**2.
+    @example(part=density(9.0786e184, 9.0786e184 * (1 + 3.2e-6)), K=1, nodes=1024)
+    @example(part=density(1e300, 1.5e300), K=16, nodes=256)
+    @example(part=density(1e200, 1.5e200, coeffs=(1.0, 0.0, 1e-300)), K=16, nodes=256)
+    @example(part=ZERO_AT_START["linear_zero_at_a"], K=16, nodes=4096)
+    @example(part=ZERO_AT_START["square_zero_at_a"], K=16, nodes=4096)
+    @example(part=LOOP_DENSITIES["square_zero_inside"], K=16, nodes=4096)
+    @example(part=LOOP_DENSITIES["steep_cubic"], K=16, nodes=4096)
+    # the degree-2 benchmark draws, at the shape the benchmark runs them
+    @example(part=STRATA_DENSITIES[2], K=16, nodes=4096)
+    @example(part=STRATA_DENSITIES[5], K=16, nodes=4096)
+    @example(part=STRATA_DENSITIES[8], K=16, nodes=4096)
+    @example(part=STRATA_DENSITIES[11], K=16, nodes=4096)
+    @given(part=drawn_density(), K=st.sampled_from([1, 4, 16]),
+           nodes=st.sampled_from([256, 1024]))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_same_bits_as_reference(self, part, K, nodes):
+        m = MeasureSpec(part)
+        total = m.total_mass
+        rng = np.random.default_rng(nodes)
+        levels = np.concatenate([
+            [0.0, total, np.nextafter(0.0, 1.0), np.nextafter(total, 0.0)],
+            [-np.nextafter(0.0, 1.0), np.nextafter(total, np.inf)],  # clipped to [0, total]
+            total * rng.random(58),
+        ])
+        same = lambda x, y: x.tobytes() == y.tobytes()
+        near = lambda x, y: (np.abs(x - y) <= self.NEWTON_ULPS * np.spacing(y)).all()
+        assert same(m.quantile(levels), reference_quantile(part, np.clip(levels, 0.0, total)))
+        closed_form = part.antiderivative.size <= 3  # degree <= 1
+        if closed_form:
+            assert near(m.quantile(levels), newton_quantile(part, np.clip(levels, 0.0, total)))
+        try:
+            w = build_transport_witness(part, K)
+        except CapacityError:
+            return  # too narrow for window K, or too light for a witness
+        lo, hi = w.endpoints[:-1], w.endpoints[1:]
+        assert same(w.endpoints, reference_quantile(part, total * partition_levels(K)))
+        mass = np.subtract(*reference_cdf(part, np.stack([hi, lo])))
+        assert same(w.cells.total_mass, mass)
+        x = quadrature_nodes(w.cells, nodes=nodes)
+        u = (np.arange(nodes) + 0.5) * (mass[:, None] / nodes)
+        assert same(x, reference_window_quantile(part, lo, hi, u))
+        if closed_form:
+            assert near(x, newton_window_quantile(part, lo, hi, u))
+        assert same(w.cells.quantile(u[:, ::-1]), reference_window_quantile(part, lo, hi, u[:, ::-1]))
+        # The window rule before this one solved the base at the largest
+        # level c with fl(c - offset) <= u.  Both rules keep F(x) <= c, and
+        # they differ by at most 4 ulps of x plus 4 ulps of the level F(x),
+        # carried to x by the density (a level ulp moves x by ulp / p(x)).
+        walked = level_walk_window_quantile(part, lo, hi, u)
+        with np.errstate(divide="ignore"):
+            ulp = np.spacing(walked) + np.spacing(reference_cdf(part, walked)) / np.abs(Polynomial(part.coeffs)(walked))
+        assert (np.abs(x - walked) <= self.WINDOW_RULE_ULPS * ulp).all()
+        cells, succ = (lo[:-1], hi[:-1]), (lo[1:], hi[1:])
+        assert same(w.maps(x[1:]), reference_transport(part, cells, succ, x[1:]))
+        assert same(w.maps.inverse(x[:-1]), reference_transport(part, succ, cells, x[:-1]))
+
+
+TINY = np.finfo(float).tiny
+
+# Densities of degree <= 1, which are inverted in closed form, each with the
+# MeasureSpec.cdf calls that the Newton solve before it made on the levels of
+# TestClosedFormAccuracy.  The three degree-1 extremes catch a discriminant
+# A_1^2 + 4 A_2 u that under- or overflows; 2(t - 1) and 2 - t vanish at a
+# and at b, where a root formula can cancel.
+CLOSED_FORM = {
+    "constant_1e-300": (density(1.0, 2.0, coeffs=(1e-300,)), 3),
+    "constant_1": (density(1.0, 2.0, coeffs=(1.0,)), 3),
+    "constant_1e300": (density(1.0, 2.0, coeffs=(1e300,)), 3),
+    "constant_tiny": (density(1.0, 2.0, coeffs=(TINY,)), 2),
+    "lebesgue_wide": (density(1.0, 1e300), 2),
+    "lebesgue_far": (density(1e300, 1.5e300), 55),
+    "increasing": (SINGLE_PARTS["degree_1"], 3),
+    "linear_zero_at_a": (ZERO_AT_START["linear_zero_at_a"], 6),
+    "linear_zero_at_b": (density(1.0, 2.0, coeffs=(2.0, -1.0)), 5),
+    "linear_tiny": (density(1.0, 2.0, coeffs=(TINY, TINY)), 3),
+    "linear_1e300": (density(1.0, 2.0, coeffs=(1e300, 1e300)), 3),
+    "zero_at_b_far": (density(1e300, 2e300, coeffs=(2.0, -1e-300)), 55),
+    **{f"draw{i}": (p, 4 if i == 3 else 3) for i, p in enumerate(STRATA_DENSITIES)
+       if len(p.coeffs) <= 2},
+}
+
+
+def exact_quantile(part, u):
+    """a + s for the root s of the float cdf A_1 s + A_2 s^2 = u, at 50 digits."""
+    A, (a, b) = part.antiderivative, part.support
+    with mpmath.workdps(50):
+        a1, a2, u = mpmath.mpf(A[1]), mpmath.mpf(A[2] if A.size > 2 else 0.0), mpmath.mpf(u)
+        return min(a + 2 * u / (a1 + mpmath.sqrt(a1 * a1 + 4 * a2 * u)), mpmath.mpf(b))
+
+
+class TestClosedFormAccuracy:
+    """Degree <= 1 quantiles keep cdf(x) <= u, lie within max(2, the Newton
+    solve's worst) ulps of the exact root, and take no more cdf calls than
+    the Newton solve did."""
+
+    @pytest.mark.parametrize("part, newton_calls", CLOSED_FORM.values(), ids=CLOSED_FORM.keys())
+    def test_near_the_root_in_few_calls(self, part, newton_calls, monkeypatch):
+        m = MeasureSpec(part)
+        levels = m.total_mass * np.random.default_rng(7).random(400)
+        calls, cdf = [], MeasureSpec.cdf
+        monkeypatch.setattr(MeasureSpec, "cdf", lambda self, t: calls.append(1) or cdf(self, t))
+        x = m.quantile(levels)
+        assert len(calls) <= (2 if part is ZERO_AT_START["linear_zero_at_a"] else newton_calls)
+        assert (m.cdf(x) <= levels).all()
+        exact = [exact_quantile(part, u) for u in levels]
+        ulps = lambda x: max(abs(mpmath.mpf(xi) - r) / np.spacing(xi) for xi, r in zip(x, exact))
+        assert ulps(x) <= max(2, ulps(newton_quantile(part, levels)))
 
 
 class TestOneNewtonStep:

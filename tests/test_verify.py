@@ -492,6 +492,15 @@ class TestTransportSuprema:
                 assert tables.contraction == pytest.approx(math.sqrt(math.fsum(gsq) / nodes),
                                                            rel=4 * eps, abs=0)
 
+    def test_contraction_does_not_drift_over_many_column_blocks(self, monkeypatch):
+        # 10^5 nodes in column blocks of 16: 6,250 block sums of g^2 on cell 0
+        monkeypatch.setattr(measures, "ROW_BLOCK", 16)
+        w, nodes = build_transport_witness(density(1.0, 2.0), 1), 10**5
+        contraction = verify._TransportTables(w, nodes).contraction
+        gsq = w.multiplier_squared(quadrature_nodes(w.cells[:1], nodes=nodes))[0]
+        exact = math.sqrt(math.fsum(gsq) / nodes)
+        assert abs(contraction - exact) <= np.spacing(exact)
+
     @pytest.mark.parametrize("part", ["degree1", "cantor"])
     def test_nonexpansive_between_constant_and_multiplier(self, part):
         # Constant f on a cell gives a lower bound; the supremum over every
